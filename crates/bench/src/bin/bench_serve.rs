@@ -38,8 +38,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Workload mix by request index: mostly embeds (the batched hot path),
-/// a band of influence queries (cache-heavy), a trickle of seed queries.
+/// Workload mix by request index: mostly embeds (the hot path), a band
+/// of influence queries (cache-heavy), a trickle of seed queries.
 fn endpoint_for(i: usize) -> &'static str {
     match i % 10 {
         0..=5 => "embed",
@@ -272,13 +272,7 @@ struct RowSpec {
     pipeline: usize,
     rps: usize,
     secs: u64,
-    /// Server-side micro-batch window. The embed path does one
-    /// full-graph forward per pass regardless of batch size, so a wider
-    /// window trades per-request latency for pass depth (throughput).
-    batch_window_ms: u64,
-    /// Server worker threads. Batch depth is capped by the worker count
-    /// (each in-flight embed occupies a worker while it coalesces), so
-    /// the high-load row needs more of these mostly-blocked threads.
+    /// Server worker threads.
     workers: usize,
 }
 
@@ -387,14 +381,9 @@ fn keepalive_sender(
 fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
     let b = load_bundle(bundle_path);
     let n_nodes = b.graph.num_nodes();
-    // Workers spend most of their time blocked (socket reads, batcher
-    // waits), so the count is deliberately NOT tied to core count: on a
-    // small machine extra workers are what turn queue depth into batch
-    // depth for /v1/embed.
     let cfg = ServeConfig {
         workers: spec.workers,
         frontend: spec.frontend,
-        batch_window: Duration::from_millis(spec.batch_window_ms),
         ..ServeConfig::default()
     };
     let handle = start(b, cfg).unwrap_or_else(|e| {
@@ -458,8 +447,6 @@ fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
 
     let (_, exposition) = request(port, "GET", "/metrics", "");
     let counter = |name: &str| parse_counter(&exposition, name).unwrap_or(0);
-    let batch_passes = counter("privim_batch_forward_passes_total");
-    let batch_served = counter("privim_batch_batched_requests_total");
     let cache_hits = counter("privim_cache_hits_total");
     let cache_misses = counter("privim_cache_misses_total");
     let shed = counter("privim_shed_total");
@@ -503,7 +490,6 @@ fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
     let throughput = ok as f64 / elapsed;
     println!(
         "{ok}/{total} ok in {elapsed:.2} s = {throughput:.0} req/s; \
-         batch: {batch_served} reqs over {batch_passes} passes; \
          cache: {cache_hits} hits / {cache_misses} misses; shed: {shed}; \
          conns: {connections} ({reuses} keep-alive reuses)"
     );
@@ -514,14 +500,11 @@ fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
         ("reuse", Value::Num(spec.reuse as f64)),
         ("pipeline", Value::Num(spec.pipeline as f64)),
         ("offered_rps", Value::Num(spec.rps as f64)),
-        ("batch_window_ms", Value::Num(spec.batch_window_ms as f64)),
         ("workers", Value::Num(spec.workers as f64)),
         ("duration_secs", Value::Num(spec.secs as f64)),
         ("requests", Value::Num(total as f64)),
         ("completed_ok", Value::Num(ok as f64)),
         ("achieved_rps", Value::Num(throughput)),
-        ("batch_forward_passes", Value::Num(batch_passes as f64)),
-        ("batch_served_requests", Value::Num(batch_served as f64)),
         ("cache_hits", Value::Num(cache_hits as f64)),
         ("cache_misses", Value::Num(cache_misses as f64)),
         ("shed", Value::Num(shed as f64)),
@@ -584,7 +567,6 @@ fn main() {
     let mut frontend = FrontEnd::Reactor;
     let mut reuse = 64usize;
     let mut pipeline = 1usize;
-    let mut batch_window_ms = 2u64;
     let mut workers = 8usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -615,17 +597,13 @@ fn main() {
             }
             "--reuse" => reuse = it.next().and_then(|s| s.parse().ok()).unwrap_or(reuse),
             "--pipeline" => pipeline = it.next().and_then(|s| s.parse().ok()).unwrap_or(pipeline),
-            "--batch-window-ms" => {
-                batch_window_ms =
-                    it.next().and_then(|s| s.parse().ok()).unwrap_or(batch_window_ms)
-            }
             "--workers" => workers = it.next().and_then(|s| s.parse().ok()).unwrap_or(workers),
             other => {
                 eprintln!(
                     "error: unknown flag {other} (flags: --smoke, --bundle <path>, --rps <n>, \
                      --secs <n>, --out <path>, --mode oneshot|keepalive, \
                      --frontend reactor|threaded, --reuse <n>, --pipeline <n>, \
-                     --batch-window-ms <n>, --workers <n>)"
+                     --workers <n>)"
                 );
                 std::process::exit(2);
             }
@@ -660,7 +638,6 @@ fn main() {
                 pipeline,
                 rps: rps.max(1),
                 secs: secs.max(1),
-                batch_window_ms,
                 workers: workers.max(1),
             },
         )],
@@ -669,20 +646,15 @@ fn main() {
         // (p99 comparison), and keep-alive + pipelining at 10x offered
         // load (throughput headroom).
         None => {
-            // The 10x row also raises the worker count: batch depth is
-            // capped by workers (each coalescing embed occupies one), and
-            // the embed pass costs the same whatever its depth, so extra
-            // mostly-blocked workers convert queue depth into pass depth
-            // instead of backlog.
             let specs = [
-                (FrontEnd::Threaded, ClientMode::OneShot, 1, rps, batch_window_ms, workers),
-                (FrontEnd::Reactor, ClientMode::OneShot, 1, rps, batch_window_ms, workers),
-                (FrontEnd::Reactor, ClientMode::KeepAlive, 1, rps, batch_window_ms, workers),
-                (FrontEnd::Reactor, ClientMode::KeepAlive, 8, rps * 10, batch_window_ms, 64),
+                (FrontEnd::Threaded, ClientMode::OneShot, 1, rps),
+                (FrontEnd::Reactor, ClientMode::OneShot, 1, rps),
+                (FrontEnd::Reactor, ClientMode::KeepAlive, 1, rps),
+                (FrontEnd::Reactor, ClientMode::KeepAlive, 8, rps * 10),
             ];
             specs
                 .iter()
-                .map(|&(frontend, mode, pipeline, rps, batch_window_ms, workers)| {
+                .map(|&(frontend, mode, pipeline, rps)| {
                     run_row(
                         bundle_path.as_deref(),
                         &RowSpec {
@@ -692,8 +664,7 @@ fn main() {
                             pipeline,
                             rps: rps.max(1),
                             secs: secs.max(1),
-                            batch_window_ms,
-                            workers,
+                            workers: workers.max(1),
                         },
                     )
                 })

@@ -6,8 +6,7 @@
 //!              [--method privim*|privim|privim+scs|non-private] [--fast]
 //!              [--quant none|int8|f16]
 //! privim-serve run --bundle bundle.json [--addr 127.0.0.1:7878]
-//!              [--workers 4] [--queue-cap 128] [--deadline-ms 5000]
-//!              [--batch-window-ms 2] [--runs 64]
+//!              [--workers 4] [--queue-cap 128] [--deadline-ms 5000] [--runs 64]
 //!              [--frontend reactor|threaded] [--idle-timeout-ms 30000]
 //!              [--header-timeout-ms 10000] [--max-pipeline 32]
 //! ```
@@ -43,8 +42,7 @@ fn usage() -> ! {
                [--tenant-budget <eps> [--query-sigma 8] [--ledger-delta 1e-5]
                 [--retry-after 60]]
   privim-serve run --bundle <bundle.json> [--addr 127.0.0.1:7878]
-               [--workers 4] [--queue-cap 128] [--deadline-ms 5000]
-               [--batch-window-ms 2] [--runs 64]
+               [--workers 4] [--queue-cap 128] [--deadline-ms 5000] [--runs 64]
                [--frontend reactor|threaded] [--idle-timeout-ms 30000]
                [--header-timeout-ms 10000] [--max-pipeline 32]
                [--wal <path>] [--no-wal] [--fsync always|never|every=N]
@@ -78,7 +76,6 @@ struct Flags {
     workers: usize,
     queue_cap: usize,
     deadline_ms: u64,
-    batch_window_ms: u64,
     runs: usize,
     frontend: FrontEnd,
     idle_timeout_ms: u64,
@@ -111,7 +108,6 @@ fn parse_flags(args: &[String]) -> Flags {
         workers: 4,
         queue_cap: 128,
         deadline_ms: 5_000,
-        batch_window_ms: 2,
         runs: 64,
         frontend: FrontEnd::Reactor,
         idle_timeout_ms: 30_000,
@@ -165,9 +161,6 @@ fn parse_flags(args: &[String]) -> Flags {
             "--queue-cap" => f.queue_cap = val("--queue-cap").parse().unwrap_or_else(|_| usage()),
             "--deadline-ms" => {
                 f.deadline_ms = val("--deadline-ms").parse().unwrap_or_else(|_| usage())
-            }
-            "--batch-window-ms" => {
-                f.batch_window_ms = val("--batch-window-ms").parse().unwrap_or_else(|_| usage())
             }
             "--runs" => f.runs = val("--runs").parse().unwrap_or_else(|_| usage()),
             "--frontend" => {
@@ -375,7 +368,6 @@ fn cmd_run(f: &Flags) {
         workers: f.workers.max(1),
         queue_cap: f.queue_cap.max(1),
         deadline: Duration::from_millis(f.deadline_ms.max(1)),
-        batch_window: Duration::from_millis(f.batch_window_ms),
         default_runs: f.runs.max(1),
         durability,
         frontend: f.frontend,

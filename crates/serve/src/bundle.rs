@@ -122,8 +122,8 @@ pub struct Bundle {
     pub mode: QuantMode,
     /// Privacy statement the model was trained under.
     pub privacy: PrivacyStatement,
-    /// The serving graph (shared: server workers, batcher and CELF state
-    /// all hold clones of this `Arc`).
+    /// The serving graph (shared: server workers and CELF state both
+    /// hold clones of this `Arc`).
     pub graph: Arc<Graph>,
     /// FNV-1a fingerprint of the graph's canonical arc list.
     pub fingerprint: u64,

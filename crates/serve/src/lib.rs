@@ -15,7 +15,7 @@
 //! |---|---|
 //! | `POST /v1/influence` | spread of a seed set (Monte-Carlo IC), LRU-cached |
 //! | `POST /v1/seeds` | top-`k` seeds via resumable CELF (cached pick order) |
-//! | `POST /v1/embed` | GNN scores for requested nodes, micro-batched |
+//! | `POST /v1/embed` | GNN scores for requested nodes, from one forward pass per server |
 //! | `GET /metrics` | plain-text exposition: counters, latency histograms, per-tenant budgets |
 //! | `GET /healthz` | liveness |
 //!
@@ -27,9 +27,10 @@
 //!
 //! ## Production behaviours
 //!
-//! * **Micro-batching** ([`batch::Batcher`]): concurrent `/v1/embed`
-//!   requests coalesce into one full-graph forward pass through the
-//!   worker-pool-backed tensor kernels; each request then reads its rows.
+//! * **Compute-once embeds** ([`server`]): `/v1/embed` scores are a pure
+//!   function of the immutable `(model, graph)` pair, so the first embed
+//!   runs one full-graph forward pass and every later one reads its rows
+//!   from that vector. Budget admission still runs per request.
 //! * **Caching** ([`cache::ShardedLru`]): spread estimates are cached in
 //!   a sharded LRU keyed by the *exact* canonical request bytes (the hash
 //!   only picks the shard, so a collision can never serve a wrong value),
@@ -58,10 +59,9 @@
 //!   into an atomically-replaced bundle snapshot.
 //!
 //! Determinism note: response payloads are bit-identical to direct
-//! library calls (the e2e test pins this) — batching and caching change
-//! *when* work happens, never *what* is computed.
+//! library calls (the e2e test pins this) — computing scores once and
+//! caching change *when* work happens, never *what* is computed.
 
-pub mod batch;
 pub mod bundle;
 pub mod cache;
 pub(crate) mod conn;

@@ -246,18 +246,10 @@ impl Metrics {
     }
 
     /// Plain-text exposition (Prometheus-style: `name{labels} value`).
-    /// The spread cache's hit/miss counters and the batcher's
-    /// `(forward passes, requests served through them)` totals live in
-    /// those components; the caller passes their current values so the
-    /// exposition is one consistent snapshot.
-    pub fn render(
-        &self,
-        cache_hits: u64,
-        cache_misses: u64,
-        cache_len: usize,
-        batch_passes: u64,
-        batch_served: u64,
-    ) -> String {
+    /// The spread cache's hit/miss counters live in the cache; the caller
+    /// passes their current values so the exposition is one consistent
+    /// snapshot.
+    pub fn render(&self, cache_hits: u64, cache_misses: u64, cache_len: usize) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("# privim-serve metrics exposition v1\n");
         for (i, name) in ENDPOINTS.iter().enumerate() {
@@ -297,8 +289,6 @@ impl Metrics {
         push_line(&mut out, "privim_shed_total", self.shed_total.load(Ordering::Relaxed));
         push_line(&mut out, "privim_queue_depth", self.queue_depth.load(Ordering::Relaxed));
         push_line(&mut out, "privim_queue_depth_peak", self.queue_depth_peak.load(Ordering::Relaxed));
-        push_line(&mut out, "privim_batch_forward_passes_total", batch_passes);
-        push_line(&mut out, "privim_batch_batched_requests_total", batch_served);
         push_line(&mut out, "privim_cache_hits_total", cache_hits);
         push_line(&mut out, "privim_cache_misses_total", cache_misses);
         push_line(&mut out, "privim_cache_entries", cache_len as u64);
@@ -406,7 +396,7 @@ mod tests {
         m.observe(0, 75, 200); // influence, 75 µs -> le=100
         m.observe(0, 75, 200);
         m.observe(2, 2_000_000, 200); // embed, 2 s -> +Inf
-        let text = m.render(3, 1, 2, 0, 0);
+        let text = m.render(3, 1, 2);
         assert_eq!(
             parse_counter(&text, "privim_requests_total{endpoint=\"influence\"}"),
             Some(2)
@@ -434,17 +424,15 @@ mod tests {
     }
 
     #[test]
-    fn queue_and_batch_gauges() {
+    fn queue_gauges() {
         let m = Metrics::new();
         m.queue_push();
         m.queue_push();
         m.queue_pop();
         m.shed();
-        let text = m.render(0, 0, 0, 1, 4);
+        let text = m.render(0, 0, 0);
         assert_eq!(parse_counter(&text, "privim_queue_depth"), Some(1));
         assert_eq!(parse_counter(&text, "privim_queue_depth_peak"), Some(2));
-        assert_eq!(parse_counter(&text, "privim_batch_forward_passes_total"), Some(1));
-        assert_eq!(parse_counter(&text, "privim_batch_batched_requests_total"), Some(4));
         assert_eq!(parse_counter(&text, "privim_shed_total"), Some(1));
     }
 
@@ -457,7 +445,7 @@ mod tests {
         m.wal_append_failure();
         m.wal_compaction();
         m.wal_compaction_failure();
-        let text = m.render(0, 0, 0, 0, 0);
+        let text = m.render(0, 0, 0);
         assert_eq!(parse_counter(&text, "privim_timeout_config_failures_total"), Some(1));
         assert_eq!(parse_counter(&text, "privim_wal_appends_total"), Some(2));
         assert_eq!(parse_counter(&text, "privim_wal_append_failures_total"), Some(1));
@@ -484,7 +472,7 @@ mod tests {
         m.observe_pipeline_depth(1);
         m.observe_pipeline_depth(3); // -> le=4
         m.observe_pipeline_depth(100); // -> +Inf
-        let text = m.render(0, 0, 0, 0, 0);
+        let text = m.render(0, 0, 0);
         assert_eq!(parse_counter(&text, "privim_open_connections"), Some(1));
         assert_eq!(parse_counter(&text, "privim_connections_total"), Some(2));
         assert_eq!(parse_counter(&text, "privim_keepalive_reuses_total"), Some(3));

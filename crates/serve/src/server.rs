@@ -20,14 +20,13 @@
 //! was accepted is ever abandoned — under the reactor this includes a
 //! request whose bytes are still arriving when shutdown begins.
 
-use crate::batch::Batcher;
 use crate::bundle::{Bundle, PrivacyStatement, QuantMode};
 use crate::cache::ShardedLru;
 use crate::http::{read_request, write_response, write_response_with_headers, Request};
 use crate::ledger::{Admission, TenantLedger};
 use crate::metrics::{endpoint_index, render_ledger_section, Metrics};
 use crate::wal::{FsyncPolicy, WalWriter};
-use privim_gnn::{GnnModel, QuantGnnModel};
+use privim_gnn::{node_features, GnnModel, GraphTensors, QuantGnnModel};
 use privim_graph::NodeId;
 use privim_im::{ic_spread_estimate, LazyGreedy};
 use privim_rt::fsio;
@@ -37,7 +36,7 @@ use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Durability settings for a metered deployment: where charges are
@@ -93,8 +92,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-request deadline measured from *arrival* (queue wait counts).
     pub deadline: Duration,
-    /// Micro-batch collection window for `/v1/embed`.
-    pub batch_window: Duration,
     /// Spread-cache shards.
     pub cache_shards: usize,
     /// Spread-cache entries per shard.
@@ -127,7 +124,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_cap: 128,
             deadline: Duration::from_secs(5),
-            batch_window: Duration::from_millis(2),
             cache_shards: 8,
             cache_cap_per_shard: 256,
             default_runs: 64,
@@ -145,7 +141,9 @@ pub(crate) struct Shared {
     fingerprint: u64,
     pub(crate) metrics: Metrics,
     cache: ShardedLru<f64>,
-    batcher: Batcher,
+    /// The `/v1/embed` score vector, filled by the first embed (see
+    /// [`embed_scores`]).
+    scores: OnceLock<Vec<f64>>,
     /// Resumable CELF state: one instance serves every `/v1/seeds`
     /// request (greedy prefix stability makes cached answers exact).
     seeds: Mutex<LazyGreedy>,
@@ -158,12 +156,14 @@ pub(crate) struct Shared {
     /// when unmetered or durability is not configured.
     wal: Option<Mutex<WalWriter>>,
     durability: Option<DurabilityConfig>,
-    /// Model + privacy statement retained for compaction snapshots
-    /// (a snapshot is a full re-pack of the loaded bundle).
-    model: Arc<GnnModel>,
-    /// Int8 serving model and storage mode of the loaded bundle, so
+    /// Model + privacy statement: the embed pass runs the model, and
+    /// compaction snapshots re-pack both (a snapshot is a full re-pack
+    /// of the loaded bundle).
+    model: GnnModel,
+    /// Int8 serving model and storage mode of the loaded bundle: a
+    /// `model_q8` bundle's embed pass runs the integer path, and
     /// compaction re-packs in the same mode it loaded.
-    quant: Option<Arc<QuantGnnModel>>,
+    quant: Option<QuantGnnModel>,
     mode: QuantMode,
     privacy: PrivacyStatement,
     queue: Mutex<VecDeque<(TcpStream, Instant)>>,
@@ -252,8 +252,12 @@ impl ServerHandle {
 }
 
 /// Bind, spawn the acceptor and workers, and return a handle. The CELF
-/// state, batcher tensors and cache are initialised here, so the first
-/// request pays no setup cost.
+/// state and cache are initialised here; the embed score vector is not.
+/// The first `/v1/embed` pays one full-graph forward pass instead. That
+/// keeps the pass off the path to the first `/healthz` 200, so start-up
+/// time does not grow with the cost of inference. The graph tensors and
+/// node features the pass needs are built and dropped inside it, so a
+/// deployment that never serves an embed never allocates them.
 pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)
         .map_err(|e| PrivimError::io("binding serve listener", e))?;
@@ -262,8 +266,6 @@ pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
         .map_err(|e| PrivimError::io("reading bound address", e))?
         .port();
 
-    let model = Arc::new(bundle.model);
-    let quant = bundle.quant.map(Arc::new);
     let ledger = match bundle.ledger {
         Some(state) => Some(TenantLedger::new(state)?),
         None => None,
@@ -279,18 +281,13 @@ pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
         _ => (None, None),
     };
     let shared = Arc::new(Shared {
-        batcher: Batcher::new_quant(
-            Arc::clone(&model),
-            quant.as_ref().map(Arc::clone),
-            &bundle.graph,
-            cfg.batch_window,
-        ),
+        scores: OnceLock::new(),
         seeds: Mutex::new(LazyGreedy::new(Arc::clone(&bundle.graph))),
         ledger,
         wal,
         durability,
-        model,
-        quant,
+        model: bundle.model,
+        quant: bundle.quant,
         mode: bundle.mode,
         privacy: bundle.privacy,
         graph: bundle.graph,
@@ -505,17 +502,11 @@ impl Routed {
 }
 
 /// The full `/metrics` exposition: request counters + one consistent
-/// snapshot of the cache/batcher totals, then the budget-ledger section
-/// when the deployment is metered.
+/// snapshot of the cache totals, then the budget-ledger section when the
+/// deployment is metered.
 fn render_metrics(shared: &Shared) -> String {
-    let (passes, served) = shared.batcher.stats();
-    let mut text = shared.metrics.render(
-        shared.cache.hits(),
-        shared.cache.misses(),
-        shared.cache.len(),
-        passes,
-        served,
-    );
+    let mut text =
+        shared.metrics.render(shared.cache.hits(), shared.cache.misses(), shared.cache.len());
     if let Some(ledger) = &shared.ledger {
         render_ledger_section(
             &mut text,
@@ -617,7 +608,7 @@ fn compact(shared: &Shared, writer: &mut WalWriter) {
     let state = ledger.state();
     let doc = crate::bundle::pack_parts_in_mode(
         &shared.model,
-        shared.quant.as_deref(),
+        shared.quant.as_ref(),
         shared.mode,
         &shared.privacy,
         &shared.graph,
@@ -809,12 +800,33 @@ fn handle_seeds(req: &Request, shared: &Shared) -> PrivimResult<Value> {
     ]))
 }
 
+/// The served per-node scores: one full-graph forward pass, run by the
+/// first caller and shared by every later one. The pass is a pure
+/// function of the `(model, graph)` pair, both immutable for the
+/// server's lifetime, and the scores are post-processing of the released
+/// DP model, so computing them once changes no response and spends no
+/// privacy. Concurrent first callers block on the one pass. An int8
+/// bundle serves through the quantized model, everything else through
+/// the dense one.
+fn embed_scores(shared: &Shared) -> &[f64] {
+    shared.scores.get_or_init(|| {
+        let tensors = GraphTensors::new(&shared.graph);
+        let features = node_features(&shared.graph);
+        match &shared.quant {
+            Some(q) => q.infer(&tensors, &features),
+            None => shared.model.infer(&tensors, &features),
+        }
+    })
+}
+
 /// `POST /v1/embed` — `{"nodes":[…]}`: model scores for the requested
-/// nodes, computed through the micro-batcher.
+/// nodes, read from the once-computed score vector. Admission already
+/// ran in [`metered`], so every embed is charged and journaled on its
+/// own even though none after the first runs the model.
 fn handle_embed(req: &Request, shared: &Shared) -> PrivimResult<Value> {
     let body = parse_body(req)?;
     let nodes = seed_list(&body, "nodes", shared.graph.num_nodes())?;
-    let scores = shared.batcher.scores();
+    let scores = embed_scores(shared);
     let out: Vec<Value> = nodes
         .iter()
         .map(|&v| {
@@ -825,4 +837,40 @@ fn handle_embed(req: &Request, shared: &Shared) -> PrivimResult<Value> {
         })
         .collect();
     Ok(Value::obj(vec![("scores", Value::Arr(out))]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use privim::ServeArtifact;
+    use privim_gnn::GnnConfig;
+    use privim_rt::{ChaCha8Rng, SeedableRng};
+
+    #[test]
+    fn scores_are_computed_lazily_once_and_shared() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let g = privim_graph::generators::barabasi_albert(60, 3, &mut rng)
+            .with_uniform_weights(1.0);
+        let artifact = ServeArtifact {
+            model: GnnModel::new(GnnConfig::paper_default(), &mut rng),
+            epsilon: Some(2.0),
+            delta: 1e-4,
+            sigma: 1.5,
+            steps: 80,
+        };
+        let mut buf = Vec::new();
+        crate::bundle::save(&artifact, &g, &mut buf).unwrap();
+        let b = crate::bundle::load(buf.as_slice()).unwrap();
+        let handle = start(b, ServeConfig::default()).unwrap();
+        let shared = &handle.shared;
+        assert!(shared.scores.get().is_none(), "start must not run the forward pass");
+
+        let first = embed_scores(shared);
+        let second = embed_scores(shared);
+        // Same address and length: the second lookup reused the first
+        // pass instead of running another one.
+        assert!(std::ptr::eq(first, second));
+        assert_eq!(first, artifact.model.score_graph(&g).as_slice());
+        handle.shutdown();
+    }
 }

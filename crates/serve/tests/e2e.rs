@@ -1,18 +1,22 @@
 //! End-to-end serving tests over real TCP, covering the acceptance
 //! criteria: (a) responses bit-identical to direct library calls,
-//! (b) `/metrics` reflects request counts and micro-batched forwards,
+//! (b) `/metrics` reflects request counts, and embeds read one
+//! once-computed score vector yet are charged one by one,
 //! (c) a full queue sheds with `503`, (d) shutdown drains in-flight
 //! requests, (e) an exhausted tenant gets `429` + `Retry-After` and the
 //! budget gauges agree, (f) counters are monotone across a graceful
 //! drain.
 
 use privim::ServeArtifact;
-use privim_gnn::{GnnConfig, GnnModel};
+use privim_gnn::{GnnConfig, GnnModel, QuantGnnModel};
 use privim_graph::Graph;
 use privim_im::{celf_exact, ic_spread_estimate};
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, SeedableRng};
-use privim_serve::{bundle, metrics, start, FrontEnd, LedgerConfig, LedgerState, ServeConfig};
+use privim_serve::{
+    bundle, metrics, start, DurabilityConfig, FrontEnd, FsyncPolicy, LedgerConfig, LedgerState,
+    ServeConfig,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -193,68 +197,151 @@ fn responses_are_bit_identical_to_library_calls() {
     handle.shutdown();
 }
 
+/// Concurrent embeds through a live server are byte-identical to each
+/// other and exactly equal to the library's `score_graph` of the model the
+/// bundle serves: the dense model, the int8 model's integer path, or the
+/// f16-decoded dense model. `/metrics` counts every one of them.
 #[test]
-fn metrics_reflect_requests_and_batched_forward_passes() {
-    let (b, _g, _m) = test_bundle(2);
+fn concurrent_embeds_match_score_graph_and_metrics_count_them() {
+    let (_, g, model) = test_bundle(2);
+    let privacy = bundle::PrivacyStatement {
+        epsilon: Some(2.0),
+        delta: 1e-4,
+        sigma: 1.5,
+        steps: 80,
+    };
+    let q = QuantGnnModel::from_model(&model);
+    let docs = [
+        ("dense", bundle::pack_parts(&model, &privacy, &g, None)),
+        ("int8", bundle::pack_parts_q8(&q, &privacy, &g, None)),
+        ("f16", bundle::pack_parts_f16(&model, &privacy, &g, None)),
+    ];
+    let all_nodes = format!(
+        "{{\"nodes\": [{}]}}",
+        (0..g.num_nodes()).map(|v| v.to_string()).collect::<Vec<_>>().join(", ")
+    );
+    for (mode, doc) in docs {
+        let b = bundle::load(doc.to_json_string().as_bytes()).unwrap();
+        let expected = match &b.quant {
+            Some(q) => q.score_graph(&g),
+            None => b.model.score_graph(&g),
+        };
+        if mode == "int8" {
+            assert_ne!(expected, model.score_graph(&g), "int8 must serve the integer path");
+        }
+        let cfg = ServeConfig {
+            workers: 8,
+            ..ServeConfig::default()
+        };
+        let handle = start(b, cfg).unwrap();
+        let port = handle.port();
+
+        // 6 simultaneous embeds race for the first forward pass.
+        let n = 6;
+        let barrier = Arc::new(Barrier::new(n));
+        let threads: Vec<_> = (0..n)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                let body = all_nodes.clone();
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    request(port, "POST", "/v1/embed", &body)
+                })
+            })
+            .collect();
+        let responses: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        for (status, body) in &responses {
+            assert_eq!(*status, 200, "{mode}: {body}");
+            assert_eq!(body, &responses[0].1, "{mode}: concurrent embeds diverged");
+        }
+        let v = Value::parse(&responses[0].1).unwrap();
+        let rows = v.get("scores").and_then(|s| s.as_array()).unwrap();
+        assert_eq!(rows.len(), g.num_nodes());
+        for row in rows {
+            let pair = row.as_array().unwrap();
+            let node = pair[0].as_usize().unwrap();
+            assert_eq!(pair[1].as_f64(), Some(expected[node]), "{mode}: node {node}");
+        }
+
+        let (status, text) = request(port, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        let counter = |name: &str| metrics::parse_counter(&text, name);
+        assert_eq!(
+            counter("privim_requests_total{endpoint=\"embed\"}"),
+            Some(n as u64)
+        );
+        // the 2xx counter covers the embed requests plus this /metrics read's
+        // predecessors; at minimum the n embeds are there
+        assert!(counter("privim_responses_total{class=\"2xx\"}").unwrap() >= n as u64);
+
+        // Durability counters are always exposed (zero on a journal-less
+        // server) so dashboards can alert on them without a config change.
+        assert_eq!(counter("privim_timeout_config_failures_total"), Some(0));
+        assert_eq!(counter("privim_wal_appends_total"), Some(0));
+        assert_eq!(counter("privim_wal_append_failures_total"), Some(0));
+        assert_eq!(counter("privim_wal_compactions_total"), Some(0));
+        assert_eq!(counter("privim_wal_compaction_failures_total"), Some(0));
+
+        handle.shutdown();
+    }
+}
+
+/// The score vector is computed once, but admission is not: every
+/// metered embed after the first is still charged and journaled on its
+/// own.
+#[test]
+fn metered_embeds_after_the_first_are_each_charged_and_journaled() {
+    let ledger = LedgerConfig {
+        epsilon_budget: 8.0,
+        delta: 1e-5,
+        query_sigma: 24.0,
+        retry_after_secs: 60,
+    };
+    let wal_path = std::env::temp_dir().join(format!(
+        "privim-e2e-{}-metered-embeds.wal",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&wal_path);
     let cfg = ServeConfig {
-        workers: 8,
-        batch_window: Duration::from_millis(40),
+        durability: Some(DurabilityConfig {
+            wal_path: wal_path.clone(),
+            fsync: FsyncPolicy::Always,
+            compact_every: 0,
+            bundle_path: None,
+        }),
         ..ServeConfig::default()
     };
-    let handle = start(b, cfg).unwrap();
+    let handle = start(test_bundle_with_ledger(8, ledger), cfg).unwrap();
     let port = handle.port();
+    let tenant_hdr = [("X-Privim-Tenant", "acme")];
+    let embed = || {
+        let (status, _, body) =
+            request_with_headers(port, "POST", "/v1/embed", &tenant_hdr, "{\"nodes\": [3]}");
+        assert_eq!(status, 200, "{body}");
+        body
+    };
 
-    // Fire 6 embed requests through the server at once; the batcher
-    // must coalesce at least some of them.
-    let n = 6;
-    let barrier = Arc::new(Barrier::new(n));
-    let threads: Vec<_> = (0..n)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                post_json(port, "/v1/embed", "{\"nodes\": [1, 2]}")
-            })
-        })
-        .collect();
-    let first = threads
-        .into_iter()
-        .map(|t| t.join().unwrap())
-        .collect::<Vec<_>>();
-    for (status, v) in &first {
-        assert_eq!(*status, 200);
-        // batching must not change payloads: all 6 are identical
-        assert_eq!(v.to_json_string(), first[0].1.to_json_string());
+    // The first embed builds the score vector.
+    let first = embed();
+    let counters = |text: &str| {
+        (
+            metrics::parse_counter(text, "privim_tenant_queries_total{tenant=\"acme\"}").unwrap(),
+            metrics::parse_counter(text, "privim_wal_appends_total").unwrap(),
+        )
+    };
+    assert_eq!(counters(&handle.metrics_text()), (1, 1));
+
+    let n = 5;
+    for _ in 0..n {
+        assert_eq!(embed(), first);
     }
-
-    let (status, text) = request(port, "GET", "/metrics", "");
-    assert_eq!(status, 200);
-    let counter = |name: &str| metrics::parse_counter(&text, name);
     assert_eq!(
-        counter("privim_requests_total{endpoint=\"embed\"}"),
-        Some(n as u64)
+        counters(&handle.metrics_text()),
+        (1 + n, 1 + n),
+        "each embed must be charged and journaled once"
     );
-    let passes = counter("privim_batch_forward_passes_total").unwrap();
-    let served = counter("privim_batch_batched_requests_total").unwrap();
-    assert_eq!(served, n as u64, "all embed requests flow through the batcher");
-    assert!(passes >= 1, "at least one forward pass must be recorded");
-    assert!(
-        passes < n as u64,
-        "{n} simultaneous requests took {passes} passes — nothing was batched"
-    );
-    // the 2xx counter covers the embed requests plus this /metrics read's
-    // predecessors; at minimum the n embeds are there
-    assert!(counter("privim_responses_total{class=\"2xx\"}").unwrap() >= n as u64);
-
-    // Durability counters are always exposed (zero on a journal-less
-    // server) so dashboards can alert on them without a config change.
-    assert_eq!(counter("privim_timeout_config_failures_total"), Some(0));
-    assert_eq!(counter("privim_wal_appends_total"), Some(0));
-    assert_eq!(counter("privim_wal_append_failures_total"), Some(0));
-    assert_eq!(counter("privim_wal_compactions_total"), Some(0));
-    assert_eq!(counter("privim_wal_compaction_failures_total"), Some(0));
-
     handle.shutdown();
+    let _ = std::fs::remove_file(&wal_path);
 }
 
 #[test]

@@ -81,6 +81,10 @@ fn read_framed(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (u16, String, Str
     (status, head, body)
 }
 
+/// An uncached Monte-Carlo spread estimate at the top of the validated
+/// `runs` range: a real request that holds its worker for a long time.
+const SLOW_INFLUENCE: &str = "{\"seeds\": [0, 1], \"runs\": 100000}";
+
 #[test]
 fn keepalive_connection_serves_many_requests() {
     let handle = reactor_server(11, ServeConfig::default());
@@ -397,25 +401,24 @@ fn idle_keepalive_connection_is_reaped_by_the_idle_timeout() {
 
 #[test]
 fn pipelined_burst_over_queue_cap_sheds_with_503() {
-    // One worker + queue cap 1 + a wide batch window: the first embed
-    // occupies the worker long enough that a pipelined burst must
-    // overflow the bounded queue and be shed.
+    // One worker + queue cap 1 + a slow first request: the uncached
+    // influence estimate occupies the worker long enough that a
+    // pipelined burst must overflow the bounded queue and be shed.
     let handle = reactor_server(
         17,
         ServeConfig {
             workers: 1,
             queue_cap: 1,
-            batch_window: Duration::from_millis(200),
             ..ServeConfig::default()
         },
     );
     let port = handle.port();
     let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
 
     let n = 8;
-    let mut burst = Vec::new();
-    for i in 0..n {
+    let mut burst = frame_request("POST", "/v1/influence", SLOW_INFLUENCE, false);
+    for i in 1..n {
         burst.extend_from_slice(&frame_request(
             "POST",
             "/v1/embed",
@@ -450,21 +453,23 @@ fn pipelined_burst_over_queue_cap_sheds_with_503() {
 
 #[test]
 fn drain_during_keepalive_finishes_in_flight_then_closes() {
-    // A wide batch window keeps the second request in flight long enough
-    // for the drain to start while the worker still holds it.
+    // A slow influence estimate keeps the second request in flight long
+    // enough for the drain to start while the worker still holds it. The
+    // spread cache is off, so the repeated query runs the estimator again
+    // and returns the same payload.
     let handle = reactor_server(
         18,
         ServeConfig {
-            batch_window: Duration::from_millis(300),
+            cache_cap_per_shard: 0,
             ..ServeConfig::default()
         },
     );
     let port = handle.port();
     let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
 
     // Establish the keep-alive session with one complete exchange.
-    stream.write_all(&frame_request("POST", "/v1/embed", "{\"nodes\": [1]}", false)).unwrap();
+    stream.write_all(&frame_request("POST", "/v1/influence", SLOW_INFLUENCE, false)).unwrap();
     let mut carry = Vec::new();
     let (status, head, first_body) = read_framed(&mut stream, &mut carry);
     assert_eq!(status, 200);
@@ -473,10 +478,13 @@ fn drain_during_keepalive_finishes_in_flight_then_closes() {
     // Send the next request and immediately begin the drain: the
     // in-flight request must be answered — with a forced close — and the
     // connection must then end.
-    stream.write_all(&frame_request("POST", "/v1/embed", "{\"nodes\": [1]}", false)).unwrap();
-    // Let the reactor read + enqueue the request before the drain begins
-    // (well inside the 300ms the worker spends batching it).
-    std::thread::sleep(Duration::from_millis(60));
+    stream.write_all(&frame_request("POST", "/v1/influence", SLOW_INFLUENCE, false)).unwrap();
+    // Begin the drain as soon as the reactor has parsed the request (it
+    // counts the keep-alive reuse right before queueing it), well inside
+    // the time the worker spends estimating it.
+    while metrics::parse_counter(&handle.metrics_text(), "privim_keepalive_reuses_total") != Some(1) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let shutdown = std::thread::spawn(move || handle.shutdown());
     let (status, head, body) = read_framed(&mut stream, &mut carry);
     assert_eq!(status, 200, "in-flight keep-alive request must complete: {body}");

@@ -85,11 +85,23 @@ echo "== serve smoke (pack a tiny checkpoint bundle, hit every endpoint, drain)"
 # shutdown drain completes cleanly.
 SERVE_BUNDLE="$(mktemp /tmp/privim-serve-ci-XXXXXX.json)"
 CHAOS_BUNDLE="$(mktemp /tmp/privim-chaos-ci-XXXXXX.json)"
-trap 'rm -f "$SERVE_BUNDLE" "$CHAOS_BUNDLE" "$CHAOS_BUNDLE.wal"' EXIT
+BENCH_TMP="$(mktemp -d /tmp/privim-bench-ci-XXXXXX)"
+trap 'rm -f "$SERVE_BUNDLE" "$CHAOS_BUNDLE" "$CHAOS_BUNDLE.wal"; rm -rf "$BENCH_TMP"' EXIT
 cargo run -q --release --offline -p privim-serve -- pack \
     --out "$SERVE_BUNDLE" --nodes 120 --k 10 --fast
 cargo run -q --release --offline -p privim-bench --bin bench_serve -- \
     --smoke --bundle "$SERVE_BUNDLE"
+
+echo "== benchmark smoke (privim_bench: every workload at tiny size, every check)"
+# Runs both training workloads and both served traffic mixes against a
+# spawned privim-serve, and checks every served body byte for byte
+# against an in-process replay through serve's public functions — so a
+# change that alters a served payload (an embed score, a spread, a seed
+# prefix) fails here. No bounds and no timing gates; then the
+# benchmark's own unit tests (statistics, load generator, schema).
+cargo build --release --offline -p privim-bench -p privim-serve
+target/release/privim_bench --seed 1 --out "$BENCH_TMP" --smoke
+cargo test -q --offline -p privim-bench --bin privim_bench
 
 echo "== slowloris + idle-connection gate (reactor reaps abusive connections)"
 # slowloris_serve spawns a real privim-serve process with short header and
