@@ -9,7 +9,7 @@
 use crate::features::FEATURE_DIM;
 use crate::structures::GraphTensors;
 use privim_rt::{PrivimError, PrivimResult, Rng};
-use privim_tensor::{init, Matrix, SparseMatrix, Tape, Var};
+use privim_tensor::{init, Matrix, Tape, Var};
 use std::sync::Arc;
 
 /// Format tag written into every model checkpoint file.
@@ -450,15 +450,9 @@ impl GnnModel {
     /// per-node seed probabilities. Must stay numerically identical to
     /// [`Self::forward`]; `forward_and_infer_agree` pins this.
     pub fn infer(&self, gt: &GraphTensors, x: &Matrix) -> Vec<f64> {
-        let h = self.hidden_features(gt, x);
-        let pi = self.params.len() - 2;
-        let (w_out, b_out) = (&self.params[pi], &self.params[pi + 1]);
-        let logits = add_bias(&h.matmul(w_out), b_out);
-        logits
-            .data()
-            .iter()
-            .map(|&v| 1.0 / (1.0 + (-v).exp()))
-            .collect()
+        let (mm, dense) = self.contractions();
+        let h = hidden_features(&self.config, gt, x, &mm, &dense);
+        readout(&h, self.params.len() - 2, &mm, &dense)
     }
 
     /// Penultimate-layer node embeddings: the `n × hidden` activation
@@ -467,7 +461,8 @@ impl GnnModel {
     /// (embedding-similarity edge reconstruction), and exactly the hidden
     /// state [`Self::infer`] feeds the sigmoid readout.
     pub fn embed(&self, gt: &GraphTensors, x: &Matrix) -> Matrix {
-        self.hidden_features(gt, x)
+        let (mm, dense) = self.contractions();
+        hidden_features(&self.config, gt, x, &mm, &dense)
     }
 
     /// Convenience: embeddings for a raw graph (builds tensors + features).
@@ -477,78 +472,18 @@ impl GnnModel {
         self.embed(&gt, &x)
     }
 
-    /// The shared layer loop of [`Self::infer`] and [`Self::embed`]:
-    /// runs all message-passing layers tape-free and returns the final
-    /// hidden activations.
-    fn hidden_features(&self, gt: &GraphTensors, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), gt.n);
-        assert_eq!(x.cols(), self.config.in_dim);
-        let mut h = x.clone();
-        let mut pi = 0usize;
-        for _ in 0..self.config.layers {
-            h = match self.config.kind {
-                GnnKind::Gcn => {
-                    let (w, b) = (&self.params[pi], &self.params[pi + 1]);
-                    pi += 2;
-                    relu(&add_bias(&gt.adj_gcn.spmm(&h).matmul(w), b))
-                }
-                GnnKind::GraphSage => {
-                    let (w, b) = (&self.params[pi], &self.params[pi + 1]);
-                    pi += 2;
-                    let m = gt.adj_mean.spmm(&h);
-                    relu(&add_bias(&h.concat_cols(&m).matmul(w), b))
-                }
-                GnnKind::Gat | GnnKind::Grat => {
-                    let (w, a_dst, a_src, b) = (
-                        &self.params[pi],
-                        &self.params[pi + 1],
-                        &self.params[pi + 2],
-                        &self.params[pi + 3],
-                    );
-                    pi += 4;
-                    let hw = h.matmul(w);
-                    let src_f = gather(&hw, &gt.att_src);
-                    let dst_f = gather(&hw, &gt.att_dst);
-                    let mut e = dst_f.matmul(a_dst);
-                    e.add_assign(&src_f.matmul(a_src));
-                    let e = e.map(|v| if v > 0.0 { v } else { 0.2 * v });
-                    let seg: &[u32] = if self.config.kind == GnnKind::Gat {
-                        &gt.att_dst
-                    } else {
-                        &gt.att_src
-                    };
-                    let alpha = segment_softmax(&e, seg);
-                    let mut msgs = src_f;
-                    for r in 0..msgs.rows() {
-                        let a = alpha[r];
-                        for v in msgs.row_mut(r) {
-                            *v *= a;
-                        }
-                    }
-                    let mut agg = scatter_add(&msgs, &gt.att_dst, gt.n);
-                    if self.config.kind == GnnKind::Gat {
-                        agg.add_assign(&hw);
-                    }
-                    relu(&add_bias(&agg, b))
-                }
-                GnnKind::Gin => {
-                    let (w1, b1, w2, b2, eps) = (
-                        &self.params[pi],
-                        &self.params[pi + 1],
-                        &self.params[pi + 2],
-                        &self.params[pi + 3],
-                        &self.params[pi + 4],
-                    );
-                    pi += 5;
-                    let mut pre = gt.adj_sum.spmm(&h);
-                    pre.add_scaled_assign(&h, 1.0 + eps.get(0, 0));
-                    let a1 = relu(&add_bias(&pre.matmul(w1), b1));
-                    relu(&add_bias(&a1.matmul(w2), b2))
-                }
-            };
-        }
-        debug_assert_eq!(pi + 2, self.params.len(), "layer loop must consume all but the readout params");
-        h
+    /// The dense weight contraction and parameter lookup that
+    /// [`hidden_features`] and [`readout`] take.
+    fn contractions<'a>(
+        &'a self,
+    ) -> (
+        impl Fn(&Matrix, usize) -> Matrix + 'a,
+        impl Fn(usize) -> &'a Matrix,
+    ) {
+        (
+            |h: &Matrix, p: usize| h.matmul(&self.params[p]),
+            |p: usize| &self.params[p],
+        )
     }
 
     /// Convenience: score a raw graph (builds tensors + features).
@@ -559,15 +494,79 @@ impl GnnModel {
     }
 }
 
-// -------- tape-free helpers (mirror tape op semantics) --------
-// pub(crate): the quantized serving model reuses these so its layer loop
-// stays operation-for-operation aligned with `hidden_features`.
+// -------- tape-free inference (mirrors the tape ops of `forward`) --------
 
-pub(crate) fn relu(m: &Matrix) -> Matrix {
+/// The tape-free layer loop of [`GnnModel::infer`]/[`GnnModel::embed`] and
+/// [`crate::QuantGnnModel::infer`]: runs every message-passing layer and
+/// returns the final hidden activations. Parameters follow the
+/// [`GnnModel::params`] layout: `mm(h, p)` contracts `h` with weight block
+/// `p` (dense or int8, the only difference between the two models), and
+/// `dense(p)` reads a bias or GIN's ε.
+pub(crate) fn hidden_features<'m>(
+    config: &GnnConfig,
+    gt: &GraphTensors,
+    x: &Matrix,
+    mm: &dyn Fn(&Matrix, usize) -> Matrix,
+    dense: &dyn Fn(usize) -> &'m Matrix,
+) -> Matrix {
+    assert_eq!(x.rows(), gt.n);
+    assert_eq!(x.cols(), config.in_dim);
+    let mut h = x.clone();
+    let mut pi = 0usize;
+    for _ in 0..config.layers {
+        let p = pi;
+        h = match config.kind {
+            GnnKind::Gcn => {
+                pi += 2;
+                relu(&add_bias(&mm(&gt.adj_gcn.spmm(&h), p), dense(p + 1)))
+            }
+            GnnKind::GraphSage => {
+                pi += 2;
+                let m = gt.adj_mean.spmm(&h);
+                relu(&add_bias(&mm(&h.concat_cols(&m), p), dense(p + 1)))
+            }
+            GnnKind::Gat | GnnKind::Grat => {
+                pi += 4;
+                let hw = mm(&h, p);
+                let (s_dst, s_src) = (mm(&hw, p + 1), mm(&hw, p + 2));
+                relu(&add_bias(
+                    &attend(&hw, &s_dst, &s_src, gt, config.kind),
+                    dense(p + 3),
+                ))
+            }
+            GnnKind::Gin => {
+                pi += 5;
+                let mut pre = gt.adj_sum.spmm(&h);
+                pre.add_scaled_assign(&h, 1.0 + dense(p + 4).get(0, 0));
+                let a1 = relu(&add_bias(&mm(&pre, p), dense(p + 1)));
+                relu(&add_bias(&mm(&a1, p + 2), dense(p + 3)))
+            }
+        };
+    }
+    h
+}
+
+/// Linear readout (weight block `pi`, bias `pi + 1`) and sigmoid: the
+/// per-node seed probabilities.
+pub(crate) fn readout<'m>(
+    h: &Matrix,
+    pi: usize,
+    mm: &dyn Fn(&Matrix, usize) -> Matrix,
+    dense: &dyn Fn(usize) -> &'m Matrix,
+) -> Vec<f64> {
+    let logits = add_bias(&mm(h, pi), dense(pi + 1));
+    logits
+        .data()
+        .iter()
+        .map(|&v| 1.0 / (1.0 + (-v).exp()))
+        .collect()
+}
+
+fn relu(m: &Matrix) -> Matrix {
     m.map(|x| x.max(0.0))
 }
 
-pub(crate) fn add_bias(m: &Matrix, b: &Matrix) -> Matrix {
+fn add_bias(m: &Matrix, b: &Matrix) -> Matrix {
     let mut out = m.clone();
     for r in 0..out.rows() {
         for (j, v) in out.row_mut(r).iter_mut().enumerate() {
@@ -577,58 +576,60 @@ pub(crate) fn add_bias(m: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-pub(crate) fn gather(m: &Matrix, idx: &[u32]) -> Matrix {
-    let mut out = Matrix::zeros(idx.len(), m.cols());
-    for (i, &r) in idx.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(m.row(r as usize));
+/// One tape-free GAT/GRAT aggregation (Eqs. 33–40) from the per-node
+/// scores `s_dst = hw·a_dst` and `s_src = hw·a_src` (`n×1`; DESIGN.md
+/// §10.4). Arc `i` scores `s_dst[dst_i] + s_src[src_i]`, and its message
+/// `α_i · hw[src_i]` is added into row `dst_i` in arc order, so no
+/// per-arc feature matrix is built. GAT adds its self-features skip.
+fn attend(hw: &Matrix, s_dst: &Matrix, s_src: &Matrix, gt: &GraphTensors, kind: GnnKind) -> Matrix {
+    let (src, dst) = (&gt.att_src[..], &gt.att_dst[..]);
+    let score = |(&s, &d): (&u32, &u32)| s_dst.get(d as usize, 0) + s_src.get(s as usize, 0);
+    let e = src
+        .iter()
+        .zip(dst)
+        .map(score)
+        .map(|v| if v > 0.0 { v } else { 0.2 * v });
+    // Eq. 35 (GAT): normalise over each target's in-arcs; Eq. 39 (GRAT):
+    // over each source's out-arcs.
+    let alpha = segment_softmax(e.collect(), if kind == GnnKind::Gat { dst } else { src });
+    let mut agg = Matrix::zeros(gt.n, hw.cols());
+    for ((&s, &d), &a) in src.iter().zip(dst).zip(&alpha) {
+        privim_tensor::simd::axpy(agg.row_mut(d as usize), a, hw.row(s as usize));
     }
-    out
+    if kind == GnnKind::Gat {
+        agg.add_assign(hw);
+    }
+    agg
 }
 
-pub(crate) fn scatter_add(m: &Matrix, idx: &[u32], rows: usize) -> Matrix {
-    let mut out = Matrix::zeros(rows, m.cols());
-    for (i, &r) in idx.iter().enumerate() {
-        let dst = out.row_mut(r as usize);
-        for (j, &v) in m.row(i).iter().enumerate() {
-            dst[j] += v;
-        }
-    }
-    out
-}
-
-pub(crate) fn segment_softmax(scores: &Matrix, seg: &[u32]) -> Vec<f64> {
+/// Softmax of `scores` within each segment `seg[i]`, in place.
+fn segment_softmax(mut scores: Vec<f64>, seg: &[u32]) -> Vec<f64> {
     let nseg = seg.iter().map(|&x| x as usize + 1).max().unwrap_or(0);
     let mut mx = vec![f64::NEG_INFINITY; nseg];
-    for (i, &g) in seg.iter().enumerate() {
-        mx[g as usize] = mx[g as usize].max(scores.get(i, 0));
+    for (&e, &g) in scores.iter().zip(seg) {
+        mx[g as usize] = mx[g as usize].max(e);
     }
     let mut sum = vec![0.0; nseg];
-    let mut ex = vec![0.0; seg.len()];
-    for (i, &g) in seg.iter().enumerate() {
-        let e = (scores.get(i, 0) - mx[g as usize]).exp();
-        ex[i] = e;
-        sum[g as usize] += e;
+    for (e, &g) in scores.iter_mut().zip(seg) {
+        *e = (*e - mx[g as usize]).exp();
+        sum[g as usize] += *e;
     }
-    for (i, &g) in seg.iter().enumerate() {
-        ex[i] /= sum[g as usize];
+    for (e, &g) in scores.iter_mut().zip(seg) {
+        *e /= sum[g as usize];
     }
-    ex
+    scores
 }
 
-// `SparseMatrix` import is used by GraphTensors fields through methods only;
-// keep the type path alive for doc links.
-#[allow(unused)]
-fn _doc_anchor(_: &SparseMatrix) {}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::features::node_features;
     use privim_graph::generators;
     use privim_rt::ChaCha8Rng;
     use privim_rt::SeedableRng;
 
-    fn setup(kind: GnnKind, seed: u64) -> (GnnModel, GraphTensors, Matrix) {
+    /// A seeded 2-layer, 8-unit model of `kind` on a 30-node BA graph.
+    pub(crate) fn setup(kind: GnnKind, seed: u64) -> (GnnModel, GraphTensors, Matrix) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = generators::barabasi_albert(30, 3, &mut rng);
         let gt = GraphTensors::new(&g);
@@ -662,8 +663,88 @@ mod tests {
             let (pv, _) = model.forward(&mut tape, &gt, &x);
             let tape_probs = tape.value(pv).data().to_vec();
             let infer_probs = model.infer(&gt, &x);
+            assert_eq!(tape_probs.len(), infer_probs.len());
             for (a, b) in tape_probs.iter().zip(&infer_probs) {
-                assert!((a - b).abs() < 1e-12, "{kind:?}: {a} vs {b}");
+                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// The attention layers as computed before `attend`: gather `E×hidden`
+    /// source and target rows, contract each with its attention vector,
+    /// scale the source rows by α and scatter them into their targets.
+    /// `mm(rows, p)` is the model's contraction with parameter `p`, so one
+    /// oracle covers the dense and the int8 path.
+    fn gather_scatter_infer(
+        model: &GnnModel,
+        gt: &GraphTensors,
+        x: &Matrix,
+        mm: &dyn Fn(&Matrix, usize) -> Matrix,
+    ) -> Vec<f64> {
+        let gather = |m: &Matrix, idx: &[u32]| {
+            Matrix::from_vec(
+                idx.len(),
+                m.cols(),
+                idx.iter()
+                    .flat_map(|&r| m.row(r as usize).to_vec())
+                    .collect(),
+            )
+        };
+        let gat = model.config.kind == GnnKind::Gat;
+        let (src, dst) = (&gt.att_src[..], &gt.att_dst[..]);
+        let mut h = x.clone();
+        for pi in (0..model.config.layers).map(|l| 4 * l) {
+            let hw = mm(&h, pi);
+            let (src_f, dst_f) = (gather(&hw, src), gather(&hw, dst));
+            let e =
+                mm(&dst_f, pi + 1)
+                    .add(&mm(&src_f, pi + 2))
+                    .map(|v| if v > 0.0 { v } else { 0.2 * v });
+            let alpha = segment_softmax(e.data().to_vec(), if gat { dst } else { src });
+            let mut agg = Matrix::zeros(gt.n, hw.cols());
+            for (i, &d) in dst.iter().enumerate() {
+                for (o, v) in agg.row_mut(d as usize).iter_mut().zip(src_f.row(i)) {
+                    *o += v * alpha[i];
+                }
+            }
+            if gat {
+                agg.add_assign(&hw);
+            }
+            h = relu(&add_bias(&agg, &model.params[pi + 3]));
+        }
+        readout(&h, model.params.len() - 2, mm, &|p| &model.params[p])
+    }
+
+    #[test]
+    fn attention_infer_matches_gather_scatter_oracle() {
+        use privim_tensor::QuantWeights;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..6u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(100 + seed);
+            let g = if seed % 2 == 0 {
+                generators::barabasi_albert(40, 3, &mut rng)
+            } else {
+                generators::directed_preferential(45, 2.0, &mut rng)
+            };
+            let (gt, x) = (GraphTensors::new(&g), node_features(&g));
+            for kind in [GnnKind::Gat, GnnKind::Grat] {
+                let mut model = GnnModel::new(GnnConfig::paper_default_with(kind), &mut rng);
+                // widen the attention vectors so α is far from uniform
+                for p in (0..model.config.layers).flat_map(|l| [4 * l + 1, 4 * l + 2]) {
+                    model.params[p] = model.params[p].scale(30.0);
+                }
+                let q: Vec<QuantWeights> =
+                    model.params.iter().map(QuantWeights::quantize).collect();
+                let dense =
+                    gather_scatter_infer(&model, &gt, &x, &|m, p| m.matmul(&model.params[p]));
+                let int8 = gather_scatter_infer(&model, &gt, &x, &|m, p| q[p].matmul(m));
+                let int8_got = crate::QuantGnnModel::from_model(&model).infer(&gt, &x);
+                assert_eq!(
+                    bits(&model.infer(&gt, &x)),
+                    bits(&dense),
+                    "{kind:?} dense seed {seed}"
+                );
+                assert_eq!(bits(&int8_got), bits(&int8), "{kind:?} int8 seed {seed}");
             }
         }
     }

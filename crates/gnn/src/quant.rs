@@ -1,46 +1,53 @@
 //! Quantized serving models.
 //!
 //! [`QuantGnnModel`] is an int8 mirror of [`GnnModel`]'s tape-free
-//! inference path: every weight block with more than one row is stored as
-//! per-column-scaled `i8` codes ([`QuantWeights`]) and contracted by
-//! exact integer dot products at serve time — no dequantized matrix is
-//! ever materialised. Biases and GIN's ε (all `1×…`) stay dense `f64`;
-//! quantizing scalars saves nothing and costs accuracy.
+//! inference path: every weight block is stored as per-column-scaled `i8`
+//! codes ([`QuantWeights`]) and contracted by exact integer dot products
+//! at serve time — no dequantized matrix is ever materialised. Biases and
+//! GIN's ε (all `1×…`) stay dense `f64`; quantizing scalars saves nothing
+//! and costs accuracy.
 //!
-//! The layer loop below is deliberately operation-for-operation aligned
-//! with `GnnModel::hidden_features` (it reuses the same crate-private
-//! helpers), so the only divergence between the dense and quantized
-//! paths is the weight contraction itself — which keeps the quantization
-//! error analysable as a per-matmul perturbation.
+//! Both models run the same crate-private layer loop
+//! (`model::hidden_features` and `readout`) and differ only in the weight
+//! contraction they pass it — which keeps the quantization error
+//! analysable as a per-matmul perturbation.
 
-use crate::model::{add_bias, gather, relu, scatter_add, segment_softmax, GnnConfig, GnnKind, GnnModel};
+use crate::model::{hidden_features, readout, GnnConfig, GnnKind, GnnModel};
 use crate::structures::GraphTensors;
 use privim_rt::json::Value;
 use privim_rt::{PrivimError, PrivimResult};
 use privim_tensor::{Matrix, QuantWeights};
 
-/// One quantized message-passing layer (layout follows the architecture).
+/// One parameter in [`GnnModel::params`] order.
 #[derive(Clone, Debug)]
-enum QLayer {
-    /// GCN: quantized weight + dense bias.
-    Gcn { w: QuantWeights, b: Matrix },
-    /// GraphSAGE: quantized (concatenated) weight + dense bias.
-    Sage { w: QuantWeights, b: Matrix },
-    /// GAT/GRAT: quantized weight and attention vectors + dense bias.
-    Att {
-        w: QuantWeights,
-        a_dst: QuantWeights,
-        a_src: QuantWeights,
-        b: Matrix,
-    },
-    /// GIN: two quantized MLP weights, dense biases, scalar ε.
-    Gin {
-        w1: QuantWeights,
-        b1: Matrix,
-        w2: QuantWeights,
-        b2: Matrix,
-        eps: f64,
-    },
+enum QParam {
+    /// A weight block (a `w…` or `a_…` key), stored as int8.
+    Int8(QuantWeights),
+    /// A bias or GIN's ε, carried over exactly.
+    Dense(Matrix),
+}
+
+/// The bundle's JSON key for each parameter of one layer, in
+/// [`GnnModel::params`] order.
+fn layer_keys(kind: GnnKind) -> &'static [&'static str] {
+    match kind {
+        GnnKind::Gcn | GnnKind::GraphSage => &["w", "b"],
+        GnnKind::Gat | GnnKind::Grat => &["w", "a_dst", "a_src", "b"],
+        GnnKind::Gin => &["w1", "b1", "w2", "b2", "eps"],
+    }
+}
+
+/// Every parameter's JSON key in [`GnnModel::params`] order: each layer's
+/// [`layer_keys`], then the readout's `w_out`, `b_out`.
+fn param_keys(config: &GnnConfig) -> impl Iterator<Item = &'static str> {
+    let layer = layer_keys(config.kind);
+    let layers = (0..config.layers).flat_map(move |_| layer.iter().copied());
+    layers.chain(["w_out", "b_out"])
+}
+
+/// Weight blocks are the keys that start with `w` or `a`.
+fn is_weight(key: &str) -> bool {
+    key.starts_with('w') || key.starts_with('a')
 }
 
 /// Int8-quantized inference model for the serving path. Built from a
@@ -50,9 +57,8 @@ enum QLayer {
 #[derive(Clone, Debug)]
 pub struct QuantGnnModel {
     config: GnnConfig,
-    layers: Vec<QLayer>,
-    w_out: QuantWeights,
-    b_out: Matrix,
+    /// One entry per [`param_keys`] key.
+    params: Vec<QParam>,
 }
 
 impl QuantGnnModel {
@@ -60,56 +66,12 @@ impl QuantGnnModel {
     /// biases and ε are carried over exactly.
     pub fn from_model(m: &GnnModel) -> QuantGnnModel {
         let config = *m.config();
-        let p = m.params();
-        let mut pi = 0usize;
-        let mut layers = Vec::with_capacity(config.layers);
-        for _ in 0..config.layers {
-            layers.push(match config.kind {
-                GnnKind::Gcn => {
-                    let l = QLayer::Gcn {
-                        w: QuantWeights::quantize(&p[pi]),
-                        b: p[pi + 1].clone(),
-                    };
-                    pi += 2;
-                    l
-                }
-                GnnKind::GraphSage => {
-                    let l = QLayer::Sage {
-                        w: QuantWeights::quantize(&p[pi]),
-                        b: p[pi + 1].clone(),
-                    };
-                    pi += 2;
-                    l
-                }
-                GnnKind::Gat | GnnKind::Grat => {
-                    let l = QLayer::Att {
-                        w: QuantWeights::quantize(&p[pi]),
-                        a_dst: QuantWeights::quantize(&p[pi + 1]),
-                        a_src: QuantWeights::quantize(&p[pi + 2]),
-                        b: p[pi + 3].clone(),
-                    };
-                    pi += 4;
-                    l
-                }
-                GnnKind::Gin => {
-                    let l = QLayer::Gin {
-                        w1: QuantWeights::quantize(&p[pi]),
-                        b1: p[pi + 1].clone(),
-                        w2: QuantWeights::quantize(&p[pi + 2]),
-                        b2: p[pi + 3].clone(),
-                        eps: p[pi + 4].get(0, 0),
-                    };
-                    pi += 5;
-                    l
-                }
-            });
-        }
-        QuantGnnModel {
-            config,
-            layers,
-            w_out: QuantWeights::quantize(&p[pi]),
-            b_out: p[pi + 1].clone(),
-        }
+        let quantize = |(k, p): (&str, &Matrix)| match is_weight(k) {
+            true => QParam::Int8(QuantWeights::quantize(p)),
+            false => QParam::Dense(p.clone()),
+        };
+        let params = param_keys(&config).zip(m.params()).map(quantize).collect();
+        QuantGnnModel { config, params }
     }
 
     /// Architecture configuration.
@@ -118,64 +80,20 @@ impl QuantGnnModel {
     }
 
     /// Per-node seed probabilities — the quantized counterpart of
-    /// [`GnnModel::infer`].
+    /// [`GnnModel::infer`]: the same layer loop, contracting with the int8
+    /// weight blocks.
     pub fn infer(&self, gt: &GraphTensors, x: &Matrix) -> Vec<f64> {
-        let h = self.hidden_features(gt, x);
-        let logits = add_bias(&self.w_out.matmul(&h), &self.b_out);
-        logits
-            .data()
-            .iter()
-            .map(|&v| 1.0 / (1.0 + (-v).exp()))
-            .collect()
-    }
-
-    /// The quantized layer loop (mirrors `GnnModel::hidden_features`).
-    fn hidden_features(&self, gt: &GraphTensors, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), gt.n);
-        assert_eq!(x.cols(), self.config.in_dim);
-        let mut h = x.clone();
-        for layer in &self.layers {
-            h = match layer {
-                QLayer::Gcn { w, b } => relu(&add_bias(&w.matmul(&gt.adj_gcn.spmm(&h)), b)),
-                QLayer::Sage { w, b } => {
-                    let m = gt.adj_mean.spmm(&h);
-                    relu(&add_bias(&w.matmul(&h.concat_cols(&m)), b))
-                }
-                QLayer::Att { w, a_dst, a_src, b } => {
-                    let hw = w.matmul(&h);
-                    let src_f = gather(&hw, &gt.att_src);
-                    let dst_f = gather(&hw, &gt.att_dst);
-                    let mut e = a_dst.matmul(&dst_f);
-                    e.add_assign(&a_src.matmul(&src_f));
-                    let e = e.map(|v| if v > 0.0 { v } else { 0.2 * v });
-                    let seg: &[u32] = if self.config.kind == GnnKind::Gat {
-                        &gt.att_dst
-                    } else {
-                        &gt.att_src
-                    };
-                    let alpha = segment_softmax(&e, seg);
-                    let mut msgs = src_f;
-                    for r in 0..msgs.rows() {
-                        let a = alpha[r];
-                        for v in msgs.row_mut(r) {
-                            *v *= a;
-                        }
-                    }
-                    let mut agg = scatter_add(&msgs, &gt.att_dst, gt.n);
-                    if self.config.kind == GnnKind::Gat {
-                        agg.add_assign(&hw);
-                    }
-                    relu(&add_bias(&agg, b))
-                }
-                QLayer::Gin { w1, b1, w2, b2, eps } => {
-                    let mut pre = gt.adj_sum.spmm(&h);
-                    pre.add_scaled_assign(&h, 1.0 + eps);
-                    let a1 = relu(&add_bias(&w1.matmul(&pre), b1));
-                    relu(&add_bias(&w2.matmul(&a1), b2))
-                }
-            };
-        }
-        h
+        let mm = |h: &Matrix, p: usize| match &self.params[p] {
+            QParam::Int8(w) => w.matmul(h),
+            QParam::Dense(w) => h.matmul(w),
+        };
+        let dense = |p: usize| match &self.params[p] {
+            QParam::Dense(b) => b,
+            // privim-lint: allow(panic, reason = "the layer loop reads only b*/eps keys through `dense`, and from_model/from_json store every such key as Dense")
+            QParam::Int8(_) => unreachable!("parameter {p} is a weight block"),
+        };
+        let h = hidden_features(&self.config, gt, x, &mm, &dense);
+        readout(&h, self.params.len() - 2, &mm, &dense)
     }
 
     /// Reconstruct a dense [`GnnModel`] by dequantizing every weight
@@ -184,31 +102,11 @@ impl QuantGnnModel {
     /// consumers that need the dense parameter layout (bundle
     /// compaction, diagnostics).
     pub fn to_dense_model(&self) -> PrivimResult<GnnModel> {
-        let mut params = Vec::new();
-        for layer in &self.layers {
-            match layer {
-                QLayer::Gcn { w, b } | QLayer::Sage { w, b } => {
-                    params.push(w.dequantize());
-                    params.push(b.clone());
-                }
-                QLayer::Att { w, a_dst, a_src, b } => {
-                    params.push(w.dequantize());
-                    params.push(a_dst.dequantize());
-                    params.push(a_src.dequantize());
-                    params.push(b.clone());
-                }
-                QLayer::Gin { w1, b1, w2, b2, eps } => {
-                    params.push(w1.dequantize());
-                    params.push(b1.clone());
-                    params.push(w2.dequantize());
-                    params.push(b2.clone());
-                    params.push(Matrix::full(1, 1, *eps));
-                }
-            }
-        }
-        params.push(self.w_out.dequantize());
-        params.push(self.b_out.clone());
-        GnnModel::from_parts(self.config, params)
+        let params = self.params.iter().map(|p| match p {
+            QParam::Int8(w) => w.dequantize(),
+            QParam::Dense(b) => b.clone(),
+        });
+        GnnModel::from_parts(self.config, params.collect())
     }
 
     /// Convenience: score a raw graph (builds tensors + features).
@@ -218,37 +116,28 @@ impl QuantGnnModel {
         self.infer(&gt, &x)
     }
 
-    /// JSON payload (`{"config", "layers", "w_out", "b_out"}`) for the
-    /// serve bundle; the bundle's CRC-32 covers it.
+    /// JSON payload (`{"config", "layers", "w_out", "b_out"}`, each layer
+    /// an object of its [`layer_keys`]) for the serve bundle; the bundle's
+    /// CRC-32 covers it.
     pub fn to_json(&self) -> Value {
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| match l {
-                QLayer::Gcn { w, b } | QLayer::Sage { w, b } => {
-                    Value::obj(vec![("w", w.to_json()), ("b", b.to_json())])
-                }
-                QLayer::Att { w, a_dst, a_src, b } => Value::obj(vec![
-                    ("w", w.to_json()),
-                    ("a_dst", a_dst.to_json()),
-                    ("a_src", a_src.to_json()),
-                    ("b", b.to_json()),
-                ]),
-                QLayer::Gin { w1, b1, w2, b2, eps } => Value::obj(vec![
-                    ("w1", w1.to_json()),
-                    ("b1", b1.to_json()),
-                    ("w2", w2.to_json()),
-                    ("b2", b2.to_json()),
-                    ("eps", Value::Num(*eps)),
-                ]),
-            })
+        let mut fields = param_keys(&self.config).zip(&self.params).map(|(k, p)| {
+            let v = match p {
+                QParam::Int8(w) => w.to_json(),
+                QParam::Dense(e) if k == "eps" => Value::Num(e.get(0, 0)),
+                QParam::Dense(b) => b.to_json(),
+            };
+            (k, v)
+        });
+        let width = layer_keys(self.config.kind).len();
+        let layers = (0..self.config.layers)
+            .map(|_| Value::obj(fields.by_ref().take(width).collect()))
             .collect();
-        Value::obj(vec![
+        let mut doc = vec![
             ("config", self.config.to_json()),
             ("layers", Value::Arr(layers)),
-            ("w_out", self.w_out.to_json()),
-            ("b_out", self.b_out.to_json()),
-        ])
+        ];
+        doc.extend(fields);
+        Value::obj(doc)
     }
 
     /// Parse the [`Self::to_json`] form with typed errors on any layout
@@ -256,7 +145,8 @@ impl QuantGnnModel {
     pub fn from_json(v: &Value) -> PrivimResult<QuantGnnModel> {
         let bad = |msg: String| PrivimError::Parse(format!("quant model: {msg}"));
         let config = GnnConfig::from_json(
-            v.get("config").ok_or_else(|| bad("missing config".into()))?,
+            v.get("config")
+                .ok_or_else(|| bad("missing config".into()))?,
         )?;
         let layer_vals = v
             .get("layers")
@@ -269,74 +159,35 @@ impl QuantGnnModel {
                 config.layers
             )));
         }
-        let qw = |l: &Value, k: &str| {
-            l.get(k)
-                .ok_or_else(|| bad(format!("layer missing {k}")))
-                .and_then(|x| QuantWeights::from_json(x).map_err(bad))
+        let param = |obj: &Value, k: &str| -> PrivimResult<QParam> {
+            let x = obj
+                .get(k)
+                .ok_or_else(|| bad(format!("layer missing {k}")))?;
+            Ok(if is_weight(k) {
+                QParam::Int8(QuantWeights::from_json(x).map_err(bad)?)
+            } else if k == "eps" {
+                let eps = x.as_f64().ok_or_else(|| bad("layer missing eps".into()))?;
+                QParam::Dense(Matrix::full(1, 1, eps))
+            } else {
+                QParam::Dense(Matrix::from_json(x).map_err(bad)?)
+            })
         };
-        let dm = |l: &Value, k: &str| {
-            l.get(k)
-                .ok_or_else(|| bad(format!("layer missing {k}")))
-                .and_then(|x| Matrix::from_json(x).map_err(bad))
-        };
-        let mut layers = Vec::with_capacity(layer_vals.len());
+        let mut params = Vec::new();
         for l in layer_vals {
-            layers.push(match config.kind {
-                GnnKind::Gcn => QLayer::Gcn {
-                    w: qw(l, "w")?,
-                    b: dm(l, "b")?,
-                },
-                GnnKind::GraphSage => QLayer::Sage {
-                    w: qw(l, "w")?,
-                    b: dm(l, "b")?,
-                },
-                GnnKind::Gat | GnnKind::Grat => QLayer::Att {
-                    w: qw(l, "w")?,
-                    a_dst: qw(l, "a_dst")?,
-                    a_src: qw(l, "a_src")?,
-                    b: dm(l, "b")?,
-                },
-                GnnKind::Gin => QLayer::Gin {
-                    w1: qw(l, "w1")?,
-                    b1: dm(l, "b1")?,
-                    w2: qw(l, "w2")?,
-                    b2: dm(l, "b2")?,
-                    eps: l
-                        .get("eps")
-                        .and_then(|x| x.as_f64())
-                        .ok_or_else(|| bad("layer missing eps".into()))?,
-                },
-            });
+            for k in layer_keys(config.kind) {
+                params.push(param(l, k)?);
+            }
         }
-        Ok(QuantGnnModel {
-            config,
-            layers,
-            w_out: qw(v, "w_out")?,
-            b_out: dm(v, "b_out")?,
-        })
+        params.push(param(v, "w_out")?);
+        params.push(param(v, "b_out")?);
+        Ok(QuantGnnModel { config, params })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{node_features, FEATURE_DIM};
-    use privim_graph::generators;
-    use privim_rt::{ChaCha8Rng, SeedableRng};
-
-    fn setup(kind: GnnKind, seed: u64) -> (GnnModel, GraphTensors, Matrix) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = generators::barabasi_albert(30, 3, &mut rng);
-        let gt = GraphTensors::new(&g);
-        let x = node_features(&g);
-        let cfg = GnnConfig {
-            kind,
-            layers: 2,
-            hidden: 8,
-            in_dim: FEATURE_DIM,
-        };
-        (GnnModel::new(cfg, &mut rng), gt, x)
-    }
+    use crate::model::tests::setup;
 
     #[test]
     fn quantized_inference_tracks_dense_for_every_kind() {

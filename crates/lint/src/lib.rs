@@ -14,8 +14,8 @@
 //!
 //! The analyzer is deliberately dependency-free: a hand-rolled lexer
 //! ([`lexer`]) tokenizes Rust source (raw strings, nested block comments,
-//! char-vs-lifetime disambiguation), so — unlike the grep-based
-//! `scripts/panic_gate.sh` it replaces — it never confuses code with
+//! char-vs-lifetime disambiguation), so — unlike the grep-based panic
+//! gate it replaced — it never confuses code with
 //! comments or string literals. Rules live in [`rules`], suppression is by
 //! inline audited annotation:
 //!

@@ -136,8 +136,8 @@ to surface failures as PrivimError, not aborts: the crash-safe harness can
 only checkpoint around errors it observes. Token-aware counting of
 .unwrap() / .expect( / panic!( / unreachable!( / todo!( / unimplemented!(
 in crate library code (src/bin entry points and #[cfg(test)] modules are
-exempt; assert! invariant checks are allowed). Unlike the retired
-grep-based scripts/panic_gate.sh, comments, doc examples, and string
+exempt; assert! invariant checks are allowed). Unlike the grep-based
+panic gate this rule replaced, comments, doc examples, and string
 literals do not count, and methods merely *named* `expect` do not trip it.
 Every remaining site must be provably infallible and annotated in place:
 

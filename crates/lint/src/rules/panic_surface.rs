@@ -2,7 +2,7 @@
 //! panic-capable site carries an inline `allow(panic, ...)` audit. Also
 //! hosts the advisory `panic-indexing` heuristic.
 //!
-//! This subsumes the retired grep-based `scripts/panic_gate.sh`: being
+//! This replaced the repo's earlier grep-based panic gate: being
 //! token-aware, it does not count doc-comment examples or string
 //! literals, does not confuse a method *named* `expect` with
 //! `Result::expect`, and it additionally counts `unreachable!` /

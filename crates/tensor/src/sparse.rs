@@ -74,6 +74,43 @@ impl SparseMatrix {
         }
     }
 
+    /// Build from CSR arrays directly, without sorting or merging. Row `r`
+    /// is `col_idx[offsets[r]..offsets[r + 1]]` with parallel `values`.
+    /// Panics unless `offsets` runs non-decreasing from 0 to `nnz` over
+    /// `rows + 1` entries and every row's columns strictly ascend below
+    /// `cols` — the layout [`Self::from_triplets`] would have produced.
+    pub fn from_csr(
+        rows: usize,
+        cols: usize,
+        offsets: Vec<usize>,
+        col_idx: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        assert_eq!(offsets.len(), rows + 1, "csr offsets length");
+        assert_eq!(values.len(), col_idx.len(), "csr values length");
+        let ends = offsets.first() == Some(&0) && offsets.last() == Some(&col_idx.len());
+        assert!(
+            ends && offsets.windows(2).all(|w| w[0] <= w[1]),
+            "csr offsets must rise from 0 to nnz"
+        );
+        for r in 0..rows {
+            let row = &col_idx[offsets[r]..offsets[r + 1]];
+            let ascending = row.windows(2).all(|w| w[0] < w[1]);
+            assert!(
+                ascending && row.iter().all(|&c| (c as usize) < cols),
+                "csr row {r} must strictly ascend below {cols}"
+            );
+        }
+        SparseMatrix {
+            rows,
+            cols,
+            offsets,
+            col_idx,
+            values,
+            transposed: OnceLock::new(),
+        }
+    }
+
     /// Identity-free empty matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         SparseMatrix {
@@ -269,6 +306,32 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn triplet_out_of_bounds_panics() {
         let _ = SparseMatrix::from_triplets(2, 2, [(2, 0, 1.0)]);
+    }
+
+    #[test]
+    fn from_csr_rejects_malformed_layouts() {
+        let build = |offsets: Vec<usize>, cols: Vec<u32>| {
+            let vals = vec![1.0; cols.len()];
+            std::panic::catch_unwind(move || SparseMatrix::from_csr(2, 3, offsets, cols, vals))
+        };
+        assert!(build(vec![0, 1, 2], vec![2, 0]).is_ok());
+        for (why, offsets, cols) in [
+            ("unsorted row", vec![0, 2, 2], vec![2, 1]),
+            ("duplicate column", vec![0, 2, 2], vec![1, 1]),
+            ("column out of range", vec![0, 1, 2], vec![0, 3]),
+            ("offsets too short", vec![0, 2], vec![0, 1]),
+            ("offsets not from 0", vec![1, 1, 2], vec![0, 1]),
+            ("offsets not to nnz", vec![0, 1, 1], vec![0, 1]),
+            ("offsets decrease", vec![0, 2, 1], vec![0]),
+        ] {
+            // the layout assertion fires, not an out-of-bounds slice
+            let payload = build(offsets, cols).expect_err(why);
+            let msg = payload.downcast_ref::<String>().map(String::as_str);
+            let msg = msg
+                .or(payload.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            assert!(msg.contains("csr "), "{why}: {msg}");
+        }
     }
 
     #[test]
