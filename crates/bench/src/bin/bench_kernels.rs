@@ -19,6 +19,12 @@
 //! benchmark. This is the determinism contract of `privim_tensor::simd`
 //! (DESIGN.md §14) being re-proved on the bench's own inputs.
 //!
+//! Two cases time the DP-SGD step's own shapes: `matvec` (the `n×32 ·
+//! 32×1` score and readout product, whose width-1 panels skip the SIMD
+//! dispatch) and `grat_sample_grad`, one paper-default GRAT forward plus
+//! backward under the Eq. 5 loss on a train-star-sized (35 nodes) and a
+//! train-hp-sized (6 nodes) subgraph.
+//!
 //! A final section times the int8-quantized inference matmul
 //! (`QuantWeights::matmul`) against the dense `f64` product and reports
 //! the quantization error the integer path trades for its speed.
@@ -31,11 +37,13 @@
 //! cargo run --release -p privim-bench --bin bench_kernels -- --smoke  # tiny sizes, no file output
 //! ```
 
+use privim::loss::{im_loss, LossConfig};
+use privim_gnn::{node_features, GnnConfig, GnnModel, GraphTensors};
 use privim_graph::generators;
 use privim_rt::bench::time_iters;
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
-use privim_tensor::{simd, GradClip, Matrix, QuantWeights, SparseMatrix};
+use privim_tensor::{simd, GradClip, Matrix, QuantWeights, SparseMatrix, Tape};
 
 /// Seed-era dense kernel: plain `i → k → j` scalar loop with the zero-skip.
 /// Term order per output element is k-ascending, exactly like the blocked
@@ -280,6 +288,25 @@ fn run_case(
     result
 }
 
+/// A seeded BA graph's tensors and features with `n` nodes, `m` edges
+/// per arrival, and a paper-default GRAT model.
+fn grat_sample(n: usize, m: usize, rng: &mut ChaCha8Rng) -> (GraphTensors, Matrix, GnnModel) {
+    let g = generators::barabasi_albert(n, m, rng);
+    let model = GnnModel::new(GnnConfig::paper_default(), rng);
+    (GraphTensors::new(&g), node_features(&g), model)
+}
+
+/// One sample's DP-SGD gradient: forward, Eq. 5 loss, backward; every
+/// parameter gradient flattened into one row.
+fn sample_grad((gt, x, model): &(GraphTensors, Matrix, GnnModel)) -> Matrix {
+    let mut tape = Tape::new();
+    let (probs, pvars) = model.forward(&mut tape, gt, x);
+    let loss = im_loss(&mut tape, gt, probs, &LossConfig::paper_default());
+    let grads = tape.backward(loss);
+    let flat: Vec<f64> = pvars.iter().flat_map(|&v| grads.wrt(v).data().to_vec()).collect();
+    Matrix::from_vec(1, flat.len(), flat)
+}
+
 fn fmt_secs(secs: f64) -> String {
     if secs < 1e-3 {
         format!("{:.1} µs", secs * 1e6)
@@ -409,6 +436,11 @@ fn main() {
     let xv = random_matrix(1, rv, &mut rng);
     let yv = random_matrix(1, rv, &mut rng);
     let grads: Vec<Matrix> = (0..2).map(|_| random_matrix(cm, cm, &mut rng)).collect();
+    let hw = random_matrix(gn, 32, &mut rng);
+    let a_vec = random_matrix(32, 1, &mut rng);
+    let star = grat_sample(35, 2, &mut rng);
+    let hp = grat_sample(6, 1, &mut rng);
+    let arcs = |s: &(GraphTensors, Matrix, GnnModel)| format!("n={} E={}", s.0.n, s.0.att_src.len());
 
     println!(
         "{:<24} {:>11} {:>11} {:>11} {:>11}",
@@ -484,6 +516,30 @@ fn main() {
                 g.swap_remove(0)
             },
             Some("includes a per-iteration copy of the gradient list (both columns pay it)"),
+        ),
+        run_case(
+            "matvec",
+            format!("{gn}x32x1"),
+            iters,
+            Some(&|| naive_matmul(&hw, &a_vec)),
+            &|| hw.matmul(&a_vec),
+            Some("width-1 panels take the inlined mul-then-add, so backends are at parity by design"),
+        ),
+        run_case(
+            "grat_sample_grad",
+            arcs(&star),
+            iters * 50,
+            None,
+            &|| sample_grad(&star),
+            Some("train-star shape: one 3-layer GRAT forward + backward, Eq. 5 loss"),
+        ),
+        run_case(
+            "grat_sample_grad",
+            arcs(&hp),
+            iters * 50,
+            None,
+            &|| sample_grad(&hp),
+            Some("train-hp shape: one 3-layer GRAT forward + backward, Eq. 5 loss"),
         ),
     ];
     let quant = run_quant_case(iters, &a, &b);

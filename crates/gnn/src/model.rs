@@ -9,7 +9,7 @@
 use crate::features::FEATURE_DIM;
 use crate::structures::GraphTensors;
 use privim_rt::{PrivimError, PrivimResult, Rng};
-use privim_tensor::{init, Matrix, Tape, Var};
+use privim_tensor::{attention, init, Matrix, Tape, Var};
 use std::sync::Arc;
 
 /// Format tag written into every model checkpoint file.
@@ -386,33 +386,18 @@ impl GnnModel {
                         (pvars[pi], pvars[pi + 1], pvars[pi + 2], pvars[pi + 3]);
                     pi += 4;
                     let hw = tape.matmul(h, w);
-                    let src_f = tape.gather_rows(hw, gt.att_src.clone());
-                    let dst_f = tape.gather_rows(hw, gt.att_dst.clone());
-                    let s_dst = tape.matmul(dst_f, a_dst);
-                    let s_src = tape.matmul(src_f, a_src);
-                    let raw = tape.add(s_dst, s_src);
-                    let e = tape.leaky_relu(raw, 0.2);
                     // Eq. 35 (GAT): normalise over each target's in-arcs;
                     // Eq. 39 (GRAT): over each source's out-arcs.
-                    let seg = if self.config.kind == GnnKind::Gat {
-                        gt.att_dst.clone()
-                    } else {
-                        gt.att_src.clone()
-                    };
-                    let alpha = tape.segment_softmax(e, seg);
-                    let msgs = tape.mul_col_broadcast(alpha, src_f);
-                    let agg = tape.scatter_add_rows(msgs, gt.att_dst.clone(), gt.n);
+                    let gat = self.config.kind == GnnKind::Gat;
+                    let (src, dst) = (gt.att_src.clone(), gt.att_dst.clone());
+                    let agg = tape.attend(hw, a_dst, a_src, src, dst, gat);
                     // GAT-only skip connection: target-normalised attention
                     // averages away the node's own magnitude information
                     // (on attribute-poor graphs the degree signal inverts),
                     // so GAT gets the standard self-features skip; GRAT's
                     // source-normalised attention (Eq. 37-40) preserves
                     // magnitude by itself.
-                    let agg_out = if self.config.kind == GnnKind::Gat {
-                        tape.add(agg, hw)
-                    } else {
-                        agg
-                    };
+                    let agg_out = if gat { tape.add(agg, hw) } else { agg };
                     let biased = tape.add_row_broadcast(agg_out, b);
                     tape.relu(biased)
                 }
@@ -527,12 +512,17 @@ pub(crate) fn hidden_features<'m>(
             }
             GnnKind::Gat | GnnKind::Grat => {
                 pi += 4;
+                // the tape op's forward kernel, from the per-node scores
+                // hw·a_dst and hw·a_src, plus GAT's self-features skip
                 let hw = mm(&h, p);
                 let (s_dst, s_src) = (mm(&hw, p + 1), mm(&hw, p + 2));
-                relu(&add_bias(
-                    &attend(&hw, &s_dst, &s_src, gt, config.kind),
-                    dense(p + 3),
-                ))
+                let gat = config.kind == GnnKind::Gat;
+                let (src, dst) = (&gt.att_src[..], &gt.att_dst[..]);
+                let (mut agg, _) = attention::attend(&hw, &s_dst, &s_src, src, dst, gat);
+                if gat {
+                    agg.add_assign(&hw);
+                }
+                relu(&add_bias(&agg, dense(p + 3)))
             }
             GnnKind::Gin => {
                 pi += 5;
@@ -574,50 +564,6 @@ fn add_bias(m: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// One tape-free GAT/GRAT aggregation (Eqs. 33–40) from the per-node
-/// scores `s_dst = hw·a_dst` and `s_src = hw·a_src` (`n×1`; DESIGN.md
-/// §10.4). Arc `i` scores `s_dst[dst_i] + s_src[src_i]`, and its message
-/// `α_i · hw[src_i]` is added into row `dst_i` in arc order, so no
-/// per-arc feature matrix is built. GAT adds its self-features skip.
-fn attend(hw: &Matrix, s_dst: &Matrix, s_src: &Matrix, gt: &GraphTensors, kind: GnnKind) -> Matrix {
-    let (src, dst) = (&gt.att_src[..], &gt.att_dst[..]);
-    let score = |(&s, &d): (&u32, &u32)| s_dst.get(d as usize, 0) + s_src.get(s as usize, 0);
-    let e = src
-        .iter()
-        .zip(dst)
-        .map(score)
-        .map(|v| if v > 0.0 { v } else { 0.2 * v });
-    // Eq. 35 (GAT): normalise over each target's in-arcs; Eq. 39 (GRAT):
-    // over each source's out-arcs.
-    let alpha = segment_softmax(e.collect(), if kind == GnnKind::Gat { dst } else { src });
-    let mut agg = Matrix::zeros(gt.n, hw.cols());
-    for ((&s, &d), &a) in src.iter().zip(dst).zip(&alpha) {
-        privim_tensor::simd::axpy(agg.row_mut(d as usize), a, hw.row(s as usize));
-    }
-    if kind == GnnKind::Gat {
-        agg.add_assign(hw);
-    }
-    agg
-}
-
-/// Softmax of `scores` within each segment `seg[i]`, in place.
-fn segment_softmax(mut scores: Vec<f64>, seg: &[u32]) -> Vec<f64> {
-    let nseg = seg.iter().map(|&x| x as usize + 1).max().unwrap_or(0);
-    let mut mx = vec![f64::NEG_INFINITY; nseg];
-    for (&e, &g) in scores.iter().zip(seg) {
-        mx[g as usize] = mx[g as usize].max(e);
-    }
-    let mut sum = vec![0.0; nseg];
-    for (e, &g) in scores.iter_mut().zip(seg) {
-        *e = (*e - mx[g as usize]).exp();
-        sum[g as usize] += *e;
-    }
-    for (e, &g) in scores.iter_mut().zip(seg) {
-        *e /= sum[g as usize];
-    }
-    scores
 }
 
 #[cfg(test)]
@@ -700,7 +646,18 @@ pub(crate) mod tests {
                 mm(&dst_f, pi + 1)
                     .add(&mm(&src_f, pi + 2))
                     .map(|v| if v > 0.0 { v } else { 0.2 * v });
-            let alpha = segment_softmax(e.data().to_vec(), if gat { dst } else { src });
+            // softmax within each target's (GAT) or source's (GRAT) arcs
+            let seg = if gat { dst } else { src };
+            let (mut max, mut sum) = (vec![f64::NEG_INFINITY; gt.n], vec![0.0; gt.n]);
+            for (&v, &g) in e.data().iter().zip(seg) {
+                max[g as usize] = max[g as usize].max(v);
+            }
+            let ex = e.data().iter().zip(seg).map(|(&v, &g)| (v - max[g as usize]).exp());
+            let ex: Vec<f64> = ex.collect();
+            for (&v, &g) in ex.iter().zip(seg) {
+                sum[g as usize] += v;
+            }
+            let alpha: Vec<f64> = ex.iter().zip(seg).map(|(v, &g)| v / sum[g as usize]).collect();
             let mut agg = Matrix::zeros(gt.n, hw.cols());
             for (i, &d) in dst.iter().enumerate() {
                 for (o, v) in agg.row_mut(d as usize).iter_mut().zip(src_f.row(i)) {

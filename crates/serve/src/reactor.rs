@@ -672,8 +672,11 @@ fn reactor_loop(
             }
             if entry.dead || entry.conn.finished() {
                 let _ = poller.deregister(entry.stream.as_raw_fd());
-                conns.remove(&token);
+                // Decrement the gauge before dropping the entry closes its
+                // socket: a client that has seen EOF must never still read
+                // the connection as open.
                 shared.metrics.conn_closed();
+                conns.remove(&token);
                 continue;
             }
             let want = (

@@ -136,32 +136,34 @@ mod tests {
         });
     }
 
-    #[test]
-    fn gather_scatter_gradcheck() {
+    /// Finite differences of `attend` (plus GAT's `hw` skip) w.r.t. `hw`,
+    /// `a_dst` and `a_src` on 5 nodes: node 4 has only its self-loop, node
+    /// 0 three in-arcs and node 2 three out-arcs.
+    fn attend_gradcheck(by_dst: bool) {
+        let src = Arc::new(vec![0u32, 1, 2, 3, 4, 2, 2, 3, 1]);
+        let dst = Arc::new(vec![0u32, 1, 2, 3, 4, 0, 1, 0, 3]);
         for_cases(24, |rng| {
-            let a = small_matrix(4, 2, rng);
-            let idx = Arc::new(vec![3u32, 0, 0, 2, 1]);
-            let back = Arc::new(vec![1u32, 1, 0, 3, 2]);
-            assert_gradients_match(&[a], 1e-6, move |t, v| {
-                let g = t.gather_rows(v[0], idx.clone());
-                let s = t.scatter_add_rows(g, back.clone(), 4);
-                let sq = t.mul(s, s);
-                t.sum(sq)
+            let hw = small_matrix(5, 3, rng);
+            let a_dst = small_matrix(3, 1, rng);
+            let a_src = small_matrix(3, 1, rng);
+            let (src, dst) = (src.clone(), dst.clone());
+            assert_gradients_match(&[hw, a_dst, a_src], 1e-5, move |t, v| {
+                let agg = t.attend(v[0], v[1], v[2], src.clone(), dst.clone(), by_dst);
+                let out = if by_dst { t.add(agg, v[0]) } else { agg };
+                let y = t.tanh(out);
+                t.sum(y)
             });
         });
     }
 
     #[test]
-    fn segment_softmax_gradcheck() {
-        for_cases(24, |rng| {
-            let s = small_matrix(6, 1, rng);
-            let seg = Arc::new(vec![0u32, 0, 1, 1, 1, 2]);
-            assert_gradients_match(&[s], 1e-5, move |t, v| {
-                let y = t.segment_softmax(v[0], seg.clone());
-                let sq = t.mul(y, y);
-                t.sum(sq)
-            });
-        });
+    fn attend_gat_gradcheck() {
+        attend_gradcheck(true);
+    }
+
+    #[test]
+    fn attend_grat_gradcheck() {
+        attend_gradcheck(false);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! A minimal, self-contained reverse-mode automatic-differentiation engine
 //! sized for the PrivIM workload: small dense matrices (subgraphs have at
 //! most ~80 nodes, hidden width 32) flowing through graph message-passing
-//! operators (sparse matrix × dense matrix, edge gather/scatter, segment
-//! softmax) plus the usual dense ops (matmul, elementwise nonlinearities,
+//! operators (sparse matrix × dense matrix, row gather, fused GAT/GRAT
+//! attention) plus the usual dense ops (matmul, elementwise nonlinearities,
 //! reductions).
 //!
 //! The paper's reference implementation uses PyTorch; this crate replaces it
@@ -29,6 +29,7 @@
 //! assert_eq!(grads.wrt(wv).rows(), 2);
 //! ```
 
+pub mod attention;
 pub mod gradcheck;
 pub mod init;
 pub mod matrix;

@@ -261,9 +261,19 @@ impl Matrix {
                             continue;
                         }
                         let bbase = (kk + kx) * n;
+                        let brow = &rhs.data[bbase + jj..bbase + jend];
                         // elementwise axpy: each output element keeps its
-                        // k-ascending accumulation order on every backend
-                        simd::axpy(orow, aik, &rhs.data[bbase + jj..bbase + jend]);
+                        // k-ascending accumulation order on every backend.
+                        // Panels narrower than one 4-lane vector (the
+                        // `hidden×1` score and readout products) inline the
+                        // same mul-then-add instead of paying the dispatch.
+                        if orow.len() < 4 {
+                            for (o, &b) in orow.iter_mut().zip(brow) {
+                                *o += aik * b;
+                            }
+                        } else {
+                            simd::axpy(orow, aik, brow);
+                        }
                     }
                 }
             }

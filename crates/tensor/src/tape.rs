@@ -7,7 +7,18 @@
 //! the small shapes involved).
 //!
 //! The op set is exactly what the five GNNs (Appendix G) and the IM loss
-//! (Eq. 5) require; see each constructor's docs for the backward rule.
+//! (Eq. 5) require; see each constructor's docs for the backward rule:
+//!
+//! - dense: [`Tape::matmul`], [`Tape::concat_cols`],
+//!   [`Tape::add_row_broadcast`] (bias);
+//! - elementwise: add, sub, mul, scale, add_scalar, one_minus, relu,
+//!   leaky_relu, sigmoid, tanh, exp, clamp01;
+//! - reductions: [`Tape::sum`], [`Tape::mean`];
+//! - message passing: [`Tape::spmm`] (GCN, SAGE, GIN and the loss's
+//!   diffusion), [`Tape::gather_rows`] and [`Tape::mul_col_broadcast`]
+//!   (GIN's `(1 + ε)·h`), and [`Tape::attend`], one fused GAT/GRAT
+//!   attention layer whose backward keeps the bits of the op chain it
+//!   replaced (DESIGN.md §10.5).
 //!
 //! ## Allocation reuse
 //!
@@ -19,6 +30,7 @@
 //! `privim_rt::par` workers are persistent, both warm up once per thread
 //! and stay warm for the whole run.
 
+use crate::attention;
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
 use std::cell::RefCell;
@@ -50,9 +62,8 @@ enum Op {
     ConcatCols(Var, Var),
     Spmm(usize, Var),
     GatherRows(Var, Arc<Vec<u32>>),
-    ScatterAddRows(Var, Arc<Vec<u32>>),
-    SegmentSoftmax(Var, Arc<Vec<u32>>),
     MulColBroadcast(Var, Var),
+    Attend([Var; 3], attention::Saved),
 }
 
 struct Node {
@@ -286,8 +297,8 @@ impl Tape {
         self.push(Op::Spmm(sparse_id, h), v)
     }
 
-    /// Row gather: `out[i] = a[idx[i]]` (node → edge endpoint lift).
-    /// Backward scatter-adds into the source rows.
+    /// Row gather: `out[i] = a[idx[i]]` (GIN lifts its `1×1` ε to one row
+    /// per node). Backward scatter-adds into the source rows.
     pub fn gather_rows(&mut self, a: Var, idx: Arc<Vec<u32>>) -> Var {
         let am = self.value(a);
         let mut out = Matrix::zeros(idx.len(), am.cols());
@@ -297,51 +308,8 @@ impl Tape {
         self.push(Op::GatherRows(a, idx), out)
     }
 
-    /// Row scatter-add: `out[idx[i]] += a[i]` with `out` having `out_rows`
-    /// rows (edge message → node aggregation). Backward gathers.
-    pub fn scatter_add_rows(&mut self, a: Var, idx: Arc<Vec<u32>>, out_rows: usize) -> Var {
-        let am = self.value(a);
-        assert_eq!(am.rows(), idx.len(), "index length mismatch");
-        let mut out = Matrix::zeros(out_rows, am.cols());
-        for (i, &r) in idx.iter().enumerate() {
-            let dst = out.row_mut(r as usize);
-            let src = am.row(i);
-            for j in 0..src.len() {
-                dst[j] += src[j];
-            }
-        }
-        self.push(Op::ScatterAddRows(a, idx), out)
-    }
-
-    /// Softmax of a column vector within segments: entries sharing
-    /// `segments[i]` are normalised together (GAT normalises over each
-    /// target's in-edges, GRAT over each source's out-edges — Eqs. 35/39).
-    /// Numerically stabilised by per-segment max subtraction.
-    pub fn segment_softmax(&mut self, scores: Var, segments: Arc<Vec<u32>>) -> Var {
-        let s = self.value(scores);
-        assert_eq!(s.cols(), 1, "segment_softmax expects a column vector");
-        assert_eq!(s.rows(), segments.len(), "segment length mismatch");
-        let nseg = segments.iter().map(|&x| x as usize + 1).max().unwrap_or(0);
-        let mut seg_max = vec![f64::NEG_INFINITY; nseg];
-        for (i, &g) in segments.iter().enumerate() {
-            seg_max[g as usize] = seg_max[g as usize].max(s.get(i, 0));
-        }
-        let mut seg_sum = vec![0.0f64; nseg];
-        let mut ex = vec![0.0f64; s.rows()];
-        for (i, &g) in segments.iter().enumerate() {
-            let e = (s.get(i, 0) - seg_max[g as usize]).exp();
-            ex[i] = e;
-            seg_sum[g as usize] += e;
-        }
-        let mut out = Matrix::zeros(s.rows(), 1);
-        for (i, &g) in segments.iter().enumerate() {
-            out.set(i, 0, ex[i] / seg_sum[g as usize]);
-        }
-        self.push(Op::SegmentSoftmax(scores, segments), out)
-    }
-
     /// Broadcast a column vector across columns: `out[i][j] = c[i] · a[i][j]`
-    /// (attention coefficient × message).
+    /// (GIN's `(1 + ε)·h`).
     pub fn mul_col_broadcast(&mut self, c: Var, a: Var) -> Var {
         let cm = self.value(c);
         let am = self.value(a);
@@ -355,6 +323,32 @@ impl Tape {
             }
         }
         self.push(Op::MulColBroadcast(c, a), out)
+    }
+
+    /// One GAT/GRAT attention aggregation over the arcs `src[i] → dst[i]`
+    /// ([`attention::attend`]: coefficients from the per-node scores
+    /// `hw·a_dst` and `hw·a_src`, normalised per target if `by_dst`, else
+    /// per source). The backward repeats the arithmetic of the gather →
+    /// contract → softmax → scatter chain this op replaced, so gradients
+    /// keep their bits (DESIGN.md §10.5).
+    pub fn attend(
+        &mut self,
+        hw: Var,
+        a_dst: Var,
+        a_src: Var,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        by_dst: bool,
+    ) -> Var {
+        let (value, saved) = attention::forward(
+            self.value(hw),
+            self.value(a_dst),
+            self.value(a_src),
+            src,
+            dst,
+            by_dst,
+        );
+        self.push(Op::Attend([hw, a_dst, a_src], saved), value)
     }
 
     /// Reverse sweep from `loss` (must be `1×1`). Returns gradients for all
@@ -492,32 +486,6 @@ impl Tape {
                     }
                     grads[a.0] = Some(da);
                 }
-                Op::ScatterAddRows(a, idx) => {
-                    let (r, c) = self.value(*a).shape();
-                    let mut da = Matrix::zeros(r, c);
-                    for (i, &row) in idx.iter().enumerate() {
-                        let src = d.row(row as usize);
-                        let dst = da.row_mut(i);
-                        for j in 0..src.len() {
-                            dst[j] += src[j];
-                        }
-                    }
-                    acc(&mut grads, a.0, da);
-                }
-                Op::SegmentSoftmax(scores, segments) => {
-                    let y = &self.nodes[id].value;
-                    let nseg = segments.iter().map(|&x| x as usize + 1).max().unwrap_or(0);
-                    let mut seg_dot = vec![0.0f64; nseg];
-                    for (i, &g) in segments.iter().enumerate() {
-                        seg_dot[g as usize] += d.get(i, 0) * y.get(i, 0);
-                    }
-                    let mut ds = Matrix::zeros(y.rows(), 1);
-                    for (i, &g) in segments.iter().enumerate() {
-                        let yi = y.get(i, 0);
-                        ds.set(i, 0, yi * (d.get(i, 0) - seg_dot[g as usize]));
-                    }
-                    acc(&mut grads, scores.0, ds);
-                }
                 Op::MulColBroadcast(c, a) => {
                     let cm = self.value(*c);
                     let am = self.value(*a);
@@ -538,6 +506,17 @@ impl Tape {
                         }
                     }
                     acc(&mut grads, a.0, da);
+                }
+                Op::Attend([hw, a_dst, a_src], saved) => {
+                    let (hwm, ad, asrc) = (self.value(*hw), self.value(*a_dst), self.value(*a_src));
+                    let mut dhw = grads[hw.0]
+                        .take()
+                        .unwrap_or_else(|| Matrix::zeros(hwm.rows(), hwm.cols()));
+                    let (da_dst, da_src) =
+                        attention::attend_backward(&d, saved, hwm, ad, asrc, &mut dhw);
+                    grads[hw.0] = Some(dhw);
+                    acc(&mut grads, a_dst.0, da_dst);
+                    acc(&mut grads, a_src.0, da_src);
                 }
             }
         }
@@ -607,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_roundtrip_gradients() {
+    fn gather_rows_backward_scatter_adds() {
         let mut t = Tape::new();
         let x = t.leaf(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
         let idx = Arc::new(vec![0u32, 0, 2]);
@@ -616,40 +595,6 @@ mod tests {
         let g = t.backward(l);
         // row 0 gathered twice, row 1 never, row 2 once
         assert_eq!(g.wrt(x).data(), &[2.0, 0.0, 1.0]);
-
-        let mut t2 = Tape::new();
-        let e = t2.leaf(Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]));
-        let sct = t2.scatter_add_rows(e, Arc::new(vec![1u32, 1, 0]), 2);
-        assert_eq!(t2.value(sct).data(), &[3.0, 3.0]);
-        let l2 = t2.sum(sct);
-        let g2 = t2.backward(l2);
-        assert_eq!(g2.wrt(e).data(), &[1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn segment_softmax_normalises_within_segments() {
-        let mut t = Tape::new();
-        let s = t.leaf(Matrix::col_vector(&[1.0, 1.0, 5.0]));
-        let seg = Arc::new(vec![0u32, 0, 1]);
-        let y = t.segment_softmax(s, seg);
-        let v = t.value(y);
-        assert!((v.get(0, 0) - 0.5).abs() < 1e-12);
-        assert!((v.get(1, 0) - 0.5).abs() < 1e-12);
-        assert!((v.get(2, 0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn segment_softmax_gradient_sums_to_zero_per_segment() {
-        // Softmax gradients within a segment sum to zero when upstream
-        // gradient is constant — a standard sanity identity.
-        let mut t = Tape::new();
-        let s = t.leaf(Matrix::col_vector(&[0.3, -0.7, 1.2]));
-        let seg = Arc::new(vec![0u32, 0, 0]);
-        let y = t.segment_softmax(s, seg);
-        let l = t.sum(y);
-        let g = t.backward(l);
-        let total: f64 = g.wrt(s).data().iter().sum();
-        assert!(total.abs() < 1e-12, "sum {total}");
     }
 
     #[test]

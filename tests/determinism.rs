@@ -221,12 +221,14 @@ fn single_trainer_step_bit_identical_across_thread_counts() {
         iters: 1,
         ..DpSgdConfig::paper_default(0.8, 6)
     };
-    let step = |threads: usize| {
+    // GCN, and GAT: the one path with target-normalised attention and
+    // the self-features skip (GRAT runs in the trajectory and SIMD sweeps)
+    let step = |kind: GnnKind, threads: usize| {
         with_threads(threads, || {
             let items = TrainItem::from_container(&subs);
             let mut model = GnnModel::new(
                 GnnConfig {
-                    kind: GnnKind::Gcn,
+                    kind,
                     layers: 2,
                     hidden: 8,
                     in_dim: privim_gnn::FEATURE_DIM,
@@ -237,10 +239,12 @@ fn single_trainer_step_bit_identical_across_thread_counts() {
             model.params().to_vec()
         })
     };
-    let base = step(1);
-    for threads in [2, 7] {
-        let params = step(threads);
-        assert_eq!(base, params, "trainer step diverged at {threads} threads");
+    for kind in [GnnKind::Gcn, GnnKind::Gat] {
+        let base = step(kind, 1);
+        for threads in [2, 7] {
+            let params = step(kind, threads);
+            assert_eq!(base, params, "{kind:?} step diverged at {threads} threads");
+        }
     }
 }
 
