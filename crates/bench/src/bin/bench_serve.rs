@@ -4,13 +4,12 @@
 //! untrained bundle when none is given), then drives it over raw TCP the
 //! same way an external client would:
 //!
-//! * **compare mode** (default): a fixed old-vs-new front-end matrix —
-//!   threaded one-shot (the pre-reactor baseline), reactor one-shot,
-//!   reactor keep-alive at the same offered load, and reactor
-//!   keep-alive + pipelining at 10x — each row against a freshly started
-//!   server. Writes every row plus the reactor config to `BENCH_serve.json`.
+//! * **compare mode** (default): a fixed client matrix — one-shot,
+//!   keep-alive at the same offered load, and keep-alive + pipelining at
+//!   10x — each row against a freshly started server. Writes every row
+//!   plus the front-end config to `BENCH_serve.json`.
 //! * **`--mode oneshot|keepalive`**: a single custom row
-//!   (`--frontend`, `--reuse`, `--pipeline`, `--rps`, `--secs`).
+//!   (`--reuse`, `--pipeline`, `--rps`, `--secs`).
 //! * **`--smoke`**: one request per endpoint with response assertions, a
 //!   keep-alive reuse check, and a clean-drain check — the CI gate. No
 //!   file output.
@@ -32,7 +31,7 @@ use privim_gnn::{GnnConfig, GnnModel};
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, SeedableRng};
 use privim_serve::metrics::parse_counter;
-use privim_serve::{bundle, start, FrontEnd, ServeConfig, ServerHandle};
+use privim_serve::{bundle, start, ServeConfig, ServerHandle};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -261,10 +260,9 @@ impl ClientMode {
     }
 }
 
-/// One benchmark row: start a fresh server with `frontend`, drive it at
-/// `rps` for `secs` with the given client mode, return the row JSON.
+/// One benchmark row: start a fresh server, drive it at `rps` for `secs`
+/// with the given client mode, return the row JSON.
 struct RowSpec {
-    frontend: FrontEnd,
     mode: ClientMode,
     /// Requests per connection before the keep-alive client reconnects.
     reuse: usize,
@@ -383,7 +381,6 @@ fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
     let n_nodes = b.graph.num_nodes();
     let cfg = ServeConfig {
         workers: spec.workers,
-        frontend: spec.frontend,
         ..ServeConfig::default()
     };
     let handle = start(b, cfg).unwrap_or_else(|e| {
@@ -395,8 +392,7 @@ fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
     let gap = Duration::from_secs_f64(1.0 / spec.rps as f64);
     let senders = 16usize.min(total.max(1));
     let label = format!(
-        "{:?}/{}{}",
-        spec.frontend,
+        "{}{}",
         spec.mode.name(),
         if spec.mode == ClientMode::KeepAlive {
             format!("(reuse={}, pipeline={})", spec.reuse, spec.pipeline)
@@ -495,7 +491,6 @@ fn run_row(bundle_path: Option<&str>, spec: &RowSpec) -> Value {
     );
 
     Value::obj(vec![
-        ("frontend", Value::Str(format!("{:?}", spec.frontend).to_lowercase())),
         ("client_mode", Value::Str(spec.mode.name().to_string())),
         ("reuse", Value::Num(spec.reuse as f64)),
         ("pipeline", Value::Num(spec.pipeline as f64)),
@@ -541,9 +536,8 @@ fn write_doc(rows: Vec<Value>, out: &str) {
             "note",
             Value::Str(
                 "open-loop arrivals measured from scheduled send time (coordinated-omission \
-                 safe); latencies include connect + queue wait; the threaded/oneshot row is \
-                 the pre-reactor front end; absolute numbers are hardware-dependent (see \
-                 EXPERIMENTS.md)"
+                 safe); latencies include connect + queue wait; absolute numbers are \
+                 hardware-dependent (see EXPERIMENTS.md)"
                     .to_string(),
             ),
         ),
@@ -564,7 +558,6 @@ fn main() {
     let mut secs = 5u64;
     let mut out = "BENCH_serve.json".to_string();
     let mut mode: Option<ClientMode> = None;
-    let mut frontend = FrontEnd::Reactor;
     let mut reuse = 64usize;
     let mut pipeline = 1usize;
     let mut workers = 8usize;
@@ -586,15 +579,6 @@ fn main() {
                     }
                 }
             }
-            "--frontend" => {
-                frontend = it
-                    .next()
-                    .and_then(|s| FrontEnd::parse(s))
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --frontend expects reactor|threaded");
-                        std::process::exit(2);
-                    })
-            }
             "--reuse" => reuse = it.next().and_then(|s| s.parse().ok()).unwrap_or(reuse),
             "--pipeline" => pipeline = it.next().and_then(|s| s.parse().ok()).unwrap_or(pipeline),
             "--workers" => workers = it.next().and_then(|s| s.parse().ok()).unwrap_or(workers),
@@ -602,8 +586,7 @@ fn main() {
                 eprintln!(
                     "error: unknown flag {other} (flags: --smoke, --bundle <path>, --rps <n>, \
                      --secs <n>, --out <path>, --mode oneshot|keepalive, \
-                     --frontend reactor|threaded, --reuse <n>, --pipeline <n>, \
-                     --workers <n>)"
+                     --reuse <n>, --pipeline <n>, --workers <n>)"
                 );
                 std::process::exit(2);
             }
@@ -615,14 +598,13 @@ fn main() {
         let n_nodes = b.graph.num_nodes();
         let cfg = ServeConfig {
             workers: 8,
-            frontend,
             ..ServeConfig::default()
         };
         let handle = start(b, cfg).unwrap_or_else(|e| {
             eprintln!("error: start server: {e}");
             std::process::exit(1);
         });
-        println!("serving bundle on port {} (|V|={n_nodes}, {frontend:?})", handle.port());
+        println!("serving bundle on port {} (|V|={n_nodes})", handle.port());
         smoke(handle, n_nodes);
         return;
     }
@@ -632,7 +614,6 @@ fn main() {
         Some(m) => vec![run_row(
             bundle_path.as_deref(),
             &RowSpec {
-                frontend,
                 mode: m,
                 reuse,
                 pipeline,
@@ -641,24 +622,21 @@ fn main() {
                 workers: workers.max(1),
             },
         )],
-        // Compare matrix: the pre-reactor baseline, the reactor under the
-        // identical one-shot client, keep-alive at equal offered load
-        // (p99 comparison), and keep-alive + pipelining at 10x offered
-        // load (throughput headroom).
+        // Compare matrix: one-shot clients, keep-alive at equal offered
+        // load (p99 comparison), and keep-alive + pipelining at 10x
+        // offered load (throughput headroom).
         None => {
             let specs = [
-                (FrontEnd::Threaded, ClientMode::OneShot, 1, rps),
-                (FrontEnd::Reactor, ClientMode::OneShot, 1, rps),
-                (FrontEnd::Reactor, ClientMode::KeepAlive, 1, rps),
-                (FrontEnd::Reactor, ClientMode::KeepAlive, 8, rps * 10),
+                (ClientMode::OneShot, 1, rps),
+                (ClientMode::KeepAlive, 1, rps),
+                (ClientMode::KeepAlive, 8, rps * 10),
             ];
             specs
                 .iter()
-                .map(|&(frontend, mode, pipeline, rps)| {
+                .map(|&(mode, pipeline, rps)| {
                     run_row(
                         bundle_path.as_deref(),
                         &RowSpec {
-                            frontend,
                             mode,
                             reuse,
                             pipeline,

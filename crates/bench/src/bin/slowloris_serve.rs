@@ -112,8 +112,6 @@ fn spawn_server(f: &Flags) -> (Child, u16) {
         .arg("--workers")
         .arg("2")
         .arg("--no-wal")
-        .arg("--frontend")
-        .arg("reactor")
         .arg("--header-timeout-ms")
         .arg(f.header_timeout_ms.to_string())
         .arg("--idle-timeout-ms")

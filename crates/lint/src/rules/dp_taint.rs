@@ -36,7 +36,7 @@ const SERIALIZE_FNS: [&str; 9] = [
     "write_all_faulty",
     "atomic_write_durable",
     "atomic_write_durable_with_plan",
-    "write_response",
+    "response_frame",
 ];
 
 pub fn check(ws: &Workspace<'_>) -> Vec<(usize, RawFinding)> {

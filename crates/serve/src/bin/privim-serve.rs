@@ -7,8 +7,8 @@
 //!              [--quant none|int8|f16]
 //! privim-serve run --bundle bundle.json [--addr 127.0.0.1:7878]
 //!              [--workers 4] [--queue-cap 128] [--deadline-ms 5000] [--runs 64]
-//!              [--frontend reactor|threaded] [--idle-timeout-ms 30000]
-//!              [--header-timeout-ms 10000] [--max-pipeline 32]
+//!              [--idle-timeout-ms 30000] [--header-timeout-ms 10000]
+//!              [--max-pipeline 32]
 //! ```
 //!
 //! `pack` trains a model with the library pipeline (or on a synthetic
@@ -21,8 +21,7 @@ use privim_gnn::QuantGnnModel;
 use privim_graph::{io::read_edge_list, Graph};
 use privim_rt::{fsio, ChaCha8Rng, SeedableRng};
 use privim_serve::{
-    bundle, start, wal, DurabilityConfig, FrontEnd, FsyncPolicy, LedgerConfig, LedgerState,
-    ServeConfig,
+    bundle, start, wal, DurabilityConfig, FsyncPolicy, LedgerConfig, LedgerState, ServeConfig,
 };
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -43,8 +42,8 @@ fn usage() -> ! {
                 [--retry-after 60]]
   privim-serve run --bundle <bundle.json> [--addr 127.0.0.1:7878]
                [--workers 4] [--queue-cap 128] [--deadline-ms 5000] [--runs 64]
-               [--frontend reactor|threaded] [--idle-timeout-ms 30000]
-               [--header-timeout-ms 10000] [--max-pipeline 32]
+               [--idle-timeout-ms 30000] [--header-timeout-ms 10000]
+               [--max-pipeline 32]
                [--wal <path>] [--no-wal] [--fsync always|never|every=N]
                [--compact-every 256]"
     );
@@ -77,7 +76,6 @@ struct Flags {
     queue_cap: usize,
     deadline_ms: u64,
     runs: usize,
-    frontend: FrontEnd,
     idle_timeout_ms: u64,
     header_timeout_ms: u64,
     max_pipeline: usize,
@@ -109,7 +107,6 @@ fn parse_flags(args: &[String]) -> Flags {
         queue_cap: 128,
         deadline_ms: 5_000,
         runs: 64,
-        frontend: FrontEnd::Reactor,
         idle_timeout_ms: 30_000,
         header_timeout_ms: 10_000,
         max_pipeline: 32,
@@ -163,9 +160,6 @@ fn parse_flags(args: &[String]) -> Flags {
                 f.deadline_ms = val("--deadline-ms").parse().unwrap_or_else(|_| usage())
             }
             "--runs" => f.runs = val("--runs").parse().unwrap_or_else(|_| usage()),
-            "--frontend" => {
-                f.frontend = FrontEnd::parse(&val("--frontend")).unwrap_or_else(|| usage())
-            }
             "--idle-timeout-ms" => {
                 f.idle_timeout_ms = val("--idle-timeout-ms").parse().unwrap_or_else(|_| usage())
             }
@@ -370,17 +364,15 @@ fn cmd_run(f: &Flags) {
         deadline: Duration::from_millis(f.deadline_ms.max(1)),
         default_runs: f.runs.max(1),
         durability,
-        frontend: f.frontend,
         idle_timeout: Duration::from_millis(f.idle_timeout_ms.max(1)),
         header_timeout: Duration::from_millis(f.header_timeout_ms.max(1)),
         max_pipeline: f.max_pipeline.max(1),
         ..ServeConfig::default()
     };
     install_signal_handlers();
-    let frontend = cfg.frontend;
     let handle = start(b, cfg).unwrap_or_else(|e| fail(e));
     println!(
-        "serving on port {} ({} workers, {frontend:?} front end); ctrl-c to drain and exit",
+        "serving on port {} ({} workers); ctrl-c to drain and exit",
         handle.port(),
         f.workers
     );

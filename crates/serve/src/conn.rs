@@ -1,41 +1,60 @@
-//! Per-connection state machine for the reactor front end.
+//! Per-connection state machine and policy of the epoll front end.
 //!
 //! This module is pure bookkeeping — no sockets, no clocks, no syscalls —
-//! so the whole pipelining protocol is unit-testable byte by byte:
+//! so the whole pipelining protocol is testable byte by byte (the seeded
+//! conformance harness drives it against a reference model):
 //!
-//! * **read side**: bytes accumulate in `read_buf`; [`Conn::parse_available`]
-//!   peels off as many complete pipelined requests as the pipeline cap
-//!   allows, assigning each a monotonically increasing sequence number;
+//! * **read side**: bytes accumulate in `read_buf`; [`Conn::pump`] peels
+//!   off as many complete pipelined requests as the pipeline cap allows,
+//!   assigning each a monotonically increasing sequence number, and
+//!   offers each to the job queue through an admission closure — a
+//!   refusal sheds it and the rest of its batch with `503`;
 //! * **response side**: workers finish requests in *any* order;
-//!   [`Conn::complete`] parks each frame until every lower-sequence
+//!   [`Conn::deliver`] parks each frame until every lower-sequence
 //!   response has been emitted, guaranteeing RFC 9112 §9.3.2 in-order
-//!   pipelined responses;
+//!   pipelined responses, then re-runs the pump for the slot it freed;
 //! * **write side**: in-order frames concatenate into `write_buf`, which
 //!   the reactor drains as the socket accepts bytes (partial writes and
 //!   EAGAIN leave the remainder for the next writability event).
 //!
-//! A `Connection: close` request or a protocol error funnels into one
-//! shutdown shape: stop parsing, finish what was accepted, close after
-//! the write buffer drains. That is also exactly the graceful-drain
+//! A `Connection: close` request, a protocol error or a shed funnels into
+//! one shutdown shape: stop parsing, finish what was accepted, close
+//! after the write buffer drains. That is also exactly the graceful-drain
 //! shape, which is why drain under the reactor needs no special casing
 //! per connection. Peer EOF (half-close) is gentler: requests already
 //! buffered in full are still parsed and answered — a client may legally
 //! write its requests and `shutdown(SHUT_WR)` before reading — and the
 //! shutdown shape begins only once nothing parseable remains.
 
-use crate::http::{parse_one, HttpError, Request};
+use crate::http::{error_frame, parse_one, HttpError, Request};
 use std::collections::BTreeMap;
 
 /// One parsed request, tagged with its response-ordering sequence number.
 #[derive(Debug)]
 pub(crate) struct ParsedJob {
     /// Position in the connection's response order; pass back to
-    /// [`Conn::complete`].
+    /// [`Conn::deliver`].
     pub seq: u64,
     /// The request to route.
     pub request: Request,
-    /// Whether the connection may persist after this response.
+    /// Whether the connection may persist after this response: the
+    /// request asked for it and the peer had not half-closed when it was
+    /// parsed.
     pub keep_alive: bool,
+}
+
+/// What one [`Conn::pump`] did, for the reactor's metrics.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Pumped {
+    /// Requests in flight right after the parse, before admission;
+    /// `None` when nothing was parsed.
+    pub depth: Option<u64>,
+    /// Parsed requests that reused the connection (sequence > 0).
+    pub reuses: u64,
+    /// Requests answered with a queue-full `503`.
+    pub shed: u64,
+    /// Status of the protocol-error refusal, if one was queued.
+    pub refused: Option<u16>,
 }
 
 /// Connection lifecycle as the reactor sees it.
@@ -44,7 +63,8 @@ pub(crate) enum ConnPhase {
     /// Reading and parsing normally.
     Open,
     /// No more requests will be parsed (close requested, protocol error,
-    /// peer EOF, or server drain); outstanding responses still flush.
+    /// shed, peer EOF, or server drain); outstanding responses still
+    /// flush.
     Draining,
 }
 
@@ -60,11 +80,11 @@ pub(crate) struct Conn {
     next_write_seq: u64,
     /// Completed frames waiting for their turn in the response order.
     parked: BTreeMap<u64, Vec<u8>>,
-    /// Requests handed to workers whose frames have not yet been emitted.
+    /// Requests handed out whose frames have not yet been emitted.
     inflight: u64,
-    /// A protocol error hit *after* this call already yielded requests;
-    /// surfaced by the next `parse_available` so the accepted requests
-    /// are not lost.
+    /// A protocol error hit *after* a parse round already yielded
+    /// requests; surfaced by the next round so the accepted requests are
+    /// not lost.
     deferred_error: Option<HttpError>,
     /// Peer sent EOF (half-close): no further bytes will arrive, but
     /// requests already buffered in full are still parsed and served.
@@ -97,18 +117,93 @@ impl Conn {
         self.read_buf.extend_from_slice(data);
     }
 
+    /// The connection's policy, run after every read: parse what the
+    /// pipeline cap allows and offer each request to `admit` (the job
+    /// queue), which returns `false` when the queue is full.
+    ///
+    /// * A refused request gets a `503` with `Connection: close`, and so
+    ///   does every later request of the same parse batch — handing them
+    ///   to workers would put responses behind a close-marked one.
+    /// * A protocol error takes the next response slot for its `400`/`431`
+    ///   refusal, so it lands after every already-accepted response.
+    ///
+    /// Either way the connection drains. Cheap to call when nothing can
+    /// be parsed.
+    pub(crate) fn pump(
+        &mut self,
+        max_pipeline: u64,
+        admit: &mut dyn FnMut(ParsedJob) -> bool,
+    ) -> Pumped {
+        let mut out = Pumped::default();
+        // Loop until quiescent: a protocol error hit after requests were
+        // already accepted in the same round is deferred and surfaces on
+        // the next one.
+        loop {
+            let jobs = match self.parse_available(max_pipeline) {
+                Ok(jobs) if jobs.is_empty() => return out,
+                Ok(jobs) => jobs,
+                Err(e) => {
+                    let seq = self.claim_seq();
+                    self.complete(seq, error_frame(e.status, &e.to_string()));
+                    out.refused = Some(e.status);
+                    return out;
+                }
+            };
+            out.depth = Some(self.inflight);
+            let mut shedding = false;
+            for job in jobs {
+                if job.seq > 0 {
+                    out.reuses += 1;
+                }
+                let seq = job.seq;
+                if !shedding && admit(job) {
+                    continue;
+                }
+                if !shedding {
+                    shedding = true;
+                    // Nothing may follow the shed, not even an error the
+                    // parser found further down the buffer.
+                    self.phase = ConnPhase::Draining;
+                    self.read_buf.clear();
+                    self.deferred_error = None;
+                }
+                out.shed += 1;
+                self.complete(seq, error_frame(503, "shed: queue full"));
+            }
+        }
+    }
+
+    /// Deliver the finished frame for `seq` (in any order; frames are
+    /// emitted in sequence order). `close_after` marks a response the
+    /// server closes after (a worker's shed, or a drain): nothing more is
+    /// parsed.
+    ///
+    /// Then re-run [`Conn::pump`]: the completion freed a pipeline slot,
+    /// and requests beyond the cap may sit whole in `read_buf` with the
+    /// socket already drained, so no readable event will ever re-trigger
+    /// the parser for them.
+    pub(crate) fn deliver(
+        &mut self,
+        seq: u64,
+        frame: Vec<u8>,
+        close_after: bool,
+        max_pipeline: u64,
+        admit: &mut dyn FnMut(ParsedJob) -> bool,
+    ) -> Pumped {
+        self.complete(seq, frame);
+        if close_after {
+            self.phase = ConnPhase::Draining;
+        }
+        self.pump(max_pipeline, admit)
+    }
+
     /// Peel complete pipelined requests off the front of the buffer, up
     /// to `max_pipeline` outstanding. A request carrying
     /// `Connection: close` (or HTTP/1.0 without keep-alive) is the last
     /// one parsed — trailing bytes are dropped, matching RFC 9112's
     /// "close" meaning. On a protocol error the connection flips to
-    /// [`ConnPhase::Draining`] and the caller must enqueue the error
-    /// frame itself (via [`Conn::claim_seq`] + [`Conn::complete`]) so it
-    /// still lands after every already-accepted response.
-    pub(crate) fn parse_available(
-        &mut self,
-        max_pipeline: u64,
-    ) -> Result<Vec<ParsedJob>, HttpError> {
+    /// [`ConnPhase::Draining`].
+    fn parse_available(&mut self, max_pipeline: u64) -> Result<Vec<ParsedJob>, HttpError> {
         if let Some(e) = self.deferred_error.take() {
             return Err(e);
         }
@@ -126,7 +221,9 @@ impl Conn {
                     jobs.push(ParsedJob {
                         seq,
                         request: parsed.request,
-                        keep_alive: parsed.keep_alive,
+                        // A half-closed peer gets honest
+                        // `Connection: close` responses.
+                        keep_alive: parsed.keep_alive && !self.eof,
                     });
                 }
                 Ok(None) => break,
@@ -143,13 +240,13 @@ impl Conn {
                 }
             }
         }
-        // Half-close: after peer EOF, bytes that do not already form a
-        // complete request can never become one. A complete request held
-        // back only by the pipeline cap keeps the phase Open so a freed
-        // slot can still parse it; anything else drains now.
+        // Half-close: after peer EOF, bytes that can only become a
+        // request with more input never will. Bytes held back by the
+        // pipeline cap that already form a request — or a refusal —
+        // keep the phase Open so a freed slot can still parse them.
         if self.eof
             && self.phase == ConnPhase::Open
-            && !matches!(parse_one(&self.read_buf), Ok(Some(_)))
+            && matches!(parse_one(&self.read_buf), Ok(None))
         {
             self.phase = ConnPhase::Draining;
             self.read_buf.clear();
@@ -157,18 +254,16 @@ impl Conn {
         Ok(jobs)
     }
 
-    /// Reserve the next response slot (used directly for error frames,
-    /// which have no routed request behind them).
-    pub(crate) fn claim_seq(&mut self) -> u64 {
+    /// Reserve the next response slot.
+    fn claim_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.inflight += 1;
         seq
     }
 
-    /// Deliver the finished frame for `seq`. Frames arrive in worker
-    /// completion order; they are emitted in sequence order.
-    pub(crate) fn complete(&mut self, seq: u64, frame: Vec<u8>) {
+    /// Park the frame for `seq`, then emit every frame whose turn it is.
+    fn complete(&mut self, seq: u64, frame: Vec<u8>) {
         self.parked.insert(seq, frame);
         while let Some(frame) = self.parked.remove(&self.next_write_seq) {
             self.write_buf.extend_from_slice(&frame);
@@ -177,8 +272,8 @@ impl Conn {
         }
     }
 
-    /// Stop accepting further requests (server drain or a response that
-    /// carried `Connection: close`); pending work flushes.
+    /// Stop accepting further requests (server drain); pending work
+    /// flushes.
     pub(crate) fn start_draining(&mut self) {
         self.phase = ConnPhase::Draining;
     }
@@ -186,25 +281,10 @@ impl Conn {
     /// Peer EOF (half-close): no more bytes will arrive, but a client
     /// that wrote a full request and then `shutdown(SHUT_WR)` — legal
     /// HTTP/1.1 — still gets buffered complete requests parsed and
-    /// answered. [`Conn::parse_available`] flips the phase to Draining
+    /// answered. The next [`Conn::pump`] flips the phase to Draining
     /// once nothing parseable remains.
     pub(crate) fn input_closed(&mut self) {
         self.eof = true;
-    }
-
-    /// Whether the peer has half-closed its write side.
-    pub(crate) fn input_eof(&self) -> bool {
-        self.eof
-    }
-
-    /// Whether buffered bytes may still yield requests once pipeline
-    /// slots free up. Drives the completion-time re-parse in the
-    /// reactor: the socket buffer is already drained into `read_buf`,
-    /// so no readable event will ever re-trigger the parser.
-    pub(crate) fn can_parse_more(&self, max_pipeline: u64) -> bool {
-        self.phase == ConnPhase::Open
-            && self.inflight < max_pipeline
-            && !self.read_buf.is_empty()
     }
 
     #[cfg(test)]
@@ -264,7 +344,7 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::response_frame;
+    use crate::http::{error_frame, response_frame};
 
     fn frame(body: &[u8], keep_alive: bool) -> Vec<u8> {
         response_frame(200, "application/json", &[], body, keep_alive)
@@ -366,23 +446,44 @@ mod tests {
     fn protocol_error_drains_and_error_frame_orders_after_accepted_work() {
         let mut c = Conn::new();
         c.push_bytes(b"GET /ok HTTP/1.1\r\n\r\nPOST /bad HTTP/1.1\r\nContent-Length: nope\r\n\r\n");
-        let jobs = c.parse_available(32).unwrap();
-        assert_eq!(jobs.len(), 1);
-        let err = c.parse_available(32).unwrap_err();
-        assert_eq!(err.status, 400);
+        let mut admitted = Vec::new();
+        let pumped = c.pump(32, &mut |job| {
+            admitted.push(job.seq);
+            true
+        });
+        assert_eq!(admitted, vec![0]);
+        assert_eq!(pumped.refused, Some(400));
         assert_eq!(c.phase(), ConnPhase::Draining);
-        // Reactor enqueues the error frame behind the good response.
-        let err_seq = c.claim_seq();
-        assert_eq!(err_seq, 1);
-        c.complete(err_seq, frame(b"err", false));
         assert!(
             c.writable().is_empty(),
             "error frame must wait for the accepted request's response"
         );
-        c.complete(0, frame(b"ok", true));
+        c.deliver(0, frame(b"ok", true), false, 32, &mut |_| unreachable!());
         let mut expect = frame(b"ok", true);
-        expect.extend_from_slice(&frame(b"err", false));
+        expect.extend_from_slice(&error_frame(400, "http: malformed Content-Length"));
         assert_eq!(c.writable(), &expect[..]);
+    }
+
+    #[test]
+    fn queue_refusal_sheds_the_rest_of_the_batch_and_the_deferred_error() {
+        let mut c = Conn::new();
+        c.push_bytes(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HTTP/1.1\r\n\r\n");
+        c.push_bytes(b"POST /bad HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
+        let mut offered = 0;
+        let pumped = c.pump(32, &mut |_| {
+            offered += 1;
+            offered == 1
+        });
+        assert_eq!(offered, 2, "nothing is offered after the first refusal");
+        assert_eq!((pumped.depth, pumped.shed, pumped.refused), (Some(3), 2, None));
+        c.deliver(0, frame(b"a", true), false, 32, &mut |_| unreachable!());
+        let mut expect = frame(b"a", true);
+        expect.extend_from_slice(&error_frame(503, "shed: queue full"));
+        expect.extend_from_slice(&error_frame(503, "shed: queue full"));
+        assert_eq!(c.writable(), &expect[..], "no 400 may follow the close-marked 503");
+        let n = c.writable().len();
+        c.advance_write(n);
+        assert!(c.finished());
     }
 
     #[test]
@@ -409,21 +510,28 @@ mod tests {
         for _ in 0..3 {
             c.push_bytes(b"GET /x HTTP/1.1\r\n\r\n");
         }
+        c.push_bytes(b"GET /x HTTP/1.1\r\nContent-Length: x\r\n\r\n");
         c.input_closed();
-        let first = c.parse_available(2).unwrap();
-        assert_eq!(first.len(), 2);
+        let mut seqs = Vec::new();
+        let mut admit = |job: ParsedJob| {
+            assert!(!job.keep_alive, "parsed after EOF: must close");
+            seqs.push(job.seq);
+            true
+        };
+        c.pump(2, &mut admit);
         assert_eq!(
             c.phase(),
             ConnPhase::Open,
             "a complete-but-capped request must keep the phase Open"
         );
-        assert!(!c.can_parse_more(2), "no slot free yet");
-        c.complete(0, frame(b"a", true));
-        assert!(c.can_parse_more(2), "freed slot re-enables parsing");
-        let more = c.parse_available(2).unwrap();
-        assert_eq!(more.len(), 1);
-        assert_eq!(more[0].seq, 2);
+        c.deliver(0, frame(b"a", false), false, 2, &mut admit);
+        assert_eq!(c.phase(), ConnPhase::Open, "a capped refusal is still owed");
+        c.deliver(1, frame(b"b", false), false, 2, &mut admit);
         assert_eq!(c.phase(), ConnPhase::Draining, "buffer exhausted after EOF");
+        assert_eq!(c.inflight(), 2, "request 2 and the refusal behind it");
+        c.deliver(2, frame(b"c", false), false, 2, &mut admit);
+        assert!(c.writable().ends_with(&error_frame(400, "http: malformed Content-Length")));
+        assert_eq!(seqs, vec![0, 1, 2]);
     }
 
     #[test]
@@ -439,27 +547,24 @@ mod tests {
 
     #[test]
     fn capped_buffered_requests_parse_after_completions_without_new_bytes() {
-        // The reviewer scenario behind the reactor's completion-time
-        // re-parse: a burst beyond the cap arrives in one read, and no
-        // further readable event will ever fire.
+        // The scenario behind the completion-time re-parse: a burst beyond
+        // the cap arrives in one read, and no further readable event will
+        // ever fire.
         let mut c = Conn::new();
         for _ in 0..5 {
             c.push_bytes(b"GET /x HTTP/1.1\r\n\r\n");
         }
-        let mut served = c.parse_available(2).unwrap().len() as u64;
-        assert_eq!(served, 2, "cap holds back the rest of the burst");
-        let mut completed = 0u64;
-        while completed < 5 {
-            assert!(c.inflight() > 0, "stalled with {served} served");
-            // One worker completion frees one slot...
-            c.complete(completed, frame(b"x", true));
-            completed += 1;
-            // ...and the completion-time re-parse picks up the slack.
-            if c.can_parse_more(2) {
-                served += c.parse_available(2).unwrap().len() as u64;
-            }
+        let mut queued = Vec::new();
+        let mut admit = |job: ParsedJob| {
+            queued.push(job.seq);
+            true
+        };
+        assert_eq!(c.pump(2, &mut admit).depth, Some(2), "cap holds back the rest of the burst");
+        for seq in 0..5 {
+            assert!(c.inflight() > 0, "stalled before request {seq}");
+            c.deliver(seq, frame(b"x", true), false, 2, &mut admit);
         }
-        assert_eq!(served, 5, "every buffered request must eventually parse");
+        assert_eq!(queued, vec![0, 1, 2, 3, 4], "every buffered request must parse");
         assert_eq!(c.partial_bytes(), 0);
     }
 

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// The request path is reached only through the Linux-only front end;
+// elsewhere `start` refuses to serve and that code is never called.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 //! # privim-serve
 //!
 //! An online inference and seed-set query server over a trained PrivIM
@@ -36,15 +39,13 @@
 //!   only picks the shard, so a collision can never serve a wrong value),
 //!   and `/v1/seeds` reuses one [`privim_im::LazyGreedy`] across requests
 //!   — greedy prefix stability makes any `k ≤ computed` free.
-//! * **Readiness-loop front end** (the `conn` + unix-only `reactor`
-//!   modules): an epoll/poll reactor drives nonblocking sockets with
-//!   HTTP/1.1 keep-alive and pipelining, a per-connection state machine,
-//!   and a coarse timer wheel for idle/header-read timeouts (slowloris
-//!   defense). Request execution stays on the worker pool, so response
-//!   bytes are identical to the thread-per-connection front end
-//!   ([`server::FrontEnd::Threaded`], still available for comparison and
-//!   as the non-unix fallback).
-//! * **Load shedding** ([`server`]): a bounded accept queue; overflow and
+//! * **Epoll front end** (the `conn` + Linux-only `reactor` modules): one
+//!   reactor thread drives nonblocking sockets with HTTP/1.1 keep-alive
+//!   and pipelining, a per-connection state machine, and a coarse timer
+//!   wheel for idle/header-read timeouts (slowloris defense); a worker
+//!   pool executes the requests. Serving is Linux-only: elsewhere
+//!   [`server::start`] returns an `Unsupported` I/O error.
+//! * **Load shedding** ([`server`]): a bounded job queue; overflow and
 //!   requests whose queue wait exceeds the deadline get `503` instead of
 //!   growing latency without bound.
 //! * **Graceful drain**: shutdown stops accepting, then completes every
@@ -68,7 +69,9 @@ pub(crate) mod conn;
 pub mod http;
 pub mod ledger;
 pub mod metrics;
-#[cfg(unix)]
+#[cfg(test)]
+mod conformance;
+#[cfg(target_os = "linux")]
 pub(crate) mod reactor;
 pub mod server;
 pub mod wal;
@@ -80,5 +83,5 @@ pub use bundle::{
 pub use cache::ShardedLru;
 pub use ledger::{Admission, LedgerConfig, LedgerState, TenantLedger};
 pub use metrics::Metrics;
-pub use server::{influence_cache_key, start, DurabilityConfig, FrontEnd, ServeConfig, ServerHandle};
+pub use server::{influence_cache_key, start, DurabilityConfig, ServeConfig, ServerHandle};
 pub use wal::{FsyncPolicy, RecoveryReport, WalWriter};

@@ -42,7 +42,6 @@ pub struct Metrics {
     queue_depth: AtomicU64,
     queue_depth_peak: AtomicU64,
     drained_during_shutdown: AtomicU64,
-    timeout_config_failures: AtomicU64,
     wal_appends: AtomicU64,
     wal_append_failures: AtomicU64,
     wal_compactions: AtomicU64,
@@ -106,13 +105,13 @@ impl Metrics {
         self.shed_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accept queue grew by one.
+    /// Job queue grew by one.
     pub fn queue_push(&self) {
         let d = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.queue_depth_peak.fetch_max(d, Ordering::Relaxed);
     }
 
-    /// Accept queue shrank by one.
+    /// Job queue shrank by one.
     pub fn queue_pop(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
@@ -120,17 +119,6 @@ impl Metrics {
     /// A queued request was completed after shutdown began.
     pub fn drained(&self) {
         self.drained_during_shutdown.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Configuring a socket read/write timeout failed; the connection was
-    /// closed rather than served without a deadline.
-    pub fn timeout_config_failure(&self) {
-        self.timeout_config_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Timeout-configuration failures so far.
-    pub fn timeout_config_failures(&self) -> u64 {
-        self.timeout_config_failures.load(Ordering::Relaxed)
     }
 
     /// A budget charge was journaled durably.
@@ -181,7 +169,7 @@ impl Metrics {
         self.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Connections currently open (reactor front end).
+    /// Connections currently open.
     pub fn open_connections(&self) -> u64 {
         self.open_connections.load(Ordering::Relaxed)
     }
@@ -293,7 +281,6 @@ impl Metrics {
         push_line(&mut out, "privim_cache_misses_total", cache_misses);
         push_line(&mut out, "privim_cache_entries", cache_len as u64);
         push_line(&mut out, "privim_drained_during_shutdown_total", self.drained_during_shutdown.load(Ordering::Relaxed));
-        push_line(&mut out, "privim_timeout_config_failures_total", self.timeout_config_failures.load(Ordering::Relaxed));
         push_line(&mut out, "privim_wal_appends_total", self.wal_appends.load(Ordering::Relaxed));
         push_line(&mut out, "privim_wal_append_failures_total", self.wal_append_failures.load(Ordering::Relaxed));
         push_line(&mut out, "privim_wal_compactions_total", self.wal_compactions.load(Ordering::Relaxed));
@@ -439,14 +426,12 @@ mod tests {
     #[test]
     fn durability_counters_render() {
         let m = Metrics::new();
-        m.timeout_config_failure();
         m.wal_append();
         m.wal_append();
         m.wal_append_failure();
         m.wal_compaction();
         m.wal_compaction_failure();
         let text = m.render(0, 0, 0);
-        assert_eq!(parse_counter(&text, "privim_timeout_config_failures_total"), Some(1));
         assert_eq!(parse_counter(&text, "privim_wal_appends_total"), Some(2));
         assert_eq!(parse_counter(&text, "privim_wal_append_failures_total"), Some(1));
         assert_eq!(parse_counter(&text, "privim_wal_compactions_total"), Some(1));
@@ -454,7 +439,6 @@ mod tests {
         assert_eq!(m.wal_appends(), 2);
         assert_eq!(m.wal_append_failures(), 1);
         assert_eq!(m.wal_compactions(), 1);
-        assert_eq!(m.timeout_config_failures(), 1);
     }
 
     #[test]

@@ -1,22 +1,21 @@
-//! Epoll readiness-loop front end: accept, nonblocking socket I/O, and
-//! connection timeouts on one reactor thread; request *execution* stays
-//! on the existing worker pool.
+//! The epoll front end: accept, nonblocking socket I/O, and connection
+//! timeouts on one reactor thread; request *execution* runs on a worker
+//! pool.
 //!
 //! Division of labor (DESIGN.md §15): the reactor owns the listener and
 //! every connection's byte streams — it accepts, reads into each
-//! connection's buffer, peels off pipelined requests via
-//! [`crate::conn::Conn`], and drains write buffers as sockets accept
-//! bytes. Parsed requests become jobs on the same bounded queue
-//! discipline as the threaded front end (503 shed at the cap, deadline
-//! shed measured from arrival), and workers run the *identical*
-//! routing/admission/batching/journaling path — which is why response
-//! bodies are byte-for-byte what the threaded front end produces and the
-//! WAL/chaos guarantees carry over unchanged.
+//! connection's buffer, and drains write buffers as sockets accept
+//! bytes. What to do with those bytes is [`crate::conn::Conn`]'s policy:
+//! it parses pipelined requests, offers each to the bounded job queue
+//! (503 shed at the cap), and orders the responses. This module keeps
+//! only the syscalls, the timer wheel, the job queue and the metrics.
+//! Workers shed a job whose queue wait exceeded the deadline and run
+//! every other one through the shared routing/admission/journaling path
+//! (`server::process_request`).
 //!
-//! The poller is raw `epoll_create1`/`epoll_ctl`/`epoll_wait` on Linux
-//! (via `extern "C"` shims over `std::os::fd` — no libc crate), and
-//! `poll(2)` on other unixes. Non-unix builds fall back to the threaded
-//! front end in `server.rs` and never compile this module.
+//! The poller is raw `epoll_create1`/`epoll_ctl`/`epoll_wait` (via
+//! `extern "C"` shims over `std::os::fd` — no libc crate), so the module
+//! is Linux-only; elsewhere `server::start` refuses to serve.
 //!
 //! Timeouts ride a coarse timer wheel (100 ms ticks): an idle kept-alive
 //! connection is closed after `idle_timeout`, and a connection that has
@@ -26,10 +25,9 @@
 //! slowloris dribbling one header byte per second cannot hold memory
 //! open indefinitely.
 
-use crate::conn::Conn;
-use crate::http::{response_frame, HttpError, Request};
+use crate::conn::{Conn, ParsedJob, Pumped};
+use crate::http::{error_frame, response_frame, Request};
 use crate::server::{lock, process_request, Shared};
-use privim_rt::json::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -52,8 +50,7 @@ const TOKEN_WAKER: u64 = 1;
 /// First token handed to an accepted connection.
 const TOKEN_FIRST_CONN: u64 = 2;
 
-/// Reactor front-end tunables (carved out of `ServeConfig` by
-/// `server::start`).
+/// Front-end tunables (carved out of `ServeConfig` by `server::start`).
 #[derive(Clone)]
 pub(crate) struct ReactorConfig {
     pub workers: usize,
@@ -77,6 +74,9 @@ struct Completion {
     token: u64,
     seq: u64,
     frame: Vec<u8>,
+    /// The server closes after this response (a shed or a drain). A
+    /// request's own `Connection: close` and the peer's half-close are
+    /// the connection's policy and never set this.
     close_after: bool,
 }
 
@@ -103,19 +103,17 @@ impl ReactorShared {
 /// Handles for a running reactor front end.
 pub(crate) struct ReactorHandle {
     rs: Arc<ReactorShared>,
-    reactor: Option<std::thread::JoinHandle<()>>,
+    reactor: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ReactorHandle {
     /// Wake the reactor so it notices `shutting_down`, wait for it to
     /// drain every connection, then join the workers.
-    pub(crate) fn shutdown(&mut self) {
+    pub(crate) fn shutdown(self) {
         self.rs.wake();
-        if let Some(r) = self.reactor.take() {
-            let _ = r.join();
-        }
-        for w in self.workers.drain(..) {
+        let _ = self.reactor.join();
+        for w in self.workers {
             self.rs.jobs_ready.notify_all();
             let _ = w.join();
         }
@@ -155,13 +153,13 @@ pub(crate) fn spawn_reactor(
         .collect();
     Ok(ReactorHandle {
         rs,
-        reactor: Some(reactor),
+        reactor,
         workers,
     })
 }
 
 // ---------------------------------------------------------------------
-// Worker pool: identical request semantics to the threaded front end.
+// Worker pool
 // ---------------------------------------------------------------------
 
 /// Pop jobs, shed-or-route through the shared `process_request` path,
@@ -185,28 +183,24 @@ fn worker_loop(shared: &Shared, rs: &ReactorShared) {
         let Some(job) = popped else {
             return; // reactor gone and queue empty: fully drained
         };
-        let waited = job.arrival.elapsed();
-        let (status, content_type, body, extra, ep) = if waited >= shared.deadline {
+        // A reply that can no longer arrive in time is better dropped
+        // than served late while newer requests rot. The 503 closes the
+        // connection, and so does a drain, on every in-flight response.
+        let (status, frame, ep, close) = if job.arrival.elapsed() >= shared.deadline {
             shared.metrics.shed();
-            let body = Value::obj(vec![(
-                "error",
-                Value::Str("shed: deadline exceeded while queued".to_string()),
-            )])
-            .to_json_string();
-            (503u16, "application/json", body, Vec::new(), None)
+            (503, error_frame(503, "shed: deadline exceeded while queued"), None, true)
         } else {
             let (routed, ct, ep) = process_request(&job.request, shared);
             let extra: Vec<(&str, String)> = routed
                 .retry_after_secs
                 .map(|s| vec![("Retry-After", s.to_string())])
                 .unwrap_or_default();
-            (routed.status, ct, routed.body, extra, ep)
+            let close = shared.shutting_down.load(Ordering::SeqCst);
+            let keep_alive = job.keep_alive && !close;
+            let frame =
+                response_frame(routed.status, ct, &extra, routed.body.as_bytes(), keep_alive);
+            (routed.status, frame, ep, close)
         };
-        // A drain forces `Connection: close` on every in-flight response;
-        // a deadline shed closes too (mirroring the threaded shed).
-        let keep_alive =
-            job.keep_alive && status != 503 && !shared.shutting_down.load(Ordering::SeqCst);
-        let frame = response_frame(status, content_type, &extra, body.as_bytes(), keep_alive);
         let latency_us = job.arrival.elapsed().as_micros().min(u64::MAX as u128) as u64;
         match ep {
             Some(ep) => shared.metrics.observe(ep, latency_us, status),
@@ -218,7 +212,7 @@ fn worker_loop(shared: &Shared, rs: &ReactorShared) {
                 token: job.token,
                 seq: job.seq,
                 frame,
-                close_after: !keep_alive,
+                close_after: close,
             });
         }
         rs.wake();
@@ -272,7 +266,7 @@ impl TimerWheel {
 }
 
 // ---------------------------------------------------------------------
-// Poller: epoll on Linux, poll(2) elsewhere on unix.
+// Poller
 // ---------------------------------------------------------------------
 
 /// One readiness report from a poll wait.
@@ -282,7 +276,6 @@ struct Ready {
     writable: bool,
 }
 
-#[cfg(target_os = "linux")]
 mod sys {
     //! Raw epoll via `extern "C"` shims (ISSUE 10: zero dependencies —
     //! the workspace has no libc crate, matching the `signal()` shim in
@@ -385,93 +378,6 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    //! Portable fallback: `poll(2)` with an interest table rebuilt per
-    //! wait. O(n) per wakeup, which is fine for a dev box; Linux gets
-    //! the epoll path above.
-    use super::Ready;
-    use std::collections::BTreeMap;
-    use std::io;
-    use std::os::fd::RawFd;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    extern "C" {
-        // nfds_t is `unsigned int` on the BSD/mac unixes this branch targets.
-        fn poll(fds: *mut PollFd, nfds: u32, timeout_ms: i32) -> i32;
-    }
-
-    pub struct Poller {
-        interest: BTreeMap<RawFd, (u64, bool, bool)>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                interest: BTreeMap::new(),
-            })
-        }
-
-        pub fn register(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.interest.insert(fd, (token, read, write));
-            Ok(())
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.interest.insert(fd, (token, read, write));
-            Ok(())
-        }
-
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            self.interest.remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(&mut self, timeout: std::time::Duration, out: &mut Vec<Ready>) {
-            let mut fds: Vec<PollFd> = self
-                .interest
-                .iter()
-                .filter(|(_, (_, r, w))| *r || *w)
-                .map(|(&fd, &(_, r, w))| PollFd {
-                    fd,
-                    events: (if r { POLLIN } else { 0 }) | (if w { POLLOUT } else { 0 }),
-                    revents: 0,
-                })
-                .collect();
-            let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            // privim-lint: allow(unsafe, reason = "poll FFI: the fds pointer and count come from the same live Vec so the kernel writes revents only into owned memory; negative returns (EINTR included) are handled as zero events")
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u32, timeout_ms) };
-            if n <= 0 {
-                return;
-            }
-            for pfd in &fds {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                let Some(&(token, _, _)) = self.interest.get(&pfd.fd) else {
-                    continue;
-                };
-                out.push(Ready {
-                    token,
-                    readable: pfd.revents & (POLLIN | POLLHUP | POLLERR) != 0,
-                    writable: pfd.revents & (POLLOUT | POLLHUP | POLLERR) != 0,
-                });
-            }
-        }
-    }
-}
-
 use sys::Poller;
 
 // ---------------------------------------------------------------------
@@ -562,9 +468,9 @@ fn reactor_loop(
 
         // Drain transition: stop accepting, flip idle connections to
         // Draining. Connections mid-request (partial bytes buffered) are
-        // left open so the request they already started is still served —
-        // the same "no accepted request is abandoned" contract as the
-        // threaded front end — bounded by the header timeout.
+        // left open so the request they already started is still served
+        // ("no accepted request is abandoned"), bounded by the header
+        // timeout.
         if !draining && shared.shutting_down.load(Ordering::SeqCst) {
             draining = true;
             if let Some(l) = listener.take() {
@@ -639,13 +545,13 @@ fn reactor_loop(
             std::mem::take(&mut *c)
         };
         for comp in done {
-            let Some(entry) = conns.get_mut(&comp.token) else {
+            let Some(entry) = conns.get_mut(&comp.token).filter(|e| !e.dead) else {
                 continue; // connection died while the job was in flight
             };
-            entry.conn.complete(comp.seq, comp.frame);
-            if comp.close_after {
-                entry.conn.start_draining();
-            }
+            let (seq, frame, close_after) = (comp.seq, comp.frame, comp.close_after);
+            drive(entry, comp.token, now_tick, shared, rs, cfg, |conn, admit| {
+                conn.deliver(seq, frame, close_after, cfg.max_pipeline, admit)
+            });
             entry.last_activity_tick = now_tick;
             // Opportunistic write: most responses fit the socket buffer,
             // so this usually finishes the exchange without another
@@ -662,14 +568,6 @@ fn reactor_loop(
             let Some(entry) = conns.get_mut(&token) else {
                 continue;
             };
-            // Completions may have freed pipeline slots while requests
-            // beyond the cap sit already-buffered in `read_buf`; the
-            // socket buffer is drained, so no readable event will ever
-            // re-trigger the parser — re-run it here or those requests
-            // would hang until a timeout kills the connection.
-            if !entry.dead && entry.conn.can_parse_more(cfg.max_pipeline) {
-                parse_and_enqueue(entry, token, now_tick, shared, rs, cfg);
-            }
             if entry.dead || entry.conn.finished() {
                 let _ = poller.deregister(entry.stream.as_raw_fd());
                 // Decrement the gauge before dropping the entry closes its
@@ -792,103 +690,62 @@ fn read_ready(
     if got_bytes {
         entry.last_activity_tick = now_tick;
     }
-    parse_and_enqueue(entry, token, now_tick, shared, rs, cfg);
+    drive(entry, token, now_tick, shared, rs, cfg, |conn, admit| {
+        conn.pump(cfg.max_pipeline, admit)
+    });
 }
 
-/// Run the state machine's parser and hand complete requests to the
-/// worker queue (shedding with an immediate 503 frame at the cap).
-// privim-lint: allow(wall-clock, reason = "arrival timestamps: each parsed request is stamped for deadline shedding and the latency histogram, never for response payloads")
-fn parse_and_enqueue(
+/// Run one step of the connection's policy (`Conn::pump` or
+/// `Conn::deliver`) with admission into the bounded job queue, then
+/// record what it did and restart the header timer if a partial request
+/// is buffered.
+// privim-lint: allow(wall-clock, reason = "arrival timestamps: each admitted request is stamped for deadline shedding and the latency histogram, never for response payloads")
+fn drive(
     entry: &mut ConnEntry,
     token: u64,
     now_tick: u64,
     shared: &Shared,
     rs: &ReactorShared,
     cfg: &ReactorConfig,
+    step: impl FnOnce(&mut Conn, &mut dyn FnMut(ParsedJob) -> bool) -> Pumped,
 ) {
-    // Loop until quiescent: a protocol error hit after requests were
-    // already accepted in the same parse round is deferred by the state
-    // machine and surfaces on the follow-up call.
-    loop {
-        match entry.conn.parse_available(cfg.max_pipeline) {
-            Ok(jobs) if jobs.is_empty() => break,
-            Ok(jobs) => {
-                shared.metrics.observe_pipeline_depth(entry.conn.inflight());
-                let arrival = Instant::now();
-                // A half-closed peer gets honest `Connection: close`
-                // responses (the threaded front end always closes, so
-                // this also keeps the write-then-shutdown pattern
-                // byte-identical across front ends).
-                let peer_gone = entry.conn.input_eof();
-                let mut shedding = false;
-                for job in jobs {
-                    if job.seq > 0 {
-                        shared.metrics.keepalive_reuse();
-                    }
-                    if !shedding {
-                        // Bounded queue: same cap + same 503 shape as
-                        // the threaded acceptor, but the refusal is a
-                        // frame in the response order rather than a raw
-                        // socket write.
-                        let mut q = lock(&rs.jobs);
-                        if q.len() < cfg.queue_cap {
-                            q.push_back(Job {
-                                token,
-                                seq: job.seq,
-                                request: job.request,
-                                keep_alive: job.keep_alive && !peer_gone,
-                                arrival,
-                            });
-                            shared.metrics.queue_push();
-                            drop(q);
-                            rs.jobs_ready.notify_one();
-                            continue;
-                        }
-                        drop(q);
-                        shedding = true;
-                        entry.conn.start_draining();
-                    }
-                    // Queue full: the first 503 carries
-                    // `Connection: close`, so every later request from
-                    // the same parse batch is shed too — running them
-                    // through workers would emit response frames behind
-                    // a close-marked response.
-                    shared.metrics.shed();
-                    shared.metrics.observe_status(503);
-                    let body = Value::obj(vec![(
-                        "error",
-                        Value::Str("shed: queue full".to_string()),
-                    )])
-                    .to_json_string();
-                    let frame =
-                        response_frame(503, "application/json", &[], body.as_bytes(), false);
-                    entry.conn.complete(job.seq, frame);
-                }
-            }
-            Err(e) => {
-                // Protocol error: the refusal takes the next response
-                // slot so it lands after every already-accepted response,
-                // then the connection closes (framing can't be trusted
-                // past this point).
-                refuse(entry, &e, shared);
-                break;
-            }
+    let mut arrival = None;
+    let mut admit = |job: ParsedJob| {
+        let mut q = lock(&rs.jobs);
+        if q.len() >= cfg.queue_cap {
+            return false;
         }
+        q.push_back(Job {
+            token,
+            seq: job.seq,
+            request: job.request,
+            keep_alive: job.keep_alive,
+            arrival: *arrival.get_or_insert_with(Instant::now),
+        });
+        shared.metrics.queue_push();
+        drop(q);
+        rs.jobs_ready.notify_one();
+        true
+    };
+    let pumped = step(&mut entry.conn, &mut admit);
+    if let Some(depth) = pumped.depth {
+        shared.metrics.observe_pipeline_depth(depth);
+    }
+    for _ in 0..pumped.reuses {
+        shared.metrics.keepalive_reuse();
+    }
+    for _ in 0..pumped.shed {
+        shared.metrics.shed();
+        shared.metrics.observe_status(503);
+    }
+    if let Some(status) = pumped.refused {
+        shared.metrics.observe_status(status);
     }
     entry.partial_since_tick = if entry.conn.partial_bytes() > 0 {
         entry.partial_since_tick.or(Some(now_tick))
     } else {
         None
     };
-}
-
-/// Enqueue an error response frame for a protocol-level refusal.
-fn refuse(entry: &mut ConnEntry, e: &HttpError, shared: &Shared) {
-    shared.metrics.observe_status(e.status);
-    let body = Value::obj(vec![("error", Value::Str(e.to_string()))]).to_json_string();
-    let frame = response_frame(e.status, "application/json", &[], body.as_bytes(), false);
-    let seq = entry.conn.claim_seq();
-    entry.conn.complete(seq, frame);
 }
 
 /// Drain the write buffer into the socket until it empties or the socket

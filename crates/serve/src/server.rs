@@ -1,28 +1,22 @@
-//! Front-end selection, worker pool, router and request handlers.
+//! Server start-up and shutdown, the router and the request handlers.
 //!
-//! Two front ends share one request path (`process_request`):
+//! [`start`] binds the listener and hands it to the epoll front end
+//! ([`crate::reactor`], Linux only): one reactor thread owns accept and
+//! socket I/O with HTTP/1.1 keep-alive and pipelining, and a worker pool
+//! runs every parsed request through [`process_request`]. Load is shed
+//! with `503` at the job-queue cap (the cheapest possible point) and for
+//! any request whose *queue wait* already exceeded the deadline — a
+//! reply that can no longer arrive in time is better dropped than served
+//! late while newer requests rot.
 //!
-//! * [`FrontEnd::Reactor`] (default on unix): an epoll/poll readiness
-//!   loop ([`crate::reactor`]) owns accept + socket I/O, supports
-//!   HTTP/1.1 keep-alive and pipelining, and hands parsed requests to
-//!   the worker pool;
-//! * [`FrontEnd::Threaded`]: the original thread-per-connection layout —
-//!   one acceptor + `workers` request threads sharing a bounded queue of
-//!   connections, one request per connection, `Connection: close`.
-//!
-//! Both shed identically: `503` at the queue cap (the cheapest possible
-//! point) and for any request whose *queue wait* already exceeded the
-//! deadline — a reply that can no longer arrive in time is better
-//! dropped than served late while newer requests rot.
-//!
-//! Graceful shutdown: set the flag, wake the front end, let workers
-//! finish everything queued and in flight, then join. No request that
-//! was accepted is ever abandoned — under the reactor this includes a
-//! request whose bytes are still arriving when shutdown begins.
+//! Graceful shutdown: set the flag, wake the reactor, let workers finish
+//! everything queued and in flight, then join. No request that was
+//! accepted is ever abandoned, including a request whose bytes are still
+//! arriving when shutdown begins.
 
 use crate::bundle::{Bundle, PrivacyStatement, QuantMode};
 use crate::cache::ShardedLru;
-use crate::http::{read_request, write_response, write_response_with_headers, Request};
+use crate::http::Request;
 use crate::ledger::{Admission, TenantLedger};
 use crate::metrics::{endpoint_index, render_ledger_section, Metrics};
 use crate::wal::{FsyncPolicy, WalWriter};
@@ -32,12 +26,11 @@ use privim_im::{ic_spread_estimate, LazyGreedy};
 use privim_rt::fsio;
 use privim_rt::json::Value;
 use privim_rt::{PrivimError, PrivimResult};
-use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// Durability settings for a metered deployment: where charges are
 /// journaled before admission is acknowledged, and how the journal is
@@ -58,27 +51,6 @@ pub struct DurabilityConfig {
     pub bundle_path: Option<PathBuf>,
 }
 
-/// Which connection-handling front end drives the worker pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// Thread-per-connection, one request per connection (PR 6 layout).
-    Threaded,
-    /// Epoll/poll readiness loop with keep-alive + pipelining (unix
-    /// only; non-unix builds silently use [`FrontEnd::Threaded`]).
-    Reactor,
-}
-
-impl FrontEnd {
-    /// Parse a CLI/bench flag value.
-    pub fn parse(s: &str) -> Option<FrontEnd> {
-        match s {
-            "threaded" => Some(FrontEnd::Threaded),
-            "reactor" => Some(FrontEnd::Reactor),
-            _ => None,
-        }
-    }
-}
-
 /// Server tunables. The defaults suit a laptop-scale smoke deployment;
 /// the bench harness stresses them explicitly.
 #[derive(Clone, Debug)]
@@ -88,7 +60,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Request worker threads.
     pub workers: usize,
-    /// Bounded accept-queue capacity; overflow is shed with `503`.
+    /// Job-queue capacity: parsed requests waiting for a worker. A request
+    /// that finds it full is shed with `503`.
     pub queue_cap: usize,
     /// Per-request deadline measured from *arrival* (queue wait counts).
     pub deadline: Duration,
@@ -103,17 +76,15 @@ pub struct ServeConfig {
     /// the bundle has no ledger). `None` = in-memory ledger, PR 6
     /// behavior.
     pub durability: Option<DurabilityConfig>,
-    /// Connection-handling front end.
-    pub frontend: FrontEnd,
-    /// Reactor: close a kept-alive connection after this long with no
-    /// socket activity and no in-flight request.
+    /// Close a kept-alive connection after this long with no socket
+    /// activity and no in-flight request.
     pub idle_timeout: Duration,
-    /// Reactor: close a connection that *started* sending a request but
-    /// has not completed it within this long — measured from the first
-    /// partial byte, so a slowloris dribble cannot reset it.
+    /// Close a connection that *started* sending a request but has not
+    /// completed it within this long — measured from the first partial
+    /// byte, so a slowloris dribble cannot reset it.
     pub header_timeout: Duration,
-    /// Reactor: max pipelined requests in flight per connection before
-    /// reads pause (TCP backpressure instead of unbounded buffering).
+    /// Max pipelined requests in flight per connection before reads
+    /// pause (TCP backpressure instead of unbounded buffering).
     pub max_pipeline: usize,
 }
 
@@ -128,7 +99,6 @@ impl Default for ServeConfig {
             cache_cap_per_shard: 256,
             default_runs: 64,
             durability: None,
-            frontend: FrontEnd::Reactor,
             idle_timeout: Duration::from_secs(30),
             header_timeout: Duration::from_secs(10),
             max_pipeline: 32,
@@ -166,8 +136,6 @@ pub(crate) struct Shared {
     quant: Option<QuantGnnModel>,
     mode: QuantMode,
     privacy: PrivacyStatement,
-    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
-    queue_ready: Condvar,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) deadline: Duration,
     default_runs: usize,
@@ -178,21 +146,12 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap()
 }
 
-/// The running front end's join handles.
-enum FrontHandles {
-    Threaded {
-        acceptor: Option<std::thread::JoinHandle<()>>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    },
-    #[cfg(unix)]
-    Reactor(crate::reactor::ReactorHandle),
-}
-
 /// A running server: join handles plus the shared state.
 pub struct ServerHandle {
     port: u16,
     shared: Arc<Shared>,
-    front: FrontHandles,
+    #[cfg(target_os = "linux")]
+    front: crate::reactor::ReactorHandle,
 }
 
 impl ServerHandle {
@@ -226,39 +185,34 @@ impl ServerHandle {
     /// Stop accepting, finish every queued and in-flight request, join
     /// all threads. Returns the number of requests drained after the
     /// shutdown signal.
-    pub fn shutdown(mut self) -> u64 {
+    pub fn shutdown(self) -> u64 {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        match &mut self.front {
-            FrontHandles::Threaded { acceptor, workers } => {
-                // Wake the acceptor out of its blocking accept() with a
-                // self-connection; it checks the flag before enqueuing.
-                let _ = TcpStream::connect(("127.0.0.1", self.port));
-                self.shared.queue_ready.notify_all();
-                if let Some(a) = acceptor.take() {
-                    let _ = a.join();
-                }
-                for w in workers.drain(..) {
-                    // Keep waking workers: one notify can be consumed by
-                    // a thread that goes back to processing.
-                    self.shared.queue_ready.notify_all();
-                    let _ = w.join();
-                }
-            }
-            #[cfg(unix)]
-            FrontHandles::Reactor(r) => r.shutdown(),
-        }
+        #[cfg(target_os = "linux")]
+        self.front.shutdown();
         self.shared.metrics.drained_count()
     }
 }
 
-/// Bind, spawn the acceptor and workers, and return a handle. The CELF
+/// Bind, spawn the reactor and its workers, and return a handle. The CELF
 /// state and cache are initialised here; the embed score vector is not.
 /// The first `/v1/embed` pays one full-graph forward pass instead. That
 /// keeps the pass off the path to the first `/healthz` 200, so start-up
 /// time does not grow with the cost of inference. The graph tensors and
 /// node features the pass needs are built and dropped inside it, so a
 /// deployment that never serves an embed never allocates them.
+///
+/// Serving is Linux-only (the front end is epoll): elsewhere this returns
+/// [`PrivimError::Io`] with [`std::io::ErrorKind::Unsupported`].
 pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
+    if !cfg!(target_os = "linux") {
+        return Err(PrivimError::io(
+            "starting privim-serve",
+            std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "the epoll front end needs Linux",
+            ),
+        ));
+    }
     let listener = TcpListener::bind(&cfg.addr)
         .map_err(|e| PrivimError::io("binding serve listener", e))?;
     let port = listener
@@ -294,181 +248,36 @@ pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
         fingerprint: bundle.fingerprint,
         metrics: Metrics::new(),
         cache: ShardedLru::new(cfg.cache_shards, cfg.cache_cap_per_shard),
-        queue: Mutex::new(VecDeque::with_capacity(cfg.queue_cap)),
-        queue_ready: Condvar::new(),
         shutting_down: AtomicBool::new(false),
         deadline: cfg.deadline,
         default_runs: cfg.default_runs,
     });
 
-    let front = spawn_front_end(listener, &shared, &cfg)?;
-    Ok(ServerHandle {
-        port,
-        shared,
-        front,
-    })
-}
-
-/// Spawn the configured front end. The reactor is unix-only; elsewhere
-/// (and on reactor setup failure) the threaded layout serves instead, so
-/// a bundle that serves on one platform serves on all of them.
-fn spawn_front_end(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    cfg: &ServeConfig,
-) -> PrivimResult<FrontHandles> {
-    #[cfg(unix)]
-    if cfg.frontend == FrontEnd::Reactor {
-        let rcfg = crate::reactor::ReactorConfig {
+    #[cfg(target_os = "linux")]
+    let front = crate::reactor::spawn_reactor(
+        listener,
+        Arc::clone(&shared),
+        crate::reactor::ReactorConfig {
             workers: cfg.workers,
             queue_cap: cfg.queue_cap.max(1),
             idle_timeout: cfg.idle_timeout,
             header_timeout: cfg.header_timeout,
             max_pipeline: (cfg.max_pipeline.max(1)) as u64,
-        };
-        let handle = crate::reactor::spawn_reactor(listener, Arc::clone(shared), rcfg)
-            .map_err(|e| PrivimError::io("starting reactor front end", e))?;
-        return Ok(FrontHandles::Reactor(handle));
-    }
-    let acceptor = {
-        let shared = Arc::clone(shared);
-        let cap = cfg.queue_cap.max(1);
-        std::thread::spawn(move || acceptor_loop(&listener, &shared, cap))
-    };
-    let workers = (0..cfg.workers.max(1))
-        .map(|_| {
-            let shared = Arc::clone(shared);
-            std::thread::spawn(move || worker_loop(&shared))
-        })
-        .collect();
-    Ok(FrontHandles::Threaded {
-        acceptor: Some(acceptor),
-        workers,
+        },
+    )
+    .map_err(|e| PrivimError::io("starting the epoll front end", e))?;
+    #[cfg(not(target_os = "linux"))]
+    drop(listener);
+    Ok(ServerHandle {
+        port,
+        shared,
+        #[cfg(target_os = "linux")]
+        front,
     })
 }
 
-// privim-lint: allow(wall-clock, reason = "latency telemetry: arrival timestamps feed the latency histogram and deadline shedding, never response payloads")
-fn acceptor_loop(listener: &TcpListener, shared: &Shared, cap: usize) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return; // the wake-up self-connection lands here too
-        }
-        // Small request/response exchanges; never trade latency for
-        // segment coalescing.
-        let _ = stream.set_nodelay(true);
-        let arrival = Instant::now();
-        let mut q = lock(&shared.queue);
-        if q.len() >= cap {
-            drop(q);
-            shed(stream, shared, "queue full");
-            continue;
-        }
-        q.push_back((stream, arrival));
-        shared.metrics.queue_push();
-        drop(q);
-        shared.queue_ready.notify_one();
-    }
-}
-
-/// Reject a connection with an immediate `503` (best-effort write).
-fn shed(mut stream: TcpStream, shared: &Shared, why: &str) {
-    shared.metrics.shed();
-    shared.metrics.observe_status(503);
-    let body = Value::obj(vec![("error", Value::Str(format!("shed: {why}"))) ])
-        .to_json_string();
-    // Without a write timeout a dead client could pin this thread on the
-    // 503 write; if the socket refuses the timeout, just close.
-    if stream
-        .set_write_timeout(Some(Duration::from_millis(200)))
-        .is_err()
-    {
-        shared.metrics.timeout_config_failure();
-        return;
-    }
-    let _ = write_response(&mut stream, 503, "application/json", body.as_bytes());
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let popped = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if let Some(item) = q.pop_front() {
-                    shared.metrics.queue_pop();
-                    break Some(item);
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break None;
-                }
-                // privim-lint: allow(panic, reason = "a poisoned server lock means a worker already panicked; propagating is the only sound recovery")
-                q = shared.queue_ready.wait(q).unwrap();
-            }
-        };
-        let Some((stream, arrival)) = popped else {
-            return; // shutdown with an empty queue: fully drained
-        };
-        handle_connection(stream, arrival, shared);
-        // A request that *completes* after the shutdown signal was in
-        // flight (or queued) when it arrived — that is the drain.
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            shared.metrics.drained();
-        }
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, arrival: Instant, shared: &Shared) {
-    let waited = arrival.elapsed();
-    if waited >= shared.deadline {
-        shed(stream, shared, "deadline exceeded while queued");
-        return;
-    }
-    // A stalled or dead client may hold this worker no longer than the
-    // request's remaining deadline budget. If the socket won't take a
-    // timeout, serving it would mean serving without a deadline — close
-    // it instead and count the refusal.
-    let remaining = shared.deadline - waited;
-    if stream.set_read_timeout(Some(remaining)).is_err()
-        || stream.set_write_timeout(Some(remaining)).is_err()
-    {
-        shared.metrics.timeout_config_failure();
-        return;
-    }
-
-    let (routed, content_type, ep) = match read_request(&mut stream) {
-        Ok(parsed) => process_request(&parsed.request, shared),
-        Err(e) => {
-            let body = Value::obj(vec![("error", Value::Str(e.to_string()))]).to_json_string();
-            (Routed::new(e.status, body), "application/json", None)
-        }
-    };
-    let status = routed.status;
-    let extra: Vec<(&str, String)> = routed
-        .retry_after_secs
-        .map(|s| vec![("Retry-After", s.to_string())])
-        .unwrap_or_default();
-    let _ = write_response_with_headers(
-        &mut stream,
-        status,
-        content_type,
-        &extra,
-        routed.body.as_bytes(),
-    );
-    let latency_us = arrival.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    match ep {
-        Some(ep) => shared.metrics.observe(ep, latency_us, status),
-        None => shared.metrics.observe_status(status),
-    }
-}
-
-/// Route one parsed request and pick its response content type — the
-/// single request path both front ends share, which is what makes
-/// reactor responses byte-identical to threaded ones.
+/// Route one parsed request and pick its response content type: the
+/// request path every worker runs.
 pub(crate) fn process_request(
     req: &Request,
     shared: &Shared,

@@ -1,7 +1,8 @@
-//! Reactor front-end integration tests over real TCP: keep-alive reuse,
-//! pipelined in-order responses, byte-identity with the threaded front
-//! end, slowloris/idle reaping, queue-full shedding, and
-//! drain-during-keep-alive.
+//! Epoll front-end integration tests over real TCP: keep-alive reuse,
+//! pipelined in-order responses, slowloris/idle reaping, queue-full and
+//! deadline shedding, and drain-during-keep-alive. The byte-level
+//! protocol is covered socket-free by the conformance harness in
+//! `src/conformance.rs`.
 //!
 //! These tests use a *framed* client (parse `Content-Length`, read
 //! exactly that many body bytes) rather than read-to-EOF, because the
@@ -10,7 +11,7 @@
 use privim::ServeArtifact;
 use privim_gnn::{GnnConfig, GnnModel};
 use privim_rt::{ChaCha8Rng, SeedableRng};
-use privim_serve::{bundle, metrics, start, FrontEnd, ServeConfig, ServerHandle};
+use privim_serve::{bundle, metrics, start, ServeConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -33,7 +34,6 @@ fn test_bundle(seed: u64) -> bundle::Bundle {
 }
 
 fn reactor_server(seed: u64, cfg: ServeConfig) -> ServerHandle {
-    assert_eq!(cfg.frontend, FrontEnd::Reactor);
     start(test_bundle(seed), cfg).unwrap()
 }
 
@@ -203,51 +203,6 @@ fn headers_split_across_arbitrary_write_boundaries_still_parse() {
 }
 
 #[test]
-fn reactor_matches_threaded_front_end_byte_for_byte() {
-    let reactor = reactor_server(14, ServeConfig::default());
-    let threaded = start(
-        test_bundle(14),
-        ServeConfig {
-            frontend: FrontEnd::Threaded,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-
-    // Same bundle seed, same requests, raw response bytes compared:
-    // `Connection: close` requests so both front ends emit close frames.
-    for (method, path, body) in [
-        ("POST", "/v1/embed", "{\"nodes\": [0, 7, 63, 119]}"),
-        ("POST", "/v1/influence", "{\"seeds\": [9, 3, 40], \"runs\": 16, \"seed\": 5}"),
-        ("POST", "/v1/seeds", "{\"k\": 4}"),
-        ("GET", "/healthz", ""),
-        ("POST", "/v1/embed", "{\"nodes\": [999]}"),   // routed 400
-        ("DELETE", "/v1/embed", ""),                    // 405
-        ("GET", "/nope", ""),                           // 404
-    ] {
-        let raw = |port: u16| -> Vec<u8> {
-            let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-            s.write_all(&frame_request(method, path, body, true)).unwrap();
-            let mut out = Vec::new();
-            s.read_to_end(&mut out).unwrap();
-            out
-        };
-        let a = raw(reactor.port());
-        let b = raw(threaded.port());
-        assert_eq!(
-            a,
-            b,
-            "front ends diverged on {method} {path}: reactor={:?} threaded={:?}",
-            String::from_utf8_lossy(&a),
-            String::from_utf8_lossy(&b)
-        );
-    }
-    reactor.shutdown();
-    threaded.shutdown();
-}
-
-#[test]
 fn pipelined_burst_beyond_max_pipeline_is_fully_served() {
     // A burst deeper than the pipeline cap lands in one write: the
     // requests past the cap sit in the connection's read buffer with the
@@ -305,30 +260,34 @@ fn pipelined_burst_beyond_max_pipeline_is_fully_served() {
 #[test]
 fn half_close_after_complete_requests_still_answers_them() {
     // Legal HTTP/1.1: write the requests, shutdown(SHUT_WR), then read.
-    let handle = reactor_server(20, ServeConfig::default());
-    let port = handle.port();
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut burst = frame_request("POST", "/v1/embed", "{\"nodes\": [5]}", false);
-    burst.extend_from_slice(&frame_request("GET", "/healthz", "", false));
-    stream.write_all(&burst).unwrap();
-    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    // With a pipeline cap of 1 the second request is parsed only after
+    // the first response, which the half-close already marked `close`.
+    for max_pipeline in [1, 32] {
+        let handle = reactor_server(20, ServeConfig { max_pipeline, ..ServeConfig::default() });
+        let port = handle.port();
+        let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let mut burst = frame_request("POST", "/v1/embed", "{\"nodes\": [5]}", false);
+        burst.extend_from_slice(&frame_request("GET", "/healthz", "", false));
+        stream.write_all(&burst).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
 
-    // Whether the FIN lands in the same read batch as the requests is a
-    // kernel-level race, so the Connection header may honestly say either
-    // close (EOF seen before parse) or keep-alive (EOF seen after); what
-    // must hold is that both requests are answered and the connection
-    // then closes.
-    let mut carry = Vec::new();
-    let (s0, _, b0) = read_framed(&mut stream, &mut carry);
-    assert_eq!(s0, 200, "half-closed request must still be served: {b0}");
-    assert!(b0.contains("scores"), "{b0}");
-    let (s1, _, b1) = read_framed(&mut stream, &mut carry);
-    assert_eq!(s1, 200, "{b1}");
-    let mut rest = Vec::new();
-    stream.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "connection must close after the final response");
-    handle.shutdown();
+        // Whether the FIN lands in the same read batch as the requests is
+        // a kernel-level race, so the Connection header may honestly say
+        // either close (EOF seen before parse) or keep-alive (EOF seen
+        // after); what must hold is that both requests are answered and
+        // the connection then closes.
+        let mut carry = Vec::new();
+        let (s0, _, b0) = read_framed(&mut stream, &mut carry);
+        assert_eq!(s0, 200, "half-closed request must still be served: {b0}");
+        assert!(b0.contains("scores"), "{b0}");
+        let (s1, _, b1) = read_framed(&mut stream, &mut carry);
+        assert_eq!(s1, 200, "max_pipeline {max_pipeline}: {b1}");
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "connection must close after the final response");
+        handle.shutdown();
+    }
 }
 
 #[test]
@@ -448,6 +407,64 @@ fn pipelined_burst_over_queue_cap_sheds_with_503() {
     );
     let text = handle.metrics_text();
     assert!(metrics::parse_counter(&text, "privim_shed_total").unwrap() >= 1);
+    handle.shutdown();
+}
+
+#[test]
+fn request_queued_past_the_deadline_is_shed_with_503() {
+    // One worker and a pipelined burst of uncached slow estimates: the
+    // embed queued behind them waits past the deadline, so the worker
+    // sheds it instead of serving it late. Eight estimates keep the wait
+    // over the deadline even where one takes only ~45 ms; once the wait
+    // exceeds it, the rest of the burst is shed too and costs nothing.
+    let handle = reactor_server(
+        21,
+        ServeConfig {
+            workers: 1,
+            deadline: Duration::from_millis(300),
+            ..ServeConfig::default()
+        },
+    );
+    let port = handle.port();
+    let mut busy = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    let slow = 8;
+    let burst: Vec<u8> = (0..slow)
+        .flat_map(|i| {
+            let body = format!("{{\"seeds\": [0, 1], \"runs\": 100000, \"seed\": {i}}}");
+            frame_request("POST", "/v1/influence", &body, false)
+        })
+        .collect();
+    busy.write_all(&burst).unwrap();
+    // The embed must queue behind the burst: wait until the whole burst
+    // is admitted (its requests after the first count as reuses).
+    while metrics::parse_counter(&handle.metrics_text(), "privim_keepalive_reuses_total")
+        < Some(slow - 1)
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    stream
+        .write_all(&frame_request("POST", "/v1/embed", "{\"nodes\": [1]}", false))
+        .unwrap();
+    let mut carry = Vec::new();
+    let (status, head, body) = read_framed(&mut stream, &mut carry);
+    assert_eq!(status, 503, "queued past the deadline: {body}");
+    assert!(body.contains("shed: deadline exceeded while queued"), "{body}");
+    assert!(head.contains("Connection: close"), "{head}");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(carry.is_empty() && rest.is_empty(), "nothing may follow the 503");
+    let text = handle.metrics_text();
+    assert!(metrics::parse_counter(&text, "privim_shed_total").unwrap() >= 1, "{text}");
+
+    // The server itself is healthy: a fresh connection is served.
+    let mut fresh = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    fresh.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    fresh.write_all(&frame_request("GET", "/healthz", "", true)).unwrap();
+    assert_eq!(read_framed(&mut fresh, &mut Vec::new()).0, 200);
+    drop(busy);
     handle.shutdown();
 }
 
