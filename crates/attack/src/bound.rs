@@ -113,6 +113,28 @@ pub fn empirical_epsilon_lb(
     Ok(best)
 }
 
+/// Max over thresholds of |TPR − FPR| for a one-dimensional statistic.
+pub fn best_threshold_advantage(in_scores: &[f64], out_scores: &[f64]) -> f64 {
+    let mut cuts: Vec<f64> = in_scores.iter().chain(out_scores).copied().collect();
+    cuts.sort_by(|a, b| a.total_cmp(b));
+    let mut best = 0.0f64;
+    for &c in &cuts {
+        let tpr = in_scores.iter().filter(|&&s| s >= c).count() as f64 / in_scores.len() as f64;
+        let fpr = out_scores.iter().filter(|&&s| s >= c).count() as f64 / out_scores.len() as f64;
+        best = best.max((tpr - fpr).abs());
+    }
+    best
+}
+
+/// Theoretical cap on any attacker's advantage under `(ε, δ)`-DP:
+/// `(e^ε − 1 + 2δ)/(e^ε + 1)`. [`advantage_epsilon_lb`] inverts it.
+pub fn dp_advantage_bound(epsilon: f64, delta: f64) -> f64 {
+    if epsilon.is_infinite() {
+        return 1.0;
+    }
+    ((epsilon.exp() - 1.0 + 2.0 * delta) / (epsilon.exp() + 1.0)).clamp(0.0, 1.0)
+}
+
 /// ε lower bound implied by an attack advantage `adv = TPR − FPR` (already
 /// confidence-adjusted by the caller): inverting the DP advantage cap
 /// `adv ≤ (e^ε − 1 + 2δ)/(e^ε + 1)` gives
@@ -186,13 +208,30 @@ mod tests {
     }
 
     #[test]
+    fn bound_formula() {
+        assert!(dp_advantage_bound(0.0, 0.0).abs() < 1e-12);
+        assert!((dp_advantage_bound(f64::INFINITY, 0.0) - 1.0).abs() < 1e-12);
+        let b1 = dp_advantage_bound(1.0, 0.0);
+        assert!((b1 - ((1f64.exp() - 1.0) / (1f64.exp() + 1.0))).abs() < 1e-12);
+        assert!(dp_advantage_bound(1.0, 0.1) > b1);
+    }
+
+    #[test]
+    fn threshold_advantage_separable_vs_identical() {
+        let a = [1.0, 1.1, 1.2];
+        let b = [0.0, 0.1, 0.2];
+        assert_eq!(best_threshold_advantage(&a, &b), 1.0);
+        assert_eq!(best_threshold_advantage(&a, &a), 0.0);
+    }
+
+    #[test]
     fn advantage_bound_inverts_the_advantage_cap() {
         assert_eq!(advantage_epsilon_lb(0.0, 0.0), 0.0);
         assert_eq!(advantage_epsilon_lb(-0.5, 0.0), 0.0);
         assert!(advantage_epsilon_lb(1.0, 0.0).is_infinite());
-        // Round-trip through the forward cap used by core::audit.
+        // Round-trip through the forward cap.
         for eps in [0.25, 1.0, 3.0] {
-            let adv = privim::dp_advantage_bound(eps, 0.0);
+            let adv = dp_advantage_bound(eps, 0.0);
             let back = advantage_epsilon_lb(adv, 0.0);
             assert!((back - eps).abs() < 1e-9, "ε {eps} -> adv {adv} -> {back}");
         }

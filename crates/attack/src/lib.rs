@@ -27,7 +27,10 @@ pub mod probe;
 pub mod shadow;
 pub mod topology;
 
-pub use bound::{advantage_epsilon_lb, auc, empirical_epsilon_lb, BoundConfig};
+pub use bound::{
+    advantage_epsilon_lb, auc, best_threshold_advantage, dp_advantage_bound,
+    empirical_epsilon_lb, BoundConfig,
+};
 pub use membership::{membership_attack, MembershipAttackConfig, MembershipReport};
 pub use probe::{dense_scores, scores_from_embed_json};
 pub use shadow::{calibrate, ShadowCalibration};
@@ -35,10 +38,95 @@ pub use topology::{
     topology_attack_embeddings, topology_attack_scores, TopologyAttackConfig, TopologyReport,
 };
 
-use privim::{PrivacyEvidence, audit::AuditConfig};
+use privim::loss::LossConfig;
+use privim::trainer::{train_dpgnn, DpSgdConfig, NoiseKind, TrainItem};
+use privim::PrivacyEvidence;
 use privim_dp::{best_epsilon, PrivacyParams};
-use privim_graph::Graph;
+use privim_gnn::{GnnConfig, GnnKind, GnnModel};
+use privim_graph::{Graph, NodeId};
 use privim_rt::{ChaCha8Rng, PrivimResult, SeedableRng};
+use privim_sampling::{dual_stage_sampling, DualStageConfig, FreqConfig, SubgraphContainer};
+
+/// Training and DP settings of the models an attack trains.
+#[derive(Clone, Copy, Debug)]
+pub struct AuditConfig {
+    /// Number of target nodes attacked (one IN/OUT model pair each).
+    pub targets: usize,
+    /// Noise multiplier used for the private runs (0 = non-private).
+    pub sigma: f64,
+    /// Occurrence threshold `M` for the sampler / sensitivity.
+    pub threshold: u32,
+    /// Training iterations per model.
+    pub iters: usize,
+    /// DP-SGD batch size.
+    pub batch: usize,
+    /// RNG seed.
+    pub seed: u64,
+}
+
+/// Train one attack-scale model on `g` with the config's DP-SGD settings:
+/// dual-stage sampling into a container, then `cfg.iters` noisy steps.
+/// Fully seeded — identical `(model_seed, train_seed)` give bit-identical
+/// models. Returns the model together with the subgraph-container size the
+/// run actually trained on (the `m` the accountant's subsampling ratio
+/// divides by). Target, shadow and topology models all train through
+/// here, so the mechanism the attacks probe is the one the accountant's ε
+/// covers. Private to the crate root so the attack modules below can call
+/// it while the crate's public surface stays the attacks themselves.
+fn train_probe_model(
+    g: &Graph,
+    cfg: &AuditConfig,
+    model_seed: u64,
+    train_seed: u64,
+) -> PrivimResult<(GnnModel, usize)> {
+    let mut rng = ChaCha8Rng::seed_from_u64(train_seed);
+    let scfg = DualStageConfig {
+        stage1: FreqConfig {
+            subgraph_size: 10,
+            return_prob: 0.3,
+            decay: 1.0,
+            sampling_rate: 1.0,
+            walk_len: 80,
+            threshold: cfg.threshold,
+        },
+        shrink: 2,
+        enable_bes: true,
+    };
+    let out = dual_stage_sampling(g, &scfg, &mut rng)?;
+    let mut container = out.container;
+    if container.is_empty() {
+        let all: Vec<NodeId> = g.nodes().collect();
+        container = SubgraphContainer::from_node_sets(g, &[all]);
+    }
+    let items = TrainItem::from_container(&container.subgraphs);
+    let mut model = GnnModel::new(
+        GnnConfig {
+            kind: GnnKind::Grat,
+            layers: 2,
+            hidden: 8,
+            in_dim: privim_gnn::FEATURE_DIM,
+        },
+        &mut ChaCha8Rng::seed_from_u64(model_seed),
+    );
+    let tcfg = DpSgdConfig {
+        batch: cfg.batch,
+        iters: cfg.iters,
+        lr: 0.1,
+        clip: 1.0,
+        sigma: cfg.sigma,
+        occurrence_bound: cfg.threshold as u64,
+        loss: LossConfig::paper_default(),
+        noise: NoiseKind::Gaussian,
+        seed: train_seed,
+        tail_average: true,
+        weight_decay: 0.01,
+        max_recoveries: 8,
+        fault: None,
+    };
+    train_dpgnn(&mut model, &items, &tcfg)?;
+    let container_size = container.subgraphs.len();
+    Ok((model, container_size))
+}
 
 /// Run the full harness — membership attack, topology attack on a trained
 /// model's embeddings, and the accountant read-out — and assemble the
@@ -59,7 +147,7 @@ pub fn privacy_evidence(
 
     // Topology attack against a model trained on the full graph with the
     // same DP settings (a fresh seed disjoint from the attack's strides).
-    let (model, topo_container) = privim::train_probe_model(
+    let (model, topo_container) = train_probe_model(
         g,
         &cfg.train,
         cfg.train.seed + 90_000,

@@ -7,10 +7,11 @@
 //! z-scores feed the ROC machinery in [`crate::bound`] to produce an
 //! empirical ε lower bound next to the accountant's upper bound.
 
-use crate::bound::{advantage_epsilon_lb, auc, empirical_epsilon_lb, BoundConfig};
+use crate::bound::{
+    advantage_epsilon_lb, auc, best_threshold_advantage, empirical_epsilon_lb, BoundConfig,
+};
 use crate::shadow::calibrate;
-use privim::audit::{train_probe_model, AuditConfig};
-use privim::best_threshold_advantage;
+use crate::{train_probe_model, AuditConfig};
 use privim_gnn::GnnModel;
 use privim_graph::{induced_subgraph, Graph, NodeId};
 use privim_rt::{ChaCha8Rng, PrivimError, PrivimResult, Rng, SeedableRng};
@@ -182,6 +183,25 @@ mod tests {
         assert!((0.0..=1.0).contains(&r.advantage));
         assert!(r.epsilon_lb >= 0.0 && r.epsilon_lb.is_finite());
         assert!(r.min_container >= 1);
+    }
+
+    #[test]
+    fn private_training_shrinks_attack_advantage() {
+        // Heavy noise must not leak more than non-private training. This
+        // is a statistical statement; the small sample keeps it
+        // directional rather than tight.
+        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        let g =
+            privim_graph::generators::barabasi_albert(120, 3, &mut rng).with_uniform_weights(1.0);
+        let noisy = membership_attack(&g, &MembershipAttackConfig::canary(4.0, 5)).unwrap();
+        let clean = membership_attack(&g, &MembershipAttackConfig::canary(0.0, 5)).unwrap();
+        assert!(
+            noisy.advantage <= clean.advantage + 0.35,
+            "noisy {} vs clean {}",
+            noisy.advantage,
+            clean.advantage
+        );
+        assert_eq!(noisy.in_stats.len(), 4);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! "how surprising is this score if the node was NOT in training", which
 //! is exactly the likelihood-ratio test LiRA approximates.
 
-use privim::audit::{train_probe_model, AuditConfig};
+use crate::{train_probe_model, AuditConfig};
 use privim_gnn::GnnModel;
 use privim_graph::Graph;
 use privim_rt::PrivimResult;

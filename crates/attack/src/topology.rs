@@ -14,7 +14,7 @@ use privim_rt::{ChaCha8Rng, PrivimError, PrivimResult, Rng, SeedableRng};
 use privim_tensor::Matrix;
 
 use crate::bound::auc;
-use privim::best_threshold_advantage;
+use crate::bound::best_threshold_advantage;
 
 /// Configuration of one edge-reconstruction attack.
 #[derive(Clone, Copy, Debug)]

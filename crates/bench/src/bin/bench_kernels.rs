@@ -25,10 +25,6 @@
 //! backward under the Eq. 5 loss on a train-star-sized (35 nodes) and a
 //! train-hp-sized (6 nodes) subgraph.
 //!
-//! A final section times the int8-quantized inference matmul
-//! (`QuantWeights::matmul`) against the dense `f64` product and reports
-//! the quantization error the integer path trades for its speed.
-//!
 //! All wall-clock reads go through `privim_rt::bench::time_iters` (the
 //! workspace's single timing point, per the `wall-clock` lint rule).
 //!
@@ -43,7 +39,7 @@ use privim_graph::generators;
 use privim_rt::bench::time_iters;
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
-use privim_tensor::{simd, GradClip, Matrix, QuantWeights, SparseMatrix, Tape};
+use privim_tensor::{simd, GradClip, Matrix, SparseMatrix, Tape};
 
 /// Seed-era dense kernel: plain `i → k → j` scalar loop with the zero-skip.
 /// Term order per output element is k-ascending, exactly like the blocked
@@ -315,79 +311,6 @@ fn fmt_secs(secs: f64) -> String {
     }
 }
 
-/// Int8-quantized inference matmul vs the dense product: per-backend
-/// timings (the integer contraction is exact, so bits must match across
-/// backends) plus the quantization error against the dense result.
-fn run_quant_case(iters: u64, a: &Matrix, b: &Matrix) -> Value {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let qw = QuantWeights::quantize(b);
-
-    privim_rt::par::set_threads(1);
-    simd::set_backend(Some(simd::Choice::Scalar));
-    let q_scalar = qw.matmul(a);
-    let mut backend_secs: Vec<(&'static str, f64)> = Vec::new();
-    for (choice, bname) in available_backends() {
-        simd::set_backend(Some(choice));
-        assert_bit_identical("quant_matmul", &qw.matmul(a), &q_scalar);
-        backend_secs.push((bname, time_iters(iters, &|| qw.matmul(a))));
-    }
-    simd::set_backend(None);
-    let dense_secs = time_iters(iters, &|| a.matmul(b));
-    privim_rt::par::set_threads(0);
-
-    let dense = a.matmul(b);
-    let mut max_abs = 0.0f64;
-    let mut err_sq = 0.0f64;
-    let mut ref_sq = 0.0f64;
-    for (&q, &d) in q_scalar.data().iter().zip(dense.data()) {
-        let e = (q - d).abs();
-        max_abs = max_abs.max(e);
-        err_sq += e * e;
-        ref_sq += d * d;
-    }
-    let rel_fro = if ref_sq > 0.0 { (err_sq / ref_sq).sqrt() } else { 0.0 };
-    let best_int8 = backend_secs
-        .iter()
-        .map(|&(_, s)| s)
-        .fold(f64::INFINITY, f64::min);
-
-    println!(
-        "{:<24} {:>11} {:>11} {:>23}   x{:.2} int8 vs dense, rel_err {:.2e}",
-        format!("quant_matmul {m}x{k}x{n}"),
-        "-",
-        fmt_secs(dense_secs),
-        fmt_secs(best_int8),
-        dense_secs / best_int8,
-        rel_fro,
-    );
-    Value::obj(vec![
-        ("kernel", Value::Str("quant_matmul".to_string())),
-        ("shape", Value::Str(format!("{m}x{k}x{n}"))),
-        (
-            "backend_secs_per_iter",
-            Value::Obj(
-                backend_secs
-                    .iter()
-                    .map(|&(bn, s)| (bn.to_string(), Value::Num(s)))
-                    .collect(),
-            ),
-        ),
-        ("dense_secs_per_iter", Value::Num(dense_secs)),
-        ("speedup_int8_vs_dense", Value::Num(dense_secs / best_int8)),
-        ("max_abs_error", Value::Num(max_abs)),
-        ("rel_frobenius_error", Value::Num(rel_fro)),
-        (
-            "note",
-            Value::Str(
-                "int8 path quantizes activations per row on the fly; error bound is \
-                 per-column scale/2 per weight element (DESIGN.md §14)"
-                    .to_string(),
-            ),
-        ),
-    ])
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -542,7 +465,6 @@ fn main() {
             Some("train-hp shape: one 3-layer GRAT forward + backward, Eq. 5 loss"),
         ),
     ];
-    let quant = run_quant_case(iters, &a, &b);
 
     if let Some(path) = out {
         let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
@@ -565,7 +487,6 @@ fn main() {
                 "cases",
                 Value::Arr(results.iter().map(CaseResult::to_json).collect()),
             ),
-            ("quant_matmul", quant),
         ]);
         privim::results::write_atomic(&path, &doc.to_json_string_pretty())
             .unwrap_or_else(|e| {

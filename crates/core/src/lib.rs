@@ -34,7 +34,6 @@
 //! println!("spread {} (coverage {:.1}%)", out.spread, out.coverage_ratio);
 //! ```
 
-pub mod audit;
 pub mod baselines;
 pub mod loss;
 pub mod maxcut;
@@ -42,10 +41,6 @@ pub mod pipeline;
 pub mod results;
 pub mod trainer;
 
-pub use audit::{
-    best_threshold_advantage, dp_advantage_bound, membership_inference_audit, train_probe_model,
-    AuditConfig, AuditResult,
-};
 pub use loss::{im_loss, LossConfig, PhiKind};
 pub use pipeline::{export_serve_artifact, run_method, EvalSetup, Method, ServeArtifact};
 pub use results::{MethodOutput, PrivacyEvidence};

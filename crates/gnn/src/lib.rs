@@ -24,10 +24,8 @@
 
 pub mod features;
 pub mod model;
-pub mod quant;
 pub mod structures;
 
 pub use features::{node_features, FEATURE_DIM};
 pub use model::{GnnConfig, GnnKind, GnnModel};
-pub use quant::QuantGnnModel;
 pub use structures::GraphTensors;

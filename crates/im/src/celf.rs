@@ -103,7 +103,7 @@ pub fn celf_exact(g: &Graph, k: usize) -> CelfResult {
 /// [`extend_to`](Self::extend_to) lazily when a larger `k` arrives, reusing
 /// the heap and coverage state instead of starting over.
 ///
-/// Holds the graph by [`Arc`] so a server can share one graph across
+/// Holds the graph by [`Arc`](std::sync::Arc) so a server can share one graph across
 /// worker threads and cache entries without cloning CSR arrays.
 ///
 /// Pick order is bit-identical to [`celf_exact`] (same oracle, same

@@ -22,7 +22,7 @@
 //! * [`json`] — a minimal JSON writer + parser ([`json::Value`],
 //!   [`json::ToJson`]) that replaces `serde`/`serde_json` for experiment
 //!   output and model persistence. `f64` values round-trip exactly.
-//! * [`bench`] — a tiny fixed-iteration micro-benchmark harness replacing
+//! * [`bench`](mod@bench) — a tiny fixed-iteration micro-benchmark harness replacing
 //!   `criterion` for the `crates/bench` benches.
 //!
 //! Plus [`crc`] — a compile-time-tabled CRC-32 used by checkpoint and

@@ -4,7 +4,6 @@
 //! privim-serve pack --out bundle.json [--graph edges.txt [--directed]]
 //!              [--nodes 300] [--k 20] [--eps 2] [--seed 7]
 //!              [--method privim*|privim|privim+scs|non-private] [--fast]
-//!              [--quant none|int8|f16]
 //! privim-serve run --bundle bundle.json [--addr 127.0.0.1:7878]
 //!              [--workers 4] [--queue-cap 128] [--deadline-ms 5000] [--runs 64]
 //!              [--idle-timeout-ms 30000] [--header-timeout-ms 10000]
@@ -17,7 +16,6 @@
 //! drains in-flight requests on SIGINT/SIGTERM before exiting.
 
 use privim::{export_serve_artifact, EvalSetup, Method};
-use privim_gnn::QuantGnnModel;
 use privim_graph::{io::read_edge_list, Graph};
 use privim_rt::{fsio, ChaCha8Rng, SeedableRng};
 use privim_serve::{
@@ -37,7 +35,6 @@ fn usage() -> ! {
                [--graph <edge-list> [--directed]] [--nodes 300]
                [--k 20] [--eps 2] [--seed 7] [--fast]
                [--method privim*|privim|privim+scs|non-private]
-               [--quant none|int8|f16]
                [--tenant-budget <eps> [--query-sigma 8] [--ledger-delta 1e-5]
                 [--retry-after 60]]
   privim-serve run --bundle <bundle.json> [--addr 127.0.0.1:7878]
@@ -65,7 +62,6 @@ struct Flags {
     seed: u64,
     fast: bool,
     method: String,
-    quant: bundle::QuantMode,
     tenant_budget: Option<f64>,
     query_sigma: f64,
     ledger_delta: f64,
@@ -96,7 +92,6 @@ fn parse_flags(args: &[String]) -> Flags {
         seed: 7,
         fast: false,
         method: "privim*".into(),
-        quant: bundle::QuantMode::None,
         tenant_budget: None,
         query_sigma: 8.0,
         ledger_delta: 1e-5,
@@ -135,10 +130,6 @@ fn parse_flags(args: &[String]) -> Flags {
             "--seed" => f.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
             "--fast" => f.fast = true,
             "--method" => f.method = val("--method"),
-            "--quant" => {
-                f.quant =
-                    bundle::QuantMode::from_name(&val("--quant")).unwrap_or_else(|| usage())
-            }
             "--tenant-budget" => {
                 f.tenant_budget =
                     Some(val("--tenant-budget").parse().unwrap_or_else(|_| usage()))
@@ -241,38 +232,18 @@ fn cmd_pack(f: &Flags) {
         ),
         None => "unmetered".to_string(),
     };
-    let privacy = bundle::PrivacyStatement {
-        epsilon: artifact.epsilon,
-        delta: artifact.delta,
-        sigma: artifact.sigma,
-        steps: artifact.steps as u64,
-    };
-    let doc = match f.quant {
-        bundle::QuantMode::None => {
-            bundle::pack_parts(&artifact.model, &privacy, &graph, state.as_ref())
-        }
-        bundle::QuantMode::Int8 => bundle::pack_parts_q8(
-            &QuantGnnModel::from_model(&artifact.model),
-            &privacy,
-            &graph,
-            state.as_ref(),
-        ),
-        bundle::QuantMode::F16 => {
-            bundle::pack_parts_f16(&artifact.model, &privacy, &graph, state.as_ref())
-        }
-    };
+    let doc = bundle::pack_with_ledger(&artifact, &graph, state.as_ref());
     // Atomic replace (temp + fsync + rename + dir fsync): a crash
     // mid-pack can never leave a torn bundle at the target path.
     fsio::atomic_write_durable(&out, doc.to_json_string().as_bytes())
         .unwrap_or_else(|e| fail(format!("write {}: {e}", out.display())));
     println!(
-        "packed {}: |V|={} |E|={} method={} eps={} quant={} {metered} fingerprint={:#018x}",
+        "packed {}: |V|={} |E|={} method={} eps={} {metered} fingerprint={:#018x}",
         out.display(),
         graph.num_nodes(),
         graph.num_edges(),
         f.method,
         artifact.epsilon.map(|e| e.to_string()).unwrap_or_else(|| "inf".into()),
-        f.quant.name(),
         bundle::graph_fingerprint(&graph),
     );
 }
@@ -305,11 +276,10 @@ fn cmd_run(f: &Flags) {
         File::open(&path).unwrap_or_else(|e| fail(format!("open {}: {e}", path.display())));
     let mut b = bundle::load(BufReader::new(file)).unwrap_or_else(|e| fail(e));
     println!(
-        "loaded {}: |V|={} fingerprint={:#018x} quant={} eps={} delta={} sigma={} steps={}",
+        "loaded {}: |V|={} fingerprint={:#018x} eps={} delta={} sigma={} steps={}",
         path.display(),
         b.graph.num_nodes(),
         b.fingerprint,
-        b.mode.name(),
         b.privacy.epsilon.map(|e| e.to_string()).unwrap_or_else(|| "inf".into()),
         b.privacy.delta,
         b.privacy.sigma,

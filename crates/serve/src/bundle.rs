@@ -15,20 +15,17 @@
 //!  }}
 //! ```
 //!
-//! Version history: v1 had no `ledger` section; v2 added it as an
-//! *optional* field (a metered deployment persists per-tenant budget
-//! state, an unmetered one omits it). v3 added quantized model storage:
-//! the `model` section may be replaced by `model_q8` (per-column int8
-//! codes served through exact-integer SIMD matmuls, no dequantization at
-//! serve time) or `model_f16` (storage-only binary16, decoded to the
-//! dense path at load). Exactly one of the three model sections must be
-//! present. v1/v2 bundles still load — absent ledger means every tenant
-//! is unmetered, absent quant sections mean a dense model — so nothing
-//! packed before the version bumps needs re-packing.
+//! The `ledger` section is optional: a metered deployment persists
+//! per-tenant budget state there, an unmetered one omits it. Only v3 is
+//! accepted. Version history: v1 had no `ledger` section, v2 added it,
+//! and v3 allowed a quantized (int8 or binary16) section in place of the
+//! dense `model` one. Quantized storage is gone: [`load`] refuses a
+//! payload that carries such a section, with or without `model`, and
+//! asks for a re-pack with `privim-serve pack`.
 //!
 //! Three integrity layers, each with a typed failure:
 //!
-//! 1. **format + version** — a bundle from a future incompatible writer
+//! 1. **format + version** — a bundle from an older or a future writer
 //!    is rejected up front, not half-parsed;
 //! 2. **CRC-32 over the payload** — truncation/bit-rot detection (same
 //!    checksum the GNN checkpoint format uses);
@@ -46,53 +43,16 @@
 use crate::cache::fnv1a64;
 use crate::ledger::LedgerState;
 use privim::ServeArtifact;
-use privim_gnn::{GnnConfig, GnnModel, QuantGnnModel};
+use privim_gnn::GnnModel;
 use privim_graph::{Graph, GraphBuilder, NodeId};
 use privim_rt::json::Value;
 use privim_rt::{crc, PrivimError, PrivimResult};
-use privim_tensor::quant::F16Matrix;
 use std::sync::Arc;
 
 /// Format tag of a serve bundle.
 pub const BUNDLE_FORMAT: &str = "privim-serve-bundle";
-/// Current bundle format version (v2 added the optional ledger section;
-/// v3 added the `model_q8`/`model_f16` quantized model sections).
+/// Bundle format version; [`load`] accepts exactly this one.
 pub const BUNDLE_VERSION: u64 = 3;
-/// Oldest version [`load`] still accepts (v1 = no ledger).
-pub const MIN_BUNDLE_VERSION: u64 = 1;
-
-/// How the model weights are stored in (and served from) a bundle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QuantMode {
-    /// Dense `f64` checkpoint payload (the `model` section).
-    None,
-    /// Per-column int8 codes (`model_q8`), served via exact integer
-    /// matmuls without dequantization.
-    Int8,
-    /// Storage-only binary16 (`model_f16`), decoded to dense at load.
-    F16,
-}
-
-impl QuantMode {
-    /// CLI name (`none`/`int8`/`f16`).
-    pub fn name(self) -> &'static str {
-        match self {
-            QuantMode::None => "none",
-            QuantMode::Int8 => "int8",
-            QuantMode::F16 => "f16",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn from_name(s: &str) -> Option<QuantMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" => Some(QuantMode::None),
-            "int8" => Some(QuantMode::Int8),
-            "f16" => Some(QuantMode::F16),
-            _ => None,
-        }
-    }
-}
 
 /// The (ε, δ)-DP statement a bundle carries alongside the model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -110,16 +70,8 @@ pub struct PrivacyStatement {
 /// A loaded, integrity-checked bundle, ready to serve.
 #[derive(Debug)]
 pub struct Bundle {
-    /// The trained model in dense form. For `model_f16` bundles this is
-    /// the (exactly re-encodable) decoded model; for `model_q8` bundles
-    /// it is the dequantized reconstruction (serving should prefer
-    /// [`Self::quant`]).
+    /// The trained model.
     pub model: GnnModel,
-    /// The int8 serving model (`model_q8` bundles only).
-    pub quant: Option<QuantGnnModel>,
-    /// Which model section the bundle was stored with (compaction
-    /// re-packs in the same mode).
-    pub mode: QuantMode,
     /// Privacy statement the model was trained under.
     pub privacy: PrivacyStatement,
     /// The serving graph (shared: server workers and CELF state both
@@ -127,8 +79,7 @@ pub struct Bundle {
     pub graph: Arc<Graph>,
     /// FNV-1a fingerprint of the graph's canonical arc list.
     pub fingerprint: u64,
-    /// Per-tenant serving budget ledger (`None` = unmetered deployment,
-    /// including every v1 bundle).
+    /// Per-tenant serving budget ledger (`None` = unmetered deployment).
     pub ledger: Option<LedgerState>,
 }
 
@@ -234,93 +185,9 @@ pub fn pack_parts(
     graph: &Graph,
     ledger: Option<&LedgerState>,
 ) -> Value {
-    pack_parts_section(("model", model.checkpoint_payload()), privacy, graph, ledger)
-}
-
-/// [`pack_parts`] storing the model as per-column int8 codes in a
-/// `model_q8` section. The quantized model *is* the serving artifact —
-/// its exact-integer matmuls make scores backend-invariant — and
-/// compaction re-serialises it code-for-code, so the mode survives
-/// snapshot cycles.
-pub fn pack_parts_q8(
-    quant: &QuantGnnModel,
-    privacy: &PrivacyStatement,
-    graph: &Graph,
-    ledger: Option<&LedgerState>,
-) -> Value {
-    pack_parts_section(("model_q8", quant.to_json()), privacy, graph, ledger)
-}
-
-/// [`pack_parts`] storing the model as storage-only binary16 in a
-/// `model_f16` section. Loading decodes to a dense model; because
-/// `f16_encode(f16_decode(h)) == h`, re-packing that model reproduces
-/// the section bit-for-bit.
-pub fn pack_parts_f16(
-    model: &GnnModel,
-    privacy: &PrivacyStatement,
-    graph: &Graph,
-    ledger: Option<&LedgerState>,
-) -> Value {
-    pack_parts_section(("model_f16", model_to_f16_json(model)), privacy, graph, ledger)
-}
-
-/// Mode-aware pack: compaction re-packs a bundle in the mode it was
-/// loaded with. An `Int8` mode without a quantized model in hand (which
-/// [`load`] never produces) degrades to a dense pack rather than failing
-/// a snapshot.
-pub fn pack_parts_in_mode(
-    model: &GnnModel,
-    quant: Option<&QuantGnnModel>,
-    mode: QuantMode,
-    privacy: &PrivacyStatement,
-    graph: &Graph,
-    ledger: Option<&LedgerState>,
-) -> Value {
-    match (mode, quant) {
-        (QuantMode::Int8, Some(q)) => pack_parts_q8(q, privacy, graph, ledger),
-        (QuantMode::F16, _) => pack_parts_f16(model, privacy, graph, ledger),
-        _ => pack_parts(model, privacy, graph, ledger),
-    }
-}
-
-fn model_to_f16_json(model: &GnnModel) -> Value {
-    let params: Vec<Value> = model
-        .params()
-        .iter()
-        .map(|m| F16Matrix::from_matrix(m).to_json())
-        .collect();
-    Value::obj(vec![
-        ("config", model.config().to_json()),
-        ("params", Value::Arr(params)),
-    ])
-}
-
-fn model_from_f16_json(v: &Value) -> PrivimResult<GnnModel> {
-    let bad = |msg: &str| PrivimError::Parse(format!("bundle model_f16: {msg}"));
-    let config = GnnConfig::from_json(v.get("config").ok_or_else(|| bad("missing config"))?)?;
-    let params = v
-        .get("params")
-        .and_then(|p| p.as_array())
-        .ok_or_else(|| bad("missing params"))?
-        .iter()
-        .map(|p| {
-            F16Matrix::from_json(p)
-                .map(|f| f.to_matrix())
-                .map_err(|e| bad(&e))
-        })
-        .collect::<PrivimResult<Vec<_>>>()?;
-    GnnModel::from_parts(config, params)
-}
-
-fn pack_parts_section(
-    model_section: (&'static str, Value),
-    privacy: &PrivacyStatement,
-    graph: &Graph,
-    ledger: Option<&LedgerState>,
-) -> Value {
     let fingerprint = graph_fingerprint(graph);
     let mut fields = vec![
-        model_section,
+        ("model", model.checkpoint_payload()),
         (
             "privacy",
             Value::obj(vec![
@@ -404,9 +271,10 @@ pub fn load<R: std::io::Read>(mut r: R) -> PrivimResult<Bundle> {
         .get("version")
         .and_then(|v| v.as_u64())
         .ok_or_else(|| PrivimError::Parse("bundle missing version".into()))?;
-    if !(MIN_BUNDLE_VERSION..=BUNDLE_VERSION).contains(&version) {
+    if version != BUNDLE_VERSION {
         return Err(PrivimError::invalid(format!(
-            "bundle version {version} not supported (accepted: {MIN_BUNDLE_VERSION}..={BUNDLE_VERSION})"
+            "bundle version {version} not supported (accepted: {BUNDLE_VERSION}); \
+             re-pack it with `privim-serve pack`"
         )));
     }
     let payload = doc
@@ -425,31 +293,20 @@ pub fn load<R: std::io::Read>(mut r: R) -> PrivimResult<Bundle> {
         )));
     }
 
-    let dense = payload.get("model");
-    let q8 = payload.get("model_q8");
-    let f16 = payload.get("model_f16");
-    let present = dense.is_some() as u8 + q8.is_some() as u8 + f16.is_some() as u8;
-    if present != 1 {
-        return Err(PrivimError::Parse(format!(
-            "bundle must carry exactly one of model/model_q8/model_f16 ({present} present)"
-        )));
-    }
-    if version < 3 && dense.is_none() {
+    // The retired quantized model sections are checked before `model` is
+    // looked up: one is never served, nor silently passed over for a dense
+    // section beside it.
+    if let Some(section) = ["model_q8", "model_f16"].iter().find(|k| payload.get(k).is_some()) {
         return Err(PrivimError::invalid(format!(
-            "quantized model sections require bundle version >= 3 (bundle is v{version})"
+            "bundle carries a `{section}` section; quantized models are no longer \
+             supported — re-pack the checkpoint with `privim-serve pack`"
         )));
     }
-    let (model, quant, mode) = if let Some(mp) = dense {
-        (GnnModel::from_checkpoint_payload(mp)?, None, QuantMode::None)
-    } else if let Some(qp) = q8 {
-        let q = QuantGnnModel::from_json(qp)?;
-        // Dense reconstruction so embedding/export paths keep working;
-        // serving prefers the exact quantized model.
-        (q.to_dense_model()?, Some(q), QuantMode::Int8)
-    } else {
-        let fp = f16.ok_or_else(|| PrivimError::Parse("bundle missing model".into()))?;
-        (model_from_f16_json(fp)?, None, QuantMode::F16)
-    };
+    let model = GnnModel::from_checkpoint_payload(
+        payload
+            .get("model")
+            .ok_or_else(|| PrivimError::Parse("bundle missing model".into()))?,
+    )?;
 
     let priv_v = payload
         .get("privacy")
@@ -486,16 +343,13 @@ pub fn load<R: std::io::Read>(mut r: R) -> PrivimResult<Bundle> {
             "graph fingerprint mismatch (stored {stored_fp:#018x}, rebuilt {actual_fp:#018x})"
         )));
     }
-    // Optional in v2, structurally absent in v1: either way `None` means
-    // an unmetered deployment.
+    // Optional: `None` means an unmetered deployment.
     let ledger = match payload.get("ledger") {
         Some(v) => Some(LedgerState::from_json(v)?),
         None => None,
     };
     Ok(Bundle {
         model,
-        quant,
-        mode,
         privacy,
         graph: Arc::new(graph),
         fingerprint: actual_fp,
@@ -610,140 +464,77 @@ mod tests {
     }
 
     #[test]
-    fn version_1_bundles_still_load_as_unmetered() {
+    fn pre_v3_headers_are_refused_with_a_re_pack_hint() {
         // The version lives in the header, outside the CRC'd payload, so
-        // rewriting it reproduces a v1 writer's output exactly: same
-        // payload, no ledger section.
+        // rewriting it reproduces an old writer's header exactly.
         let art = tiny_artifact(12);
         let g = tiny_graph(13);
-        let mut buf = Vec::new();
-        save(&art, &g, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let v1 = text.replacen("\"version\":3", "\"version\":1", 1);
-        let loaded = load(v1.as_bytes()).unwrap();
-        assert!(loaded.ledger.is_none(), "v1 bundles are unmetered");
-        assert_eq!(loaded.mode, QuantMode::None);
-        assert_eq!(loaded.fingerprint, graph_fingerprint(&g));
+        let text = pack(&art, &g).to_json_string();
+        for old in [1, 2] {
+            let downgraded = text.replacen("\"version\":3", &format!("\"version\":{old}"), 1);
+            match load(downgraded.as_bytes()).unwrap_err() {
+                PrivimError::InvalidInput(msg) => {
+                    assert!(msg.contains("privim-serve pack"), "v{old}: {msg}")
+                }
+                other => panic!("v{old}: expected InvalidInput, got {other:?}"),
+            }
+        }
+    }
+
+    /// Re-emit a packed bundle with its payload fields edited and the CRC
+    /// recomputed, so the checksum layer passes and the section checks
+    /// behind it must fire.
+    fn with_payload_edit(doc: Value, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+        let Value::Obj(header) = doc else { panic!("doc not an object") };
+        let mut payload = header.into_iter().find(|(k, _)| k == "payload").unwrap().1;
+        let Value::Obj(fields) = &mut payload else { panic!("payload not an object") };
+        edit(fields);
+        let crc = crc::crc32(payload.to_json_string().as_bytes());
+        Value::obj(vec![
+            ("format", Value::Str(BUNDLE_FORMAT.to_string())),
+            ("version", Value::Num(BUNDLE_VERSION as f64)),
+            ("crc32", Value::Str(format!("{crc:#010x}"))),
+            ("payload", payload),
+        ])
+        .to_json_string()
     }
 
     #[test]
-    fn q8_bundle_round_trips_the_quantized_model_exactly() {
-        let art = tiny_artifact(40);
-        let g = tiny_graph(41);
-        let q = QuantGnnModel::from_model(&art.model);
-        let privacy = PrivacyStatement {
-            epsilon: art.epsilon,
-            delta: art.delta,
-            sigma: art.sigma,
-            steps: art.steps as u64,
-        };
-        let text = pack_parts_q8(&q, &privacy, &g, None).to_json_string();
-        let loaded = load(text.as_bytes()).unwrap();
-        assert_eq!(loaded.mode, QuantMode::Int8);
-        let lq = loaded.quant.as_ref().expect("q8 bundle carries a quant model");
-        // The serving scores survive the round trip bitwise (int8 codes
-        // and f64 scales are stored exactly).
-        assert_eq!(lq.score_graph(&g), q.score_graph(&g));
-        // The dense reconstruction is present and usable for export paths.
-        assert_eq!(
-            loaded.model.config().to_json().to_json_string(),
-            q.config().to_json().to_json_string()
-        );
-        // Compaction re-packs byte-for-byte: mode is not lossy.
-        let repacked =
-            pack_parts_in_mode(&loaded.model, loaded.quant.as_ref(), loaded.mode, &privacy, &g, None);
-        assert_eq!(repacked.to_json_string(), text);
-    }
-
-    #[test]
-    fn f16_bundle_round_trips_byte_for_byte_through_compaction() {
-        let art = tiny_artifact(42);
-        let g = tiny_graph(43);
-        let privacy = PrivacyStatement {
-            epsilon: art.epsilon,
-            delta: art.delta,
-            sigma: art.sigma,
-            steps: art.steps as u64,
-        };
-        let text = pack_parts_f16(&art.model, &privacy, &g, None).to_json_string();
-        let loaded = load(text.as_bytes()).unwrap();
-        assert_eq!(loaded.mode, QuantMode::F16);
-        assert!(loaded.quant.is_none(), "f16 decodes to the dense path");
-        // The loaded model is the f16-rounded model.
-        let expected = model_from_f16_json(&model_to_f16_json(&art.model)).unwrap();
-        assert_eq!(loaded.model.score_graph(&g), expected.score_graph(&g));
-        // f16_encode(f16_decode(h)) == h, so a compaction snapshot of the
-        // decoded model reproduces the original bundle bit-for-bit.
-        let repacked =
-            pack_parts_in_mode(&loaded.model, None, loaded.mode, &privacy, &g, None);
-        assert_eq!(repacked.to_json_string(), text);
-    }
-
-    #[test]
-    fn quant_sections_are_rejected_below_v3() {
+    fn quantized_model_sections_are_refused_with_a_re_pack_hint() {
         let art = tiny_artifact(44);
         let g = tiny_graph(45);
-        let q = QuantGnnModel::from_model(&art.model);
-        let privacy = PrivacyStatement {
-            epsilon: art.epsilon,
-            delta: art.delta,
-            sigma: art.sigma,
-            steps: art.steps as u64,
-        };
-        let text = pack_parts_q8(&q, &privacy, &g, None).to_json_string();
-        let downgraded = text.replacen("\"version\":3", "\"version\":2", 1);
-        assert!(matches!(
-            load(downgraded.as_bytes()).unwrap_err(),
-            PrivimError::InvalidInput(_)
-        ));
+        let section_body = art.model.checkpoint_payload();
+        for (section, keep_model) in [
+            ("model_q8", false),
+            ("model_f16", false),
+            ("model_q8", true),
+            ("model_f16", true),
+        ] {
+            let text = with_payload_edit(pack(&art, &g), |fields| {
+                if !keep_model {
+                    fields.retain(|(k, _)| k != "model");
+                }
+                fields.push((section.to_string(), section_body.clone()));
+            });
+            let what = format!("{section} (model kept: {keep_model})");
+            match load(text.as_bytes()).unwrap_err() {
+                PrivimError::InvalidInput(msg) => assert!(
+                    msg.contains(&format!("`{section}`")) && msg.contains("privim-serve pack"),
+                    "{what}: {msg}"
+                ),
+                other => panic!("{what}: expected InvalidInput, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn bundles_with_zero_or_two_model_sections_are_rejected() {
+    fn bundle_without_a_model_section_is_rejected() {
         let art = tiny_artifact(46);
         let g = tiny_graph(47);
-        let q = QuantGnnModel::from_model(&art.model);
-        let privacy = PrivacyStatement {
-            epsilon: art.epsilon,
-            delta: art.delta,
-            sigma: art.sigma,
-            steps: art.steps as u64,
-        };
-        // Rebuild the payload with an extra (or no) model section and the
-        // CRC recomputed, so the model-section arity check itself fires.
-        let rebuild = |extra: Option<(&'static str, Value)>, drop_model: bool| {
-            let doc = pack_parts(&art.model, &privacy, &g, None);
-            let Value::Obj(header) = doc else { panic!("doc not an object") };
-            let mut payload = header
-                .iter()
-                .find(|(k, _)| k == "payload")
-                .map(|(_, v)| v.clone())
-                .unwrap();
-            let Value::Obj(fields) = &mut payload else { panic!("payload not an object") };
-            if drop_model {
-                fields.retain(|(k, _)| k != "model");
-            }
-            if let Some((k, v)) = extra {
-                fields.push((k.to_string(), v));
-            }
-            let crc = crc::crc32(payload.to_json_string().as_bytes());
-            Value::obj(vec![
-                ("format", Value::Str(BUNDLE_FORMAT.to_string())),
-                ("version", Value::Num(BUNDLE_VERSION as f64)),
-                ("crc32", Value::Str(format!("{crc:#010x}"))),
-                ("payload", payload),
-            ])
-            .to_json_string()
-        };
-        let doubled = rebuild(Some(("model_q8", q.to_json())), false);
-        let none = rebuild(None, true);
-        for (what, text) in [("two sections", doubled), ("no section", none)] {
-            match load(text.as_bytes()).unwrap_err() {
-                PrivimError::Parse(msg) => {
-                    assert!(msg.contains("exactly one"), "{what}: {msg}")
-                }
-                other => panic!("{what}: expected Parse error, got {other:?}"),
-            }
+        let text = with_payload_edit(pack(&art, &g), |fields| fields.retain(|(k, _)| k != "model"));
+        match load(text.as_bytes()).unwrap_err() {
+            PrivimError::Parse(msg) => assert!(msg.contains("missing model"), "{msg}"),
+            other => panic!("expected Parse error, got {other:?}"),
         }
     }
 
@@ -777,9 +568,9 @@ mod tests {
         assert!(load(broken.as_bytes()).is_err());
     }
 
-    /// Rebuild a packed metered bundle with its ledger section replaced
-    /// by `ledger` and the payload CRC *recomputed*, so the checksum
-    /// layer passes and the ledger parser itself must reject the section.
+    /// A packed metered bundle with its ledger section replaced by
+    /// `ledger` (CRC recomputed), so the ledger parser itself must reject
+    /// the section.
     fn bundle_with_raw_ledger(seed: u64, ledger: Value) -> String {
         use crate::ledger::{LedgerConfig, LedgerState};
         let art = tiny_artifact(seed);
@@ -790,24 +581,9 @@ mod tests {
             query_sigma: 8.0,
             retry_after_secs: 60,
         });
-        let doc = pack_with_ledger(&art, &g, Some(&state));
-        let Value::Obj(header) = doc else { panic!("doc not an object") };
-        let mut payload = header
-            .iter()
-            .find(|(k, _)| k == "payload")
-            .map(|(_, v)| v.clone())
-            .unwrap();
-        let Value::Obj(fields) = &mut payload else { panic!("payload not an object") };
-        let slot = fields.iter_mut().find(|(k, _)| k == "ledger").unwrap();
-        slot.1 = ledger;
-        let crc = crc::crc32(payload.to_json_string().as_bytes());
-        Value::obj(vec![
-            ("format", Value::Str(BUNDLE_FORMAT.to_string())),
-            ("version", Value::Num(BUNDLE_VERSION as f64)),
-            ("crc32", Value::Str(format!("{crc:#010x}"))),
-            ("payload", payload),
-        ])
-        .to_json_string()
+        with_payload_edit(pack_with_ledger(&art, &g, Some(&state)), |fields| {
+            fields.iter_mut().find(|(k, _)| k == "ledger").unwrap().1 = ledger;
+        })
     }
 
     #[test]
@@ -848,7 +624,7 @@ mod tests {
                     "{what}: loaded with ledger = {:?} — corrupt section silently \
                      degraded to {} behavior",
                     b.ledger,
-                    if b.ledger.is_none() { "unmetered v1" } else { "metered" }
+                    if b.ledger.is_none() { "unmetered" } else { "metered" }
                 ),
                 Err(other) => panic!("{what}: expected Parse/InvalidInput, got {other:?}"),
             }
@@ -891,6 +667,32 @@ mod tests {
         let a = pack_with_ledger(&art, &g, Some(&state)).to_json_string();
         let b = pack_parts(&art.model, &privacy, &g, Some(&state)).to_json_string();
         assert_eq!(a, b, "a compaction snapshot must be indistinguishable from a fresh pack");
+    }
+
+    /// Dense bundles and compaction snapshots (`pack_parts` with and
+    /// without a ledger) are pinned to the CRC-32 of their exact bytes, as
+    /// written before quantized storage was removed.
+    #[test]
+    fn dense_bundle_bytes_match_the_pinned_crc() {
+        use crate::ledger::{LedgerConfig, LedgerState};
+        let art = tiny_artifact(50);
+        let g = tiny_graph(51);
+        let privacy = PrivacyStatement {
+            epsilon: art.epsilon,
+            delta: art.delta,
+            sigma: art.sigma,
+            steps: art.steps as u64,
+        };
+        let mut state = LedgerState::new(LedgerConfig {
+            epsilon_budget: 2.0,
+            delta: 1e-5,
+            query_sigma: 8.0,
+            retry_after_secs: 60,
+        });
+        state.tenants.insert("acme".into(), 4);
+        let crc_of = |ledger| crc::crc32(pack_parts(&art.model, &privacy, &g, ledger).to_json_string().as_bytes());
+        assert_eq!(crc_of(None), 0xd9fd_7228, "unmetered");
+        assert_eq!(crc_of(Some(&state)), 0xf8b9_597e, "metered");
     }
 
     #[test]

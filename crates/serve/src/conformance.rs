@@ -16,19 +16,22 @@
 //! - a `max_pipeline` of 1–4 with bursts past it;
 //! - worker completions in shuffled order;
 //! - random partial writes;
-//! - a queue-admission stub that refuses at a seeded point.
+//! - a queue-admission stub that refuses at a seeded point;
+//! - a worker that closes the connection from a seeded completion on
+//!   (a deadline shed, or a drain that closes every later response).
 //!
 //! It asserts the emitted bytes equal the reference's and that
 //! `finished()` agrees.
 //!
-//! Two facts depend on timing rather than on the bytes, so the driver
+//! Three facts depend on timing rather than on the bytes, so the driver
 //! hands them to the reference: how many requests were parsed before the
-//! peer's EOF arrived (later ones are answered `Connection: close`), and
-//! how many were parsed when admission refused (the rest of that batch is
-//! shed).
+//! peer's EOF arrived (later ones are answered `Connection: close`), how
+//! many were parsed when admission refused (the rest of that batch is
+//! shed), and the first request in response order a worker closed on
+//! (nothing follows it).
 
 use crate::conn::{Conn, ParsedJob};
-use crate::http::response_frame;
+use crate::http::{error_frame, response_frame};
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
 
 /// Random streams checked per run.
@@ -48,6 +51,9 @@ fn served(method: &str, path: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
     response_frame(200, "text/plain", &[], &echo, keep_alive)
 }
 
+/// A worker's close-marked response.
+const DEADLINE_SHED: &str = "shed: deadline exceeded while queued";
+
 /// A refusal as the reference spells it: JSON error body, then close.
 fn refusal(status: u16, message: &str) -> Vec<u8> {
     let body = format!("{{\"error\":\"{message}\"}}");
@@ -62,6 +68,8 @@ struct Schedule {
     /// `(refused, parsed)`: index of the request admission refused, and
     /// the requests parsed by the end of that batch.
     shed: Option<(u64, u64)>,
+    /// Lowest-index request whose worker response closed the connection.
+    closed: Option<u64>,
 }
 
 /// One request head as the reference frames it.
@@ -159,6 +167,10 @@ fn reference(stream: &[u8], eof: bool, sched: Schedule) -> (Vec<u8>, bool) {
             }
             return (out, true);
         }
+        if sched.closed == Some(index) {
+            out.extend(refusal(503, DEADLINE_SHED));
+            return (out, true);
+        }
         let before_eof = index < sched.parsed_before_eof.unwrap_or(u64::MAX);
         let body = &rest[head_len..total];
         out.extend(served(
@@ -182,6 +194,8 @@ struct Worker {
     offered: u64,
     refuse_at: Option<u64>,
     refused: bool,
+    /// Jobs completed so far.
+    completed: u64,
 }
 
 impl Worker {
@@ -203,6 +217,9 @@ struct Case {
     eof: bool,
     max_pipeline: u64,
     refuse_at: Option<u64>,
+    /// The completion (in completion order) from which workers may close
+    /// the connection: that one always does, each later one by coin flip.
+    close_at: Option<u64>,
     /// Largest read; `usize::MAX` delivers the stream in one read.
     max_read: usize,
 }
@@ -218,6 +235,7 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
         offered: 0,
         refuse_at: case.refuse_at,
         refused: false,
+        completed: 0,
     };
     let mut sched = Schedule::default();
     let mut out = Vec::new();
@@ -233,9 +251,18 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
             let job = worker
                 .queued
                 .swap_remove(rng.gen_range(0..worker.queued.len()));
-            let r = &job.request;
-            let frame = served(&r.method, &r.path, &r.body, job.keep_alive);
-            conn.deliver(job.seq, frame, false, cap, &mut |j| worker.admit(j));
+            let close = case.close_at.is_some_and(|at| {
+                worker.completed == at || (worker.completed > at && rng.gen_bool(0.5))
+            });
+            worker.completed += 1;
+            let frame = if close {
+                sched.closed = Some(sched.closed.map_or(job.seq, |c| c.min(job.seq)));
+                error_frame(503, DEADLINE_SHED)
+            } else {
+                let r = &job.request;
+                served(&r.method, &r.path, &r.body, job.keep_alive)
+            };
+            conn.deliver(job.seq, frame, close, cap, &mut |j| worker.admit(j));
             note(sched, worker, conn);
         };
     let write_some = |conn: &mut Conn, out: &mut Vec<u8>, rng: &mut ChaCha8Rng| {
@@ -286,11 +313,13 @@ fn check(name: &str, case: &Case, seed: u64) -> (Vec<u8>, Schedule) {
     let (want, closes) = reference(&case.stream, case.eof, sched);
     assert!(
         got == want && finished == closes,
-        "{name} (seed {seed}, max_pipeline {}, eof {}, refuse_at {:?}, {sched:?}):\n\
-         stream:   {:?}\nexpected: {:?} (closes {closes})\nemitted:  {:?} (finished {finished})",
+        "{name} (seed {seed}, max_pipeline {}, eof {}, refuse_at {:?}, close_at {:?}, \
+         {sched:?}):\nstream:   {:?}\nexpected: {:?} (closes {closes})\n\
+         emitted:  {:?} (finished {finished})",
         case.max_pipeline,
         case.eof,
         case.refuse_at,
+        case.close_at,
         String::from_utf8_lossy(&case.stream),
         String::from_utf8_lossy(&want),
         String::from_utf8_lossy(&got),
@@ -378,6 +407,7 @@ fn random_case(rng: &mut ChaCha8Rng) -> Case {
         max_pipeline: rng.gen_range(1..=4u64),
         refuse_at: rng.gen_bool(0.25).then(|| rng.gen_range(0..n)),
         max_read,
+        close_at: rng.gen_bool(0.25).then(|| rng.gen_range(0..n)),
     }
 }
 
@@ -385,7 +415,7 @@ fn random_case(rng: &mut ChaCha8Rng) -> Case {
 fn random_streams_match_the_reference() {
     // How often each protocol path was exercised, so a generator change
     // that stops reaching one fails here instead of passing vacuously.
-    let mut seen = [0u32; 6];
+    let mut seen = [0u32; 7];
     for seed in 0..CASES {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let case = random_case(&mut rng);
@@ -398,9 +428,10 @@ fn random_streams_match_the_reference() {
         seen[3] += u32::from(sched.shed.is_some());
         seen[4] += u32::from(count(b"HTTP/1.1 400 ") > 0);
         seen[5] += u32::from(count(b"HTTP/1.1 431 ") > 0);
+        seen[6] += u32::from(sched.closed.is_some());
     }
     // 1-byte reads, half-close, pipelining past the cap, shedding,
-    // malformed framing, oversized headers.
+    // malformed framing, oversized headers, a worker's close.
     assert!(seen.iter().all(|&n| n >= 30), "paths exercised: {seen:?}");
 }
 
@@ -425,6 +456,7 @@ fn corpus_burst_of_three_times_the_cap_in_one_write() {
             eof: false,
             max_pipeline: cap,
             refuse_at: None,
+            close_at: None,
             max_read: usize::MAX,
         };
         check("burst_3x_cap", &case, seed);
@@ -443,6 +475,7 @@ fn corpus_write_then_shut_wr() {
             eof: true,
             max_pipeline: 1 + seed % 4,
             refuse_at: None,
+            close_at: None,
             max_read: usize::MAX,
         };
         check("write_then_shut_wr", &case, seed);
@@ -464,6 +497,7 @@ fn corpus_chunked_body_with_an_embedded_request() {
             eof: seed % 2 == 0,
             max_pipeline: 1 + seed % 4,
             refuse_at: None,
+            close_at: None,
             max_read: [1, 7, usize::MAX][(seed % 3) as usize],
         };
         check("chunked_te_smuggle", &case, seed);
@@ -483,9 +517,35 @@ fn corpus_burst_past_a_full_queue() {
             eof: false,
             max_pipeline: 8,
             refuse_at: Some(1 + seed % 3),
+            close_at: None,
             max_read: usize::MAX,
         };
         check("burst_past_full_queue", &case, seed);
+    }
+}
+
+/// A worker closes the connection (a deadline shed or a drain) while
+/// later pipelined requests are already queued, and a malformed request
+/// waits in the buffer: the close-marked response is the last frame.
+#[test]
+fn corpus_worker_close_mid_pipeline() {
+    for seed in 0..CORPUS_SEEDS {
+        let mut stream: Vec<u8> = (0..4)
+            .flat_map(|i| post("/v1/embed", &format!("{{\"nodes\": [{i}]}}")))
+            .collect();
+        stream.extend_from_slice(b"GET /x HTTP/1.1\r\nno colon here\r\n\r\n");
+        let case = Case {
+            stream,
+            eof: seed % 2 == 0,
+            max_pipeline: 4,
+            refuse_at: None,
+            close_at: Some(seed % 3),
+            max_read: usize::MAX,
+        };
+        let (want, sched) = check("worker_close_mid_pipeline", &case, seed);
+        assert!(sched.closed.is_some(), "seed {seed}: no worker closed");
+        let responses = want.windows(9).filter(|w| w == b"HTTP/1.1 ").count() as u64;
+        assert_eq!(Some(responses), sched.closed.map(|c| c + 1), "nothing follows the close");
     }
 }
 
@@ -509,7 +569,7 @@ fn reference_frames_a_known_exchange() {
     let cut = get("/a").len() + 5;
     let sched = Schedule {
         parsed_before_eof: Some(0),
-        shed: None,
+        ..Schedule::default()
     };
     let (bytes, closes) = reference(&stream[..cut], true, sched);
     assert_eq!(bytes, served("GET", "/a", b"", false));

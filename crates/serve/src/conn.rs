@@ -82,6 +82,9 @@ pub(crate) struct Conn {
     parked: BTreeMap<u64, Vec<u8>>,
     /// Requests handed out whose frames have not yet been emitted.
     inflight: u64,
+    /// Lowest sequence delivered with `close_after`: the last frame the
+    /// wire carries. Later frames are dropped as their turn comes.
+    close_seq: Option<u64>,
     /// A protocol error hit *after* a parse round already yielded
     /// requests; surfaced by the next round so the accepted requests are
     /// not lost.
@@ -105,6 +108,7 @@ impl Conn {
             next_write_seq: 0,
             parked: BTreeMap::new(),
             inflight: 0,
+            close_seq: None,
             deferred_error: None,
             eof: false,
             phase: ConnPhase::Open,
@@ -176,7 +180,8 @@ impl Conn {
     /// Deliver the finished frame for `seq` (in any order; frames are
     /// emitted in sequence order). `close_after` marks a response the
     /// server closes after (a worker's shed, or a drain): nothing more is
-    /// parsed.
+    /// parsed, and it is the last frame emitted. Requests already queued
+    /// behind it still complete, but their frames are dropped.
     ///
     /// Then re-run [`Conn::pump`]: the completion freed a pipeline slot,
     /// and requests beyond the cap may sit whole in `read_buf` with the
@@ -190,10 +195,11 @@ impl Conn {
         max_pipeline: u64,
         admit: &mut dyn FnMut(ParsedJob) -> bool,
     ) -> Pumped {
-        self.complete(seq, frame);
         if close_after {
             self.phase = ConnPhase::Draining;
+            self.close_seq = Some(self.close_seq.map_or(seq, |c| c.min(seq)));
         }
+        self.complete(seq, frame);
         self.pump(max_pipeline, admit)
     }
 
@@ -262,11 +268,14 @@ impl Conn {
         seq
     }
 
-    /// Park the frame for `seq`, then emit every frame whose turn it is.
+    /// Park the frame for `seq`, then emit every frame whose turn it is,
+    /// up to the close-marked one.
     fn complete(&mut self, seq: u64, frame: Vec<u8>) {
         self.parked.insert(seq, frame);
         while let Some(frame) = self.parked.remove(&self.next_write_seq) {
-            self.write_buf.extend_from_slice(&frame);
+            if self.close_seq.map_or(true, |c| self.next_write_seq <= c) {
+                self.write_buf.extend_from_slice(&frame);
+            }
             self.next_write_seq += 1;
             self.inflight -= 1;
         }
@@ -566,6 +575,27 @@ mod tests {
         }
         assert_eq!(queued, vec![0, 1, 2, 3, 4], "every buffered request must parse");
         assert_eq!(c.partial_bytes(), 0);
+    }
+
+    #[test]
+    fn close_marked_response_is_the_last_frame_on_the_wire() {
+        let mut c = Conn::new();
+        c.push_bytes(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HTTP/1.1\r\n\r\n");
+        let mut admit = |_: ParsedJob| true;
+        assert_eq!(c.pump(8, &mut admit).depth, Some(3));
+        // Completions out of order: the frame behind the close-marked one
+        // finishes first, yet never reaches the wire.
+        c.deliver(2, frame(b"c", true), false, 8, &mut admit);
+        c.deliver(1, frame(b"shed", false), true, 8, &mut admit);
+        assert_eq!(c.phase(), ConnPhase::Draining);
+        assert!(c.writable().is_empty(), "frame 0 is still owed first");
+        c.deliver(0, frame(b"a", true), false, 8, &mut admit);
+        let mut want = frame(b"a", true);
+        want.extend(frame(b"shed", false));
+        assert_eq!(c.writable(), &want[..]);
+        assert_eq!(c.inflight(), 0, "the dropped frame still completed");
+        c.advance_write(want.len());
+        assert!(c.finished());
     }
 
     #[test]

@@ -76,10 +76,7 @@ pub(crate) mod reactor;
 pub mod server;
 pub mod wal;
 
-pub use bundle::{
-    graph_fingerprint, Bundle, PrivacyStatement, BUNDLE_FORMAT, BUNDLE_VERSION,
-    MIN_BUNDLE_VERSION,
-};
+pub use bundle::{graph_fingerprint, Bundle, PrivacyStatement, BUNDLE_FORMAT, BUNDLE_VERSION};
 pub use cache::ShardedLru;
 pub use ledger::{Admission, LedgerConfig, LedgerState, TenantLedger};
 pub use metrics::Metrics;

@@ -1,9 +1,9 @@
 //! Server start-up and shutdown, the router and the request handlers.
 //!
 //! [`start`] binds the listener and hands it to the epoll front end
-//! ([`crate::reactor`], Linux only): one reactor thread owns accept and
-//! socket I/O with HTTP/1.1 keep-alive and pipelining, and a worker pool
-//! runs every parsed request through [`process_request`]. Load is shed
+//! (`reactor`, Linux only): one reactor thread owns accept and socket I/O
+//! with HTTP/1.1 keep-alive and pipelining, and a worker pool runs every
+//! parsed request through `process_request`. Load is shed
 //! with `503` at the job-queue cap (the cheapest possible point) and for
 //! any request whose *queue wait* already exceeded the deadline — a
 //! reply that can no longer arrive in time is better dropped than served
@@ -14,13 +14,13 @@
 //! accepted is ever abandoned, including a request whose bytes are still
 //! arriving when shutdown begins.
 
-use crate::bundle::{Bundle, PrivacyStatement, QuantMode};
+use crate::bundle::{Bundle, PrivacyStatement};
 use crate::cache::ShardedLru;
 use crate::http::Request;
 use crate::ledger::{Admission, TenantLedger};
 use crate::metrics::{endpoint_index, render_ledger_section, Metrics};
 use crate::wal::{FsyncPolicy, WalWriter};
-use privim_gnn::{node_features, GnnModel, GraphTensors, QuantGnnModel};
+use privim_gnn::{node_features, GnnModel, GraphTensors};
 use privim_graph::NodeId;
 use privim_im::{ic_spread_estimate, LazyGreedy};
 use privim_rt::fsio;
@@ -130,11 +130,6 @@ pub(crate) struct Shared {
     /// compaction snapshots re-pack both (a snapshot is a full re-pack
     /// of the loaded bundle).
     model: GnnModel,
-    /// Int8 serving model and storage mode of the loaded bundle: a
-    /// `model_q8` bundle's embed pass runs the integer path, and
-    /// compaction re-packs in the same mode it loaded.
-    quant: Option<QuantGnnModel>,
-    mode: QuantMode,
     privacy: PrivacyStatement,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) deadline: Duration,
@@ -241,8 +236,6 @@ pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
         wal,
         durability,
         model: bundle.model,
-        quant: bundle.quant,
-        mode: bundle.mode,
         privacy: bundle.privacy,
         graph: bundle.graph,
         fingerprint: bundle.fingerprint,
@@ -415,14 +408,7 @@ fn compact(shared: &Shared, writer: &mut WalWriter) {
         return;
     };
     let state = ledger.state();
-    let doc = crate::bundle::pack_parts_in_mode(
-        &shared.model,
-        shared.quant.as_ref(),
-        shared.mode,
-        &shared.privacy,
-        &shared.graph,
-        Some(&state),
-    );
+    let doc = crate::bundle::pack_parts(&shared.model, &shared.privacy, &shared.graph, Some(&state));
     let snapshot_ok =
         fsio::atomic_write_durable(bundle_path, doc.to_json_string().as_bytes()).is_ok();
     if snapshot_ok && writer.reset().is_ok() {
@@ -614,17 +600,12 @@ fn handle_seeds(req: &Request, shared: &Shared) -> PrivimResult<Value> {
 /// function of the `(model, graph)` pair, both immutable for the
 /// server's lifetime, and the scores are post-processing of the released
 /// DP model, so computing them once changes no response and spends no
-/// privacy. Concurrent first callers block on the one pass. An int8
-/// bundle serves through the quantized model, everything else through
-/// the dense one.
+/// privacy. Concurrent first callers block on the one pass.
 fn embed_scores(shared: &Shared) -> &[f64] {
     shared.scores.get_or_init(|| {
         let tensors = GraphTensors::new(&shared.graph);
         let features = node_features(&shared.graph);
-        match &shared.quant {
-            Some(q) => q.infer(&tensors, &features),
-            None => shared.model.infer(&tensors, &features),
-        }
+        shared.model.infer(&tensors, &features)
     })
 }
 

@@ -8,7 +8,7 @@
 //! covered in `tests/reactor.rs`.
 
 use privim::ServeArtifact;
-use privim_gnn::{GnnConfig, GnnModel, QuantGnnModel};
+use privim_gnn::{GnnConfig, GnnModel};
 use privim_graph::Graph;
 use privim_im::{celf_exact, ic_spread_estimate};
 use privim_rt::json::Value;
@@ -42,7 +42,7 @@ fn test_bundle(seed: u64) -> (bundle::Bundle, Graph, GnnModel) {
 }
 
 /// Same bundle, but packed metered: a per-tenant budget ledger rides in
-/// the (version 2) bundle.
+/// the bundle.
 fn test_bundle_with_ledger(seed: u64, ledger: LedgerConfig) -> bundle::Bundle {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let g = privim_graph::generators::barabasi_albert(120, 3, &mut rng)
@@ -197,91 +197,69 @@ fn responses_are_bit_identical_to_library_calls() {
 }
 
 /// Concurrent embeds through a live server are byte-identical to each
-/// other and exactly equal to the library's `score_graph` of the model the
-/// bundle serves: the dense model, the int8 model's integer path, or the
-/// f16-decoded dense model. `/metrics` counts every one of them.
+/// other and exactly equal to the library's `score_graph` of the bundled
+/// model. `/metrics` counts every one of them.
 #[test]
 fn concurrent_embeds_match_score_graph_and_metrics_count_them() {
-    let (_, g, model) = test_bundle(2);
-    let privacy = bundle::PrivacyStatement {
-        epsilon: Some(2.0),
-        delta: 1e-4,
-        sigma: 1.5,
-        steps: 80,
-    };
-    let q = QuantGnnModel::from_model(&model);
-    let docs = [
-        ("dense", bundle::pack_parts(&model, &privacy, &g, None)),
-        ("int8", bundle::pack_parts_q8(&q, &privacy, &g, None)),
-        ("f16", bundle::pack_parts_f16(&model, &privacy, &g, None)),
-    ];
+    let (b, g, _) = test_bundle(2);
     let all_nodes = format!(
         "{{\"nodes\": [{}]}}",
         (0..g.num_nodes()).map(|v| v.to_string()).collect::<Vec<_>>().join(", ")
     );
-    for (mode, doc) in docs {
-        let b = bundle::load(doc.to_json_string().as_bytes()).unwrap();
-        let expected = match &b.quant {
-            Some(q) => q.score_graph(&g),
-            None => b.model.score_graph(&g),
-        };
-        if mode == "int8" {
-            assert_ne!(expected, model.score_graph(&g), "int8 must serve the integer path");
-        }
-        let cfg = ServeConfig {
-            workers: 8,
-            ..ServeConfig::default()
-        };
-        let handle = start(b, cfg).unwrap();
-        let port = handle.port();
+    let expected = b.model.score_graph(&g);
+    let cfg = ServeConfig {
+        workers: 8,
+        ..ServeConfig::default()
+    };
+    let handle = start(b, cfg).unwrap();
+    let port = handle.port();
 
-        // 6 simultaneous embeds race for the first forward pass.
-        let n = 6;
-        let barrier = Arc::new(Barrier::new(n));
-        let threads: Vec<_> = (0..n)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let body = all_nodes.clone();
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    request(port, "POST", "/v1/embed", &body)
-                })
+    // 6 simultaneous embeds race for the first forward pass.
+    let n = 6;
+    let barrier = Arc::new(Barrier::new(n));
+    let threads: Vec<_> = (0..n)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            let body = all_nodes.clone();
+            std::thread::spawn(move || {
+                barrier.wait();
+                request(port, "POST", "/v1/embed", &body)
             })
-            .collect();
-        let responses: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-        for (status, body) in &responses {
-            assert_eq!(*status, 200, "{mode}: {body}");
-            assert_eq!(body, &responses[0].1, "{mode}: concurrent embeds diverged");
-        }
-        let v = Value::parse(&responses[0].1).unwrap();
-        let rows = v.get("scores").and_then(|s| s.as_array()).unwrap();
-        assert_eq!(rows.len(), g.num_nodes());
-        for row in rows {
-            let pair = row.as_array().unwrap();
-            let node = pair[0].as_usize().unwrap();
-            assert_eq!(pair[1].as_f64(), Some(expected[node]), "{mode}: node {node}");
-        }
-
-        let (status, text) = request(port, "GET", "/metrics", "");
-        assert_eq!(status, 200);
-        let counter = |name: &str| metrics::parse_counter(&text, name);
-        assert_eq!(
-            counter("privim_requests_total{endpoint=\"embed\"}"),
-            Some(n as u64)
-        );
-        // the 2xx counter covers the embed requests plus this /metrics read's
-        // predecessors; at minimum the n embeds are there
-        assert!(counter("privim_responses_total{class=\"2xx\"}").unwrap() >= n as u64);
-
-        // Durability counters are always exposed (zero on a journal-less
-        // server) so dashboards can alert on them without a config change.
-        assert_eq!(counter("privim_wal_appends_total"), Some(0));
-        assert_eq!(counter("privim_wal_append_failures_total"), Some(0));
-        assert_eq!(counter("privim_wal_compactions_total"), Some(0));
-        assert_eq!(counter("privim_wal_compaction_failures_total"), Some(0));
-
-        handle.shutdown();
+        })
+        .collect();
+    let responses: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    for (status, body) in &responses {
+        assert_eq!(*status, 200, "{body}");
+        assert_eq!(body, &responses[0].1, "concurrent embeds diverged");
     }
+    let v = Value::parse(&responses[0].1).unwrap();
+    let rows = v.get("scores").and_then(|s| s.as_array()).unwrap();
+    assert_eq!(rows.len(), g.num_nodes());
+    for row in rows {
+        let pair = row.as_array().unwrap();
+        let node = pair[0].as_usize().unwrap();
+        assert_eq!(pair[1].as_f64(), Some(expected[node]), "node {node}");
+    }
+
+    let (status, text) = request(port, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let counter = |name: &str| metrics::parse_counter(&text, name);
+    assert_eq!(
+        counter("privim_requests_total{endpoint=\"embed\"}"),
+        Some(n as u64)
+    );
+    // the 2xx counter covers the embed requests plus this /metrics read's
+    // predecessors; at minimum the n embeds are there
+    assert!(counter("privim_responses_total{class=\"2xx\"}").unwrap() >= n as u64);
+
+    // Durability counters are always exposed (zero on a journal-less
+    // server) so dashboards can alert on them without a config change.
+    assert_eq!(counter("privim_wal_appends_total"), Some(0));
+    assert_eq!(counter("privim_wal_append_failures_total"), Some(0));
+    assert_eq!(counter("privim_wal_compactions_total"), Some(0));
+    assert_eq!(counter("privim_wal_compaction_failures_total"), Some(0));
+
+    handle.shutdown();
 }
 
 /// The score vector is computed once, but admission is not: every

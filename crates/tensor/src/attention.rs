@@ -1,10 +1,10 @@
 //! Graph attention over per-node scores (GAT/GRAT, Appendix G Eqs. 33–40).
 //!
 //! [`attend`] is the one forward kernel behind the training tape's
-//! [`crate::Tape::attend`] op and the tape-free inference of both the dense
-//! and the int8 model. It reads the per-node scores `s_dst = hw·a_dst` and
-//! `s_src = hw·a_src` (`n×1`) and per-arc scalars only: no `E×hidden`
-//! buffer is built. [`attend_backward`] is the tape op's backward. It
+//! [`crate::Tape::attend`] op and the model's tape-free inference. It reads
+//! the per-node scores `s_dst = hw·a_dst` and `s_src = hw·a_src` (`n×1`)
+//! and per-arc scalars only: no `E×hidden` buffer is built.
+//! `attend_backward` is the tape op's backward. It
 //! reproduces, operation for operation, the gradients of the gather →
 //! contract → leaky-ReLU → segment-softmax → scale → scatter chain the op
 //! replaced (DESIGN.md §10.5).

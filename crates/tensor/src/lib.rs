@@ -35,13 +35,11 @@ pub mod init;
 pub mod matrix;
 pub mod optim;
 pub mod pool;
-pub mod quant;
 pub mod simd;
 pub mod sparse;
 pub mod tape;
 
 pub use matrix::Matrix;
 pub use optim::{Adam, GradClip, Optimizer, Sgd};
-pub use quant::QuantWeights;
 pub use sparse::SparseMatrix;
 pub use tape::{Gradients, Tape, Var};

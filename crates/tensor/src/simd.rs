@@ -21,9 +21,6 @@
 //!   (`[l0,l1]`,`[l2,l3]`) whose vertical add + horizontal fold produces
 //!   the identical combine; AVX2 holds all four in one register and
 //!   extracts low/high halves the same way.
-//! * **Integer kernels** ([`idot`]) accumulate exactly (i8×i8 products in
-//!   i32 never overflow for the dimensions we serve), so any summation
-//!   order gives the same bits; SIMD lane layout is unconstrained.
 //!
 //! Together: results are bit-identical across `PRIVIM_SIMD` settings,
 //! thread counts and architectures — pinned by `tests/determinism.rs`.
@@ -840,59 +837,6 @@ unsafe fn sumsq_neon(a: &[f64]) -> f64 {
     t
 }
 
-// ---------------------------------------------------------------------
-// Integer dot (quantized inference). Exact arithmetic: i8×i8 products
-// accumulated in i32 cannot overflow below ~2^16 terms, and integer
-// addition is associative — any lane layout gives identical bits.
-// ---------------------------------------------------------------------
-
-/// `Σ a[i]·b[i]` over `i8` operands, exact in `i32`.
-pub fn idot(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert!(a.len() < (1 << 16), "i32 accumulator headroom");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if active() == Backend::Avx2 && is_x86_feature_detected!("avx2") {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernel indexes strictly below min(len)")
-            return unsafe { idot_avx2(a, b) };
-        }
-    }
-    idot_scalar(a, b)
-}
-
-fn idot_scalar(a: &[i8], b: &[i8]) -> i32 {
-    a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect avx2 per unsafe-audit; 16-byte loads stay below min(len) and each madd term is ≤ 2·127² so the i32 lanes cannot overflow for len < 2^16")
-unsafe fn idot_avx2(a: &[i8], b: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
-    let n16 = n & !15;
-    let mut acc = _mm256_setzero_si256();
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut i = 0;
-    while i < n16 {
-        let av = _mm256_cvtepi8_epi16(_mm_loadu_si128(pa.add(i) as *const __m128i));
-        let bv = _mm256_cvtepi8_epi16(_mm_loadu_si128(pb.add(i) as *const __m128i));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-        i += 16;
-    }
-    let lo = _mm256_castsi256_si128(acc);
-    let hi = _mm256_extracti128_si256::<1>(acc);
-    let v = _mm_add_epi32(lo, hi);
-    let v = _mm_add_epi32(v, _mm_shuffle_epi32::<0b_01_00_11_10>(v));
-    let v = _mm_add_epi32(v, _mm_shuffle_epi32::<0b_00_00_00_01>(v));
-    let mut t = _mm_cvtsi128_si32(v);
-    for j in n16..n {
-        t += a[j] as i32 * b[j] as i32;
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -958,18 +902,6 @@ mod tests {
                 for (g, &w) in got_scale.iter().zip(&a) {
                     assert_eq!(g.to_bits(), (w * 0.3).to_bits(), "scale {c:?} n={n}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn idot_matches_exact_integer_reference() {
-        for n in [0, 1, 15, 16, 17, 31, 32, 100, 257] {
-            let a: Vec<i8> = (0..n).map(|i| ((i * 37) % 255) as i8).collect();
-            let b: Vec<i8> = (0..n).map(|i| ((i * 91 + 13) % 255) as i8).collect();
-            let want: i32 = a.iter().zip(&b).map(|(&x, &y)| x as i32 * y as i32).sum();
-            for c in backends_under_test() {
-                assert_eq!(with_backend(c, || idot(&a, &b)), want, "{c:?} n={n}");
             }
         }
     }

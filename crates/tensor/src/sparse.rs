@@ -209,7 +209,7 @@ impl SparseMatrix {
     /// the backward pass of [`Self::spmm`] with respect to the dense input.
     ///
     /// Runs as a row-parallel [`Self::spmm`] over the cached transpose
-    /// ([`Self::transposed`]): each output row is owned by one worker, and
+    /// (`transposed`): each output row is owned by one worker, and
     /// the ascending source-row order inside every transposed row
     /// reproduces the scatter loop's accumulation order exactly, so the
     /// result is bit-identical to the historical serial kernel.

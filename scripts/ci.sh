@@ -48,6 +48,11 @@ echo "archived results/lint-simd.json results/lint-pool.json"
 echo "== offline release build (all targets)"
 cargo build --release --offline --all-targets
 
+echo "== rustdoc (every intra-doc link must resolve)"
+# A deletion that leaves a doc link to a removed or private item behind
+# fails here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== offline tests (workspace)"
 cargo test -q --offline --workspace
 

@@ -551,49 +551,3 @@ fn served_embed_response_byte_identical_across_simd_backends() {
         "served /v1/embed bytes diverged between scalar and auto backends"
     );
 }
-
-/// Quantization round-trip error bounds through the public API: int8
-/// dequantization stays within half a quantization step per element, f16
-/// re-encoding is the identity, and the quantized model's served
-/// probabilities track the dense model closely.
-#[test]
-fn quantization_round_trip_errors_are_bounded() {
-    let mut rng = ChaCha8Rng::seed_from_u64(909);
-    let w = random_matrix(24, 17, &mut rng);
-    let q = privim_tensor::QuantWeights::quantize(&w);
-    let d = q.dequantize();
-    for j in 0..w.cols() {
-        let absmax = (0..w.rows()).map(|i| w.get(i, j).abs()).fold(0.0, f64::max);
-        let half_step = absmax / 127.0 / 2.0;
-        for i in 0..w.rows() {
-            let err = (w.get(i, j) - d.get(i, j)).abs();
-            assert!(
-                err <= half_step * (1.0 + 1e-12),
-                "col {j} row {i}: err {err} exceeds half-step {half_step}"
-            );
-        }
-    }
-    // f16 storage: decoding is exact, so re-encoding any finite or
-    // infinite binary16 value reproduces it bit-for-bit (this is what
-    // makes f16 bundle compaction lossless).
-    for h in [0u16, 1, 0x0400, 0x3C00, 0x7BFF, 0x8001, 0xBC00, 0x7C00, 0xFC00] {
-        assert_eq!(
-            privim_tensor::quant::f16_encode(privim_tensor::quant::f16_decode(h)),
-            h,
-            "f16 re-encode not identity for {h:#06x}"
-        );
-    }
-    // Model level: int8 inference tracks dense inference within a small
-    // probability drift (scores are sigmoid outputs in [0, 1]).
-    let g = generators::barabasi_albert(80, 3, &mut rng).with_uniform_weights(1.0);
-    let model = GnnModel::new(privim_gnn::GnnConfig::paper_default(), &mut rng);
-    let dense = model.score_graph(&g);
-    let quant = privim_gnn::QuantGnnModel::from_model(&model).score_graph(&g);
-    for (n, (a, b)) in dense.iter().zip(&quant).enumerate() {
-        assert!(
-            (a - b).abs() < 0.05,
-            "node {n}: quantized probability drifted {} from dense",
-            (a - b).abs()
-        );
-    }
-}
