@@ -19,11 +19,12 @@
 //! benchmark. This is the determinism contract of `privim_tensor::simd`
 //! (DESIGN.md §14) being re-proved on the bench's own inputs.
 //!
-//! Two cases time the DP-SGD step's own shapes: `matvec` (the `n×32 ·
-//! 32×1` score and readout product, whose width-1 panels skip the SIMD
-//! dispatch) and `grat_sample_grad`, one paper-default GRAT forward plus
-//! backward under the Eq. 5 loss on a train-star-sized (35 nodes) and a
-//! train-hp-sized (6 nodes) subgraph.
+//! The rest time the DP-SGD step's own shapes: `matvec` (the `n×32 ·
+//! 32×1` score and readout product, which runs the kernel's scalar column
+//! tail), one 70-node sample's three dense products (`h·W`, `hᵀ·d` through
+//! `matmul_tn`, and `d·Wᵀ`), and `grat_sample_grad`, one paper-default
+//! GRAT forward plus backward under the Eq. 5 loss on a train-star-sized
+//! (35 nodes) and a train-hp-sized (6 nodes) subgraph.
 //!
 //! All wall-clock reads go through `privim_rt::bench::time_iters` (the
 //! workspace's single timing point, per the `wall-clock` lint rule).
@@ -361,6 +362,13 @@ fn main() {
     let grads: Vec<Matrix> = (0..2).map(|_| random_matrix(cm, cm, &mut rng)).collect();
     let hw = random_matrix(gn, 32, &mut rng);
     let a_vec = random_matrix(32, 1, &mut rng);
+    // One train-star-sized sample's dense products: post-ReLU activations
+    // `h` (about half exact zeros, which the kernel's zero-skip sees), the
+    // layer weight `w`, and an upstream gradient `d` with the same zeros.
+    let ps = 70;
+    let ph = random_matrix(ps, 32, &mut rng).map(|x| x.max(0.0));
+    let pw = random_matrix(32, 32, &mut rng);
+    let pd = random_matrix(ps, 32, &mut rng).hadamard(&ph.map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
     let star = grat_sample(35, 2, &mut rng);
     let hp = grat_sample(6, 1, &mut rng);
     let arcs = |s: &(GraphTensors, Matrix, GnnModel)| format!("n={} E={}", s.0.n, s.0.att_src.len());
@@ -446,7 +454,31 @@ fn main() {
             iters,
             Some(&|| naive_matmul(&hw, &a_vec)),
             &|| hw.matmul(&a_vec),
-            Some("width-1 panels take the inlined mul-then-add, so backends are at parity by design"),
+            Some("width-1 output takes the kernel's scalar column tail, so backends are at parity by design"),
+        ),
+        run_case(
+            "matmul",
+            format!("{ps}x32x32"),
+            iters * 500,
+            Some(&|| naive_matmul(&ph, &pw)),
+            &|| ph.matmul(&pw),
+            Some("per-sample forward h·W: one register-blocked gemm call"),
+        ),
+        run_case(
+            "matmul_tn",
+            format!("{ps}x32ᵀ·{ps}x32"),
+            iters * 500,
+            Some(&|| naive_matmul(&naive_transpose(&ph), &pd)),
+            &|| ph.matmul_tn(&pd),
+            Some("per-sample weight gradient hᵀ·d: the kernel reads h by column, no transpose"),
+        ),
+        run_case(
+            "matmul_d_wt",
+            format!("{ps}x32·(32x32)ᵀ"),
+            iters * 500,
+            Some(&|| naive_matmul(&pd, &naive_transpose(&pw))),
+            &|| pd.matmul(&pw.transpose()),
+            Some("per-sample input gradient d·Wᵀ, including the 32x32 transpose of W"),
         ),
         run_case(
             "grat_sample_grad",

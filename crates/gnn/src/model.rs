@@ -356,7 +356,7 @@ impl GnnModel {
         assert_eq!(x.rows(), gt.n, "feature row count mismatch");
         assert_eq!(x.cols(), self.config.in_dim, "feature dim mismatch");
         let pvars: Vec<Var> = self.params.iter().map(|p| tape.leaf(p.clone())).collect();
-        let mut h = tape.leaf(x.clone());
+        let mut h = tape.constant(x.clone());
         let mut pi = 0usize;
         let gcn_id = tape.sparse_const(gt.adj_gcn.clone());
         let mean_id = tape.sparse_const(gt.adj_mean.clone());

@@ -20,10 +20,14 @@
 //! * The calling thread always executes chunk 0 itself, then **helps**:
 //!   while its remaining chunks are unfinished it drains jobs from the
 //!   queue (its own or foreign) instead of blocking. This keeps a 1-core
-//!   box truthful (no forced context switches), and makes *nested*
-//!   parallel calls deadlock-free: a worker that issues a parallel call
-//!   from inside a job drains its own sub-jobs rather than waiting on a
-//!   slot that may never free up.
+//!   box truthful (no forced context switches), and keeps concurrent
+//!   callers on different threads deadlock-free.
+//! * A parallel call issued from inside a chunk (a pool job, or the
+//!   caller's own chunk 0) runs all its chunks inline on that thread. The
+//!   outer call already occupies the pool, so splitting again would only
+//!   add queue traffic, and a thread waiting on its sub-jobs could pick up
+//!   an unrelated outer chunk meanwhile. A thread-local flag, set around
+//!   every chunk, makes the nested call split for one thread.
 //! * Completion is tracked by a per-call latch; a panicking chunk is
 //!   caught, recorded, and re-raised on the calling thread after every
 //!   sibling chunk has finished (so borrowed data is never freed while a
@@ -42,6 +46,7 @@
 //! `PRIVIM_THREADS=1` (or a single-core box) short-circuits to a plain
 //! sequential loop with zero thread overhead.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -207,6 +212,28 @@ impl Latch {
     }
 }
 
+thread_local! {
+    /// True while this thread runs a chunk of a parallel call.
+    static IN_CHUNK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a chunk until dropped, restoring
+/// the previous state even when the chunk unwinds.
+struct ChunkMark(bool);
+
+impl ChunkMark {
+    fn enter() -> ChunkMark {
+        ChunkMark(IN_CHUNK.with(|c| c.replace(true)))
+    }
+}
+
+impl Drop for ChunkMark {
+    fn drop(&mut self) {
+        let prev = self.0;
+        let _ = IN_CHUNK.try_with(|c| c.set(prev));
+    }
+}
+
 /// Execute `run_chunk(t)` for every `t in 0..chunks`: chunk 0 inline on the
 /// caller, chunks 1.. on the pool. Returns only after *every* chunk has
 /// finished, so `run_chunk` may borrow from the caller's stack. A panic in
@@ -238,6 +265,7 @@ where
         let mut q = lock(&p.queue);
         for t in 1..chunks {
             q.push_back(Box::new(move || {
+                let _mark = ChunkMark::enter();
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f_static(t))) {
                     latch_static.record_panic(payload);
                 }
@@ -249,9 +277,12 @@ where
 
     // The caller's own chunk. Deferring the unwind keeps the safety
     // argument intact: siblings still borrow the stack.
-    let mine = catch_unwind(AssertUnwindSafe(|| run_chunk(0)));
+    let mine = catch_unwind(AssertUnwindSafe(|| {
+        let _mark = ChunkMark::enter();
+        run_chunk(0)
+    }));
 
-    // Help-then-wait: drain queued jobs (ours or a nested call's) while our
+    // Help-then-wait: drain queued jobs (ours or another caller's) while our
     // chunks are outstanding; once the queue is empty every remaining chunk
     // of ours is already running on some thread, so blocking is safe.
     while !latch.is_done() {
@@ -272,9 +303,14 @@ where
 
 /// The `(threads, chunk_len)` split a parallel call over `n` items uses —
 /// shared by every primitive so the partition (and therefore the reduction
-/// order) is identical everywhere.
+/// order) is identical everywhere. Inside a chunk it is one thread: the
+/// nested call runs inline.
 fn split(n: usize) -> (usize, usize) {
-    let threads = num_threads().min(n.max(1));
+    let threads = if IN_CHUNK.with(Cell::get) {
+        1
+    } else {
+        num_threads().min(n.max(1))
+    };
     (threads, n.div_ceil(threads.max(1)))
 }
 
@@ -539,6 +575,22 @@ mod tests {
         set_threads(0);
         let expect: Vec<u64> = (0..8).map(|i| (i as u64) * 4950).collect();
         assert_eq!(outer, expect);
+    }
+
+    #[test]
+    fn nested_call_runs_on_the_outer_chunks_thread() {
+        let _g = LOCK.lock().unwrap();
+        set_threads(4);
+        // every inner item, in every outer chunk (the caller's chunk 0
+        // included), must run on the thread that runs its outer item
+        let same = map_range(8, |_| {
+            let me = std::thread::current().id();
+            map_range(16, |_| std::thread::current().id())
+                .into_iter()
+                .all(|t| t == me)
+        });
+        set_threads(0);
+        assert_eq!(same, vec![true; 8]);
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Dense row-major `f64` matrix with the arithmetic the autograd tape needs.
+//!
+//! Dense products (`matmul`, and `matmul_tn` for the backward's `Aᵀ·B`)
+//! share one register-blocked micro-kernel, [`simd::gemm`], that keeps
+//! the plain loop's per-element sequence: start at `+0.0`, add the
+//! `k`-terms in ascending order, skip exact-zero left entries.
 
 use crate::pool::{self, AlignedBuf};
 use crate::simd;
@@ -10,13 +15,6 @@ use std::fmt;
 /// them is already parallel.
 const MIN_PAR_WORK: usize = 1 << 16;
 
-/// `k`-dimension tile for [`Matrix::matmul`]: one rhs panel of `KB` rows is
-/// swept repeatedly while it is cache-hot.
-const KB: usize = 64;
-
-/// `j`-dimension (output width) tile for [`Matrix::matmul`].
-const JB: usize = 256;
-
 /// Square tile edge for the blocked [`Matrix::transpose`].
 const TB: usize = 32;
 
@@ -24,9 +22,10 @@ const TB: usize = 32;
 ///
 /// Sized for PrivIM's workload (≤ a few hundred thousand rows × 32
 /// columns). Backing buffers come from the thread-local [`pool`] (64-byte
-/// aligned, so the [`simd`] backends never take a split load), and the
-/// heavy kernels (`matmul`, `transpose`) are cache-blocked and
-/// row-parallel on `privim_rt::par` — each output row is produced by
+/// aligned, so the [`simd`] backends never take a split load). The heavy
+/// kernels are row-parallel on `privim_rt::par`: `matmul` and
+/// `matmul_tn` run the register-blocked [`simd::gemm`] micro-kernel, and
+/// `transpose` copies square tiles. Each output row is produced by
 /// exactly one worker with a chunk-independent accumulation order, so
 /// results are bit-identical at any thread count *and* any `PRIVIM_SIMD`
 /// backend (see the determinism contract in [`simd`]).
@@ -217,67 +216,49 @@ impl Matrix {
 
     /// Matrix product `self × rhs`. Panics on inner-dimension mismatch.
     ///
-    /// Cache-blocked (`KB × JB` tiles over the rhs) and row-parallel: big
-    /// products split their output rows into one contiguous chunk per pool
-    /// worker. Every output element accumulates its `k`-terms in the same
-    /// fixed order (tile-major, ascending) no matter how rows are
-    /// partitioned, so the result is bit-identical at any thread count.
+    /// Runs the register-blocked [`simd::gemm`] micro-kernel, row-parallel
+    /// for big products: output rows are split into one contiguous chunk
+    /// per pool worker. Every output element starts at `+0.0` and adds its
+    /// `k`-terms in ascending order, skipping exact-zero `self` entries, no
+    /// matter how rows are partitioned or which SIMD backend runs, so the
+    /// result is bit-identical at any thread count.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul {}x{} × {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
+        self.product(rhs, self.rows, self.cols, 1)
+    }
+
+    /// Transposed-operand product `selfᵀ × rhs`, bit-identical to
+    /// `self.transpose().matmul(rhs)` without building the transpose: the
+    /// kernel reads `self` column by column. Panics on row-count mismatch.
+    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(
+            self.rows, rhs.rows,
+            "matmul_tn ({}x{})ᵀ × {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        self.product(rhs, self.cols, 1, self.cols)
+    }
+
+    /// `m×n` product of `rhs` with the left operand read from `self` at
+    /// `(row stride, column stride) = (rs, cs)`.
+    fn product(&self, rhs: &Matrix, m: usize, rs: usize, cs: usize) -> Matrix {
+        let n = rhs.cols;
         let mut out = Matrix::zeros(m, n);
-        if m == 0 || k == 0 || n == 0 {
+        if m == 0 || rhs.rows == 0 || n == 0 {
             return out;
         }
-        if m * k * n < MIN_PAR_WORK || privim_rt::par::num_threads() <= 1 {
-            self.matmul_rows(rhs, 0, &mut out.data);
+        if m * rhs.rows * n < MIN_PAR_WORK || privim_rt::par::num_threads() <= 1 {
+            simd::gemm(&mut out.data, &self.data, rs, cs, &rhs.data, n);
         } else {
             privim_rt::par::for_each_row_chunk(&mut out.data, n, |r0, chunk| {
-                self.matmul_rows(rhs, r0, chunk);
+                simd::gemm(chunk, &self.data[r0 * rs..], rs, cs, &rhs.data, n);
             });
         }
         out
-    }
-
-    /// Tiled ikj kernel for output rows `r0 .. r0 + out_chunk.len()/n`.
-    fn matmul_rows(&self, rhs: &Matrix, r0: usize, out_chunk: &mut [f64]) {
-        let k = self.cols;
-        let n = rhs.cols;
-        let rows = out_chunk.len() / n;
-        for kk in (0..k).step_by(KB) {
-            let kend = (kk + KB).min(k);
-            for jj in (0..n).step_by(JB) {
-                let jend = (jj + JB).min(n);
-                for i in 0..rows {
-                    let arow = &self.data[(r0 + i) * k..(r0 + i + 1) * k];
-                    let orow = &mut out_chunk[i * n + jj..i * n + jend];
-                    for (kx, &aik) in arow[kk..kend].iter().enumerate() {
-                        // privim-lint: allow(float-eq, reason = "exact-zero sparsity skip: 0.0 * bkj contributes exactly nothing, so skipping only IEEE zeros is lossless")
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let bbase = (kk + kx) * n;
-                        let brow = &rhs.data[bbase + jj..bbase + jend];
-                        // elementwise axpy: each output element keeps its
-                        // k-ascending accumulation order on every backend.
-                        // Panels narrower than one 4-lane vector (the
-                        // `hidden×1` score and readout products) inline the
-                        // same mul-then-add instead of paying the dispatch.
-                        if orow.len() < 4 {
-                            for (o, &b) in orow.iter_mut().zip(brow) {
-                                *o += aik * b;
-                            }
-                        } else {
-                            simd::axpy(orow, aik, brow);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Transpose (blocked `TB × TB` tiles; large matrices are parallel over
@@ -535,6 +516,98 @@ mod tests {
             let b = test_matrix(k, n, 2);
             assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{m}x{k}x{n}");
         }
+    }
+
+    fn assert_bits(what: &str, got: &Matrix, want: &Matrix) {
+        for (idx, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: element {idx}: {g:?} vs {w:?}"
+            );
+        }
+    }
+
+    /// Seeded operands: `special` entries at rate 1/4, the rest uniform.
+    fn seeded(
+        rows: usize,
+        cols: usize,
+        special: &[f64],
+        rng: &mut privim_rt::ChaCha8Rng,
+    ) -> Matrix {
+        use privim_rt::Rng;
+        let data = (0..rows * cols)
+            .map(|_| {
+                if !special.is_empty() && rng.gen_range(0..4) == 0 {
+                    special[rng.gen_range(0..special.len())]
+                } else {
+                    rng.gen::<f64>() * 4.0 - 2.0
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    #[test]
+    fn gemm_matches_the_zero_skipping_reference_bitwise_on_every_backend() {
+        use crate::simd::{set_backend, Choice};
+        use privim_rt::SeedableRng;
+        let mut rng = privim_rt::ChaCha8Rng::seed_from_u64(18);
+        let a_special = [
+            0.0,
+            -0.0,
+            5e-324,
+            -2.2e-308,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let b_special = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let choices = [
+            Choice::Scalar,
+            Choice::Sse2,
+            Choice::Avx2,
+            Choice::Neon,
+            Choice::Auto,
+        ];
+        let check = |a: &Matrix, at: &Matrix, b: &Matrix, what: &str| {
+            let want = naive_matmul(a, b);
+            for c in choices {
+                set_backend(Some(c));
+                assert_bits(&format!("matmul {what} {c:?}"), &a.matmul(b), &want);
+                assert_bits(&format!("matmul_tn {what} {c:?}"), &at.matmul_tn(b), &want);
+            }
+            set_backend(None);
+        };
+        for m in 1..=9 {
+            for k in [0, 1, 3, 31, 32, 33, 64, 65, 70] {
+                for n in [1, 3, 4, 5, 7, 8, 9, 16, 17, 32, 33] {
+                    let a = seeded(m, k, &a_special, &mut rng);
+                    let at = a.transpose();
+                    // finite b runs the register blocks, b with inf/NaN
+                    // the element-wise loop
+                    for special in [&[][..], &b_special[..]] {
+                        let b = seeded(k, n, special, &mut rng);
+                        check(
+                            &a,
+                            &at,
+                            &b,
+                            &format!("{m}x{k}x{n} b_special={}", !special.is_empty()),
+                        );
+                    }
+                }
+            }
+        }
+        // the parallel path: 101 rows in chunks of 34, 34 and 33, so the
+        // last chunk ends on a single-row tail
+        privim_rt::par::set_threads(3);
+        let a = seeded(101, 70, &a_special, &mut rng);
+        let at = a.transpose();
+        for special in [&[][..], &b_special[..]] {
+            let b = seeded(70, 33, special, &mut rng);
+            check(&a, &at, &b, "101x70x33 at 3 threads");
+        }
+        privim_rt::par::set_threads(0);
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   (`[l0,l1]`,`[l2,l3]`) whose vertical add + horizontal fold produces
 //!   the identical combine; AVX2 holds all four in one register and
 //!   extracts low/high halves the same way.
+//! * **The dense product** ([`gemm`]) gives each output element the
+//!   sequence of the plain zero-skipping loop: `+0.0`, then its terms in
+//!   ascending `k`, each a multiply then an add. It is one portable body,
+//!   compiled per backend through `#[target_feature]`.
 //!
 //! Together: results are bit-identical across `PRIVIM_SIMD` settings,
 //! thread counts and architectures — pinned by `tests/determinism.rs`.
@@ -208,7 +212,7 @@ pub fn detected_features() -> String {
 // axpy: y[i] += a * x[i]  (elementwise — trivially backend-invariant)
 // ---------------------------------------------------------------------
 
-/// `y[i] += a * x[i]`. The matmul/SpMM micro-kernel inner loop.
+/// `y[i] += a * x[i]`. The SpMM, attention-scatter and optimizer inner loop.
 pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     debug_assert_eq!(y.len(), x.len());
     #[cfg(target_arch = "x86_64")]
@@ -835,6 +839,159 @@ unsafe fn sumsq_neon(a: &[f64]) -> f64 {
         t += x * x;
     }
     t
+}
+
+// ---------------------------------------------------------------------
+// gemm: register-blocked dense product with a strided left operand
+// ---------------------------------------------------------------------
+
+/// Dense product micro-kernel behind `Matrix::matmul` and
+/// `Matrix::matmul_tn`: for every row `i < out.len() / n` and column
+/// `j < n`,
+///
+/// `out[i·n + j] = Σ_k a[i·rs + k·cs] · b[k·n + j]`, `k` over the
+/// `b.len() / n` rows of `b`.
+///
+/// `A` is read through a (row stride, column stride) pair: `(k, 1)` is a
+/// row-major `m×k` matrix, `(1, m)` is the transpose of a row-major `k×m`
+/// one, so `Aᵀ·B` needs no transposed copy. Every output element starts
+/// at `+0.0` and adds its terms in ascending `k`, each an IEEE multiply
+/// then an add (never an FMA), and an exact-zero `A` entry adds nothing.
+/// That is the sequence of the plain `i → k → j` loop that skips zero
+/// `A` entries, so the result is bit-identical on every backend and for
+/// every row partition (DESIGN.md §14). `out` is overwritten.
+pub fn gemm(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
+    if n == 0 || b.is_empty() {
+        out.fill(0.0);
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        match active() {
+            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
+            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { gemm_avx2(out, a, rs, cs, b, n) },
+            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
+            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { gemm_sse2(out, a, rs, cs, b, n) },
+            _ => {}
+        }
+    }
+    #[cfg(target_arch = "aarch64")]
+    {
+        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
+            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
+            return unsafe { gemm_neon(out, a, rs, cs, b, n) };
+        }
+    }
+    gemm_body(out, a, rs, cs, b, n)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect avx2 per unsafe-audit; the body is safe code, so every access is bounds-checked")
+unsafe fn gemm_avx2(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
+    gemm_body(out, a, rs, cs, b, n)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect sse2 per unsafe-audit; the body is safe code, so every access is bounds-checked")
+unsafe fn gemm_sse2(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
+    gemm_body(out, a, rs, cs, b, n)
+}
+
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect neon per unsafe-audit; the body is safe code, so every access is bounds-checked")
+unsafe fn gemm_neon(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
+    gemm_body(out, a, rs, cs, b, n)
+}
+
+/// Output rows of one [`gemm`] register block.
+const MR: usize = 2;
+
+/// Output columns of one [`gemm`] register block: with `MR` this is 8
+/// AVX2 (16 SSE2/NEON) accumulator registers, kept across the whole `k`
+/// loop.
+const NR: usize = 16;
+
+/// The one kernel body, instantiated per backend: blocks of `MR` rows
+/// (then single rows for the `m % MR` tail), each swept by
+/// [`gemm_rows`].
+///
+/// The zero-skip costs nothing in the blocked columns. If every `b` entry
+/// is finite, a zero `A` entry's product is a signed zero, and under
+/// round-to-nearest a sum is `−0.0` only if both addends are, so an
+/// accumulator that starts at `+0.0` is never `−0.0` and adding a signed
+/// zero leaves it bit-unchanged: skipping and adding agree. Only an
+/// infinite or NaN `b` entry breaks that (`0 · ∞ = NaN`), and then every
+/// column takes the element-wise loop, which skips explicitly.
+#[inline(always)]
+fn gemm_body(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
+    let m = out.len() / n;
+    let finite = b.iter().fold(true, |ok, v| ok & v.is_finite());
+    let nb = if finite { n - n % NR } else { 0 };
+    let mut i = 0;
+    while i + MR <= m {
+        gemm_rows::<MR>(
+            &mut out[i * n..(i + MR) * n],
+            &a[i * rs..],
+            rs,
+            cs,
+            b,
+            n,
+            nb,
+        );
+        i += MR;
+    }
+    while i < m {
+        gemm_rows::<1>(&mut out[i * n..(i + 1) * n], &a[i * rs..], rs, cs, b, n, nb);
+        i += 1;
+    }
+}
+
+/// `R` output rows: every `NR`-column block below `nb` keeps its
+/// `R × NR` accumulators in registers across the whole `k` loop; the
+/// columns from `nb` on run the same sequence one element at a time,
+/// skipping exact-zero `A` entries.
+#[inline(always)]
+fn gemm_rows<const R: usize>(
+    out: &mut [f64],
+    a: &[f64],
+    rs: usize,
+    cs: usize,
+    b: &[f64],
+    n: usize,
+    nb: usize,
+) {
+    let k = b.len() / n;
+    for j in (0..nb).step_by(NR) {
+        let mut acc = [[0.0f64; NR]; R];
+        for kk in 0..k {
+            let brow = &b[kk * n + j..kk * n + j + NR];
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = a[r * rs + kk * cs];
+                for (o, &bv) in acc_r.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            out[r * n + j..r * n + j + NR].copy_from_slice(acc_r);
+        }
+    }
+    for r in 0..R {
+        for j in nb..n {
+            let mut s = 0.0;
+            for kk in 0..k {
+                let av = a[r * rs + kk * cs];
+                // privim-lint: allow(float-eq, reason = "exact-zero skip: 0.0 · b contributes nothing, so skipping only IEEE zeros is lossless")
+                if av != 0.0 {
+                    s += av * b[kk * n + j];
+                }
+            }
+            out[r * n + j] = s;
+        }
+    }
 }
 
 #[cfg(test)]

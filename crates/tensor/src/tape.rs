@@ -43,6 +43,7 @@ pub struct Var(usize);
 #[derive(Clone, Debug)]
 enum Op {
     Leaf,
+    Const,
     MatMul(Var, Var),
     Add(Var, Var),
     Sub(Var, Var),
@@ -161,10 +162,17 @@ impl Tape {
         Var(self.nodes.len() - 1)
     }
 
-    /// Register a constant / parameter matrix. Gradients flow *to* leaves
-    /// but not through them.
+    /// Register a parameter matrix. Gradients flow *to* leaves but not
+    /// through them.
     pub fn leaf(&mut self, value: Matrix) -> Var {
         self.push(Op::Leaf, value)
+    }
+
+    /// Register an input that receives no gradient (the node features).
+    /// A product with a constant left operand skips its `dA`, and
+    /// [`Gradients::wrt`] reports zeros for it.
+    pub fn constant(&mut self, value: Matrix) -> Var {
+        self.push(Op::Const, value)
     }
 
     /// Register a sparse constant for use with [`Self::spmm`]. Takes an
@@ -174,7 +182,8 @@ impl Tape {
         self.sparse.len() - 1
     }
 
-    /// `a × b`. Backward: `dA += dC·Bᵀ`, `dB += Aᵀ·dC`.
+    /// `a × b`. Backward: `dA += dC·Bᵀ` (skipped for a constant `a`),
+    /// `dB += Aᵀ·dC` ([`Matrix::matmul_tn`], no transposed copy of `A`).
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).matmul(self.value(b));
         self.push(Op::MatMul(a, b), v)
@@ -377,17 +386,19 @@ impl Tape {
 
         for id in (0..=loss.0).rev() {
             // Interior gradients are consumed (moved out); leaves keep
-            // theirs for the caller.
+            // theirs for the caller. A constant's is taken and dropped.
             let is_leaf = matches!(self.nodes[id].op, Op::Leaf);
             let Some(d) = (if is_leaf { None } else { grads[id].take() }) else {
                 continue;
             };
             match &self.nodes[id].op {
-                Op::Leaf => {}
+                Op::Leaf | Op::Const => {}
                 Op::MatMul(a, b) => {
-                    let da = d.matmul(&self.value(*b).transpose());
-                    let db = self.value(*a).transpose().matmul(&d);
-                    acc(&mut grads, a.0, da);
+                    if !matches!(self.nodes[a.0].op, Op::Const) {
+                        let da = d.matmul(&self.value(*b).transpose());
+                        acc(&mut grads, a.0, da);
+                    }
+                    let db = self.value(*a).matmul_tn(&d);
                     acc(&mut grads, b.0, db);
                 }
                 Op::Add(a, b) => {
@@ -539,6 +550,44 @@ mod tests {
         let g = t.backward(l);
         assert_eq!(g.wrt(a).data(), &[3.0, 4.0]);
         assert_eq!(g.wrt(b).data(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn constant_input_keeps_parameter_gradients_and_gets_none() {
+        // sum(sigmoid(relu(x·W1)·W2)) with x as a leaf, then as a constant
+        let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0], &[0.0, 1.5, -0.5], &[1.0, 0.0, 0.25]]);
+        let w1 = Matrix::from_rows(&[
+            &[0.3, -0.2, 0.1, 0.7],
+            &[-0.4, 0.9, 0.0, 0.2],
+            &[0.6, 0.1, -0.8, 0.5],
+        ]);
+        let w2 = Matrix::from_rows(&[&[0.5], &[-1.0], &[0.25], &[2.0]]);
+        let run = |constant: bool| {
+            let mut t = Tape::new();
+            let xv = if constant {
+                t.constant(x.clone())
+            } else {
+                t.leaf(x.clone())
+            };
+            let (p1, p2) = (t.leaf(w1.clone()), t.leaf(w2.clone()));
+            let h = t.matmul(xv, p1);
+            let h = t.relu(h);
+            let o = t.matmul(h, p2);
+            let o = t.sigmoid(o);
+            let l = t.sum(o);
+            let g = t.backward(l);
+            (g.wrt(p1), g.wrt(p2), g.wrt(xv))
+        };
+        let (w1_leaf, w2_leaf, x_leaf) = run(false);
+        let (w1_const, w2_const, x_const) = run(true);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&w1_leaf), bits(&w1_const));
+        assert_eq!(bits(&w2_leaf), bits(&w2_const));
+        assert!(
+            x_leaf.data().iter().any(|&v| v != 0.0),
+            "a leaf input gets its gradient"
+        );
+        assert_eq!(x_const, Matrix::zeros(3, 3), "a constant gets none");
     }
 
     #[test]

@@ -65,6 +65,14 @@ echo "== offline tests (workspace, PRIVIM_SIMD=scalar)"
 # numeric assertions on the fallback path.
 PRIVIM_SIMD=scalar cargo test -q --offline --workspace
 
+echo "== offline tests (tensor, gnn, golden bits, determinism; PRIVIM_SIMD=sse2)"
+# The dense-product kernel (simd::gemm) is instantiated once per backend,
+# and the two legs above run only the auto (AVX2 here) and scalar ones.
+# This leg puts the SSE2 instantiation against the kernel property test
+# and the golden training hashes. NEON cannot run on an x86-64 box.
+PRIVIM_SIMD=sse2 cargo test -q --offline -p privim-tensor -p privim-gnn
+PRIVIM_SIMD=sse2 cargo test -q --offline --test golden_training_bits --test determinism
+
 echo "== bench smoke (kernel harness + bit-identity assertions, tiny sizes)"
 # bench_kernels asserts SIMD/tiled/parallel kernels match their scalar
 # and naive references bitwise before timing anything; --smoke proves
