@@ -20,11 +20,15 @@
 //! (DESIGN.md §14) being re-proved on the bench's own inputs.
 //!
 //! The rest time the DP-SGD step's own shapes: `matvec` (the `n×32 ·
-//! 32×1` score and readout product, which runs the kernel's scalar column
-//! tail), one 70-node sample's three dense products (`h·W`, `hᵀ·d` through
-//! `matmul_tn`, and `d·Wᵀ`), and `grat_sample_grad`, one paper-default
-//! GRAT forward plus backward under the Eq. 5 loss on a train-star-sized
-//! (35 nodes) and a train-hp-sized (6 nodes) subgraph.
+//! 32×1` score and readout product, which runs the kernel's
+//! row-interleaved column tail) on a full graph and on one 70-node
+//! sample, that sample's dense products (`h·W`, `hᵀ·d` and its width-1
+//! form `hᵀ·g` through `matmul_tn`, and `d·Wᵀ`), `matmul` at 512 and 1024
+//! rows (either side of `MIN_PAR_WORK`, where `par4` starts to pay),
+//! `attend_backward` (one GRAT attention layer's backward at n = 70,
+//! against a naive copy of its scalar loops), and `grat_sample_grad`, one
+//! paper-default GRAT forward plus backward under the Eq. 5 loss on a
+//! train-star-sized (35 nodes) and a train-hp-sized (6 nodes) subgraph.
 //!
 //! All wall-clock reads go through `privim_rt::bench::time_iters` (the
 //! workspace's single timing point, per the `wall-clock` lint rule).
@@ -40,7 +44,7 @@ use privim_graph::generators;
 use privim_rt::bench::time_iters;
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
-use privim_tensor::{simd, GradClip, Matrix, SparseMatrix, Tape};
+use privim_tensor::{attention, simd, GradClip, Matrix, SparseMatrix, Tape};
 
 /// Seed-era dense kernel: plain `i → k → j` scalar loop with the zero-skip.
 /// Term order per output element is k-ascending, exactly like the blocked
@@ -113,6 +117,65 @@ fn naive_spmm_transpose(s: &SparseMatrix, dense: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// The attention backward as it was before its finite-`g` fast path: the
+/// scalar loops of `attention::attend_backward`, with the exact-zero skip
+/// in the `∂a_dst`/`∂a_src` sums. Returns `[∂hw | ∂a_dst | ∂a_src]`
+/// flattened into one row for GRAT's source normalisation, upstream `d`.
+fn naive_attend_backward(
+    hw: &Matrix,
+    a_dst: &Matrix,
+    a_src: &Matrix,
+    src: &[u32],
+    dst: &[u32],
+    d: &Matrix,
+) -> Matrix {
+    let (s_dst, s_src) = (naive_matmul(hw, a_dst), naive_matmul(hw, a_src));
+    let (_, alpha) = attention::attend(hw, &s_dst, &s_src, src, dst, false);
+    let alpha = alpha.data();
+    let mut g: Vec<f64> = src
+        .iter()
+        .zip(dst)
+        .map(|(&s, &t)| {
+            let (dr, hr) = (d.row(t as usize), hw.row(s as usize));
+            dr.iter().zip(hr).fold(0.0, |acc, (&dv, &h)| acc + (0.0 + dv) * h)
+        })
+        .collect();
+    let mut dot = vec![0.0; hw.rows()];
+    for ((&k, &gi), &a) in src.iter().zip(&g).zip(alpha) {
+        dot[k as usize] += gi * a;
+    }
+    for (i, gi) in g.iter_mut().enumerate() {
+        let ds = alpha[i] * (*gi - dot[src[i] as usize]);
+        let raw = s_dst.data()[dst[i] as usize] + s_src.data()[src[i] as usize];
+        *gi = if raw > 0.0 { ds } else { 0.2 * ds };
+    }
+    let mut ga_dst = vec![0.0; hw.cols()];
+    let mut ga_src = vec![0.0; hw.cols()];
+    for ((&s, &t), &gi) in src.iter().zip(dst).zip(&g) {
+        for (acc, row) in [(&mut ga_dst, t), (&mut ga_src, s)] {
+            for (o, &v) in acc.iter_mut().zip(hw.row(row as usize)) {
+                if v != 0.0 {
+                    *o += v * gi;
+                }
+            }
+        }
+    }
+    let mut dhw = Matrix::zeros(hw.rows(), hw.cols());
+    for (&t, &gi) in dst.iter().zip(&g) {
+        for (o, &a) in dhw.row_mut(t as usize).iter_mut().zip(a_dst.data()) {
+            *o += 0.0 + gi * a;
+        }
+    }
+    for (i, (&s, &t)) in src.iter().zip(dst).enumerate() {
+        let row = dhw.row_mut(s as usize);
+        for ((o, &dv), &a) in row.iter_mut().zip(d.row(t as usize)).zip(a_src.data()) {
+            *o += (0.0 + dv) * alpha[i] + (0.0 + g[i] * a);
+        }
+    }
+    let flat: Vec<f64> = dhw.data().iter().chain(&ga_dst).chain(&ga_src).copied().collect();
+    Matrix::from_vec(1, flat.len(), flat)
 }
 
 fn random_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
@@ -369,6 +432,21 @@ fn main() {
     let ph = random_matrix(ps, 32, &mut rng).map(|x| x.max(0.0));
     let pw = random_matrix(32, 32, &mut rng);
     let pd = random_matrix(ps, 32, &mut rng).hadamard(&ph.map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
+    let (pm512, pm1024) = (random_matrix(512, 32, &mut rng), random_matrix(1024, 32, &mut rng));
+    let pv = random_matrix(32, 1, &mut rng);
+    let pg = random_matrix(ps, 1, &mut rng);
+    // One n = 70 GRAT attention layer: arcs with self-loops, scores wide
+    // enough that α is far from uniform, and a masked upstream gradient.
+    let att = GraphTensors::new(&generators::barabasi_albert(ps, 2, &mut rng));
+    let (att_src, att_dst) = (att.att_src.clone(), att.att_dst.clone());
+    let (ahw, ad) = (random_matrix(ps, 32, &mut rng), pd.clone());
+    let (a_dst, a_src) = (random_matrix(32, 1, &mut rng).scale(4.0), random_matrix(32, 1, &mut rng).scale(4.0));
+    let mut att_tape = Tape::new();
+    let att_vars = [att_tape.leaf(ahw.clone()), att_tape.leaf(a_dst.clone()), att_tape.leaf(a_src.clone())];
+    let agg = att_tape.attend(att_vars[0], att_vars[1], att_vars[2], att_src.clone(), att_dst.clone(), false);
+    let upstream = att_tape.constant(ad.clone());
+    let weighted = att_tape.mul(agg, upstream);
+    let att_loss = att_tape.sum(weighted);
     let star = grat_sample(35, 2, &mut rng);
     let hp = grat_sample(6, 1, &mut rng);
     let arcs = |s: &(GraphTensors, Matrix, GnnModel)| format!("n={} E={}", s.0.n, s.0.att_src.len());
@@ -454,7 +532,7 @@ fn main() {
             iters,
             Some(&|| naive_matmul(&hw, &a_vec)),
             &|| hw.matmul(&a_vec),
-            Some("width-1 output takes the kernel's scalar column tail, so backends are at parity by design"),
+            Some("width-1 output takes the kernel's row-interleaved column tail: scalar chains, backends near parity"),
         ),
         run_case(
             "matmul",
@@ -465,12 +543,58 @@ fn main() {
             Some("per-sample forward h·W: one register-blocked gemm call"),
         ),
         run_case(
+            "matmul",
+            "512x32x32".to_string(),
+            iters * 50,
+            Some(&|| naive_matmul(&pm512, &pw)),
+            &|| pm512.matmul(&pw),
+            Some("2^19 multiply-adds, below MIN_PAR_WORK (serial at par4): pool dispatch was within noise of serial here"),
+        ),
+        run_case(
+            "matmul",
+            "1024x32x32".to_string(),
+            iters * 50,
+            Some(&|| naive_matmul(&pm1024, &pw)),
+            &|| pm1024.matmul(&pw),
+            Some("2^20 multiply-adds, MIN_PAR_WORK: the first size split onto the pool, where par4 won every run"),
+        ),
+        run_case(
             "matmul_tn",
             format!("{ps}x32ᵀ·{ps}x32"),
             iters * 500,
             Some(&|| naive_matmul(&naive_transpose(&ph), &pd)),
             &|| ph.matmul_tn(&pd),
             Some("per-sample weight gradient hᵀ·d: the kernel reads h by column, no transpose"),
+        ),
+        run_case(
+            "matvec",
+            format!("{ps}x32x1"),
+            iters * 500,
+            Some(&|| naive_matmul(&ph, &pv)),
+            &|| ph.matmul(&pv),
+            Some("per-sample score/readout product h·a: the kernel's row-interleaved column tail"),
+        ),
+        run_case(
+            "matmul_tn",
+            format!("{ps}x32ᵀ·{ps}x1"),
+            iters * 500,
+            Some(&|| naive_matmul(&naive_transpose(&ph), &pg)),
+            &|| ph.matmul_tn(&pg),
+            Some("per-sample score/readout weight gradient hᵀ·g: the column tail reading h by column"),
+        ),
+        run_case(
+            "attend_backward",
+            format!("n={ps} E={}", att_src.len()),
+            iters * 200,
+            Some(&|| naive_attend_backward(&ahw, &a_dst, &a_src, &att_src, &att_dst, &ad)),
+            &|| {
+                // the tape's backward through sum and mul hands attend
+                // exactly `ad` (1.0 · ad) as its upstream gradient
+                let grads = att_tape.backward(att_loss);
+                let flat: Vec<f64> = att_vars.iter().flat_map(|&v| grads.wrt(v).data().to_vec()).collect();
+                Matrix::from_vec(1, flat.len(), flat)
+            },
+            Some("one GRAT attention layer's backward (Tape::attend), plus the sum/mul backward feeding it"),
         ),
         run_case(
             "matmul_d_wt",

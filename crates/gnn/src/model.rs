@@ -369,8 +369,7 @@ impl GnnModel {
                     pi += 2;
                     let agg = tape.spmm(gcn_id, h);
                     let lin = tape.matmul(agg, w);
-                    let biased = tape.add_row_broadcast(lin, b);
-                    tape.relu(biased)
+                    tape.bias_relu(lin, b)
                 }
                 GnnKind::GraphSage => {
                     let (w, b) = (pvars[pi], pvars[pi + 1]);
@@ -378,8 +377,7 @@ impl GnnModel {
                     let m = tape.spmm(mean_id, h);
                     let cat = tape.concat_cols(h, m);
                     let lin = tape.matmul(cat, w);
-                    let biased = tape.add_row_broadcast(lin, b);
-                    tape.relu(biased)
+                    tape.bias_relu(lin, b)
                 }
                 GnnKind::Gat | GnnKind::Grat => {
                     let (w, a_dst, a_src, b) =
@@ -398,8 +396,7 @@ impl GnnModel {
                     // source-normalised attention (Eq. 37-40) preserves
                     // magnitude by itself.
                     let agg_out = if gat { tape.add(agg, hw) } else { agg };
-                    let biased = tape.add_row_broadcast(agg_out, b);
-                    tape.relu(biased)
+                    tape.bias_relu(agg_out, b)
                 }
                 GnnKind::Gin => {
                     let (w1, b1, w2, b2, eps) = (
@@ -416,11 +413,9 @@ impl GnnModel {
                     let scaled_self = tape.mul_col_broadcast(eps_col, h);
                     let pre = tape.add(neigh, scaled_self);
                     let l1 = tape.matmul(pre, w1);
-                    let l1b = tape.add_row_broadcast(l1, b1);
-                    let a1 = tape.relu(l1b);
+                    let a1 = tape.bias_relu(l1, b1);
                     let l2 = tape.matmul(a1, w2);
-                    let l2b = tape.add_row_broadcast(l2, b2);
-                    tape.relu(l2b)
+                    tape.bias_relu(l2, b2)
                 }
             };
         }
@@ -464,12 +459,12 @@ impl GnnModel {
             h = match config.kind {
                 GnnKind::Gcn => {
                     pi += 2;
-                    relu(&add_bias(&gt.adj_gcn.spmm(&h).matmul(&w[p]), &w[p + 1]))
+                    gt.adj_gcn.spmm(&h).matmul(&w[p]).bias_relu(&w[p + 1])
                 }
                 GnnKind::GraphSage => {
                     pi += 2;
                     let m = gt.adj_mean.spmm(&h);
-                    relu(&add_bias(&h.concat_cols(&m).matmul(&w[p]), &w[p + 1]))
+                    h.concat_cols(&m).matmul(&w[p]).bias_relu(&w[p + 1])
                 }
                 GnnKind::Gat | GnnKind::Grat => {
                     pi += 4;
@@ -483,14 +478,14 @@ impl GnnModel {
                     if gat {
                         agg.add_assign(&hw);
                     }
-                    relu(&add_bias(&agg, &w[p + 3]))
+                    agg.bias_relu(&w[p + 3])
                 }
                 GnnKind::Gin => {
                     pi += 5;
                     let mut pre = gt.adj_sum.spmm(&h);
                     pre.add_scaled_assign(&h, 1.0 + w[p + 4].get(0, 0));
-                    let a1 = relu(&add_bias(&pre.matmul(&w[p]), &w[p + 1]));
-                    relu(&add_bias(&a1.matmul(&w[p + 2]), &w[p + 3]))
+                    let a1 = pre.matmul(&w[p]).bias_relu(&w[p + 1]);
+                    a1.matmul(&w[p + 2]).bias_relu(&w[p + 3])
                 }
             };
         }
@@ -522,10 +517,6 @@ impl GnnModel {
         let x = crate::features::node_features(g);
         self.infer(&gt, &x)
     }
-}
-
-fn relu(m: &Matrix) -> Matrix {
-    m.map(|x| x.max(0.0))
 }
 
 fn add_bias(m: &Matrix, b: &Matrix) -> Matrix {
@@ -633,7 +624,7 @@ pub(crate) mod tests {
             if gat {
                 agg.add_assign(&hw);
             }
-            h = relu(&add_bias(&agg, &model.params[pi + 3]));
+            h = agg.bias_relu(&model.params[pi + 3]);
         }
         model.readout(&h)
     }

@@ -103,8 +103,24 @@ mod tests {
             let b = small_matrix(1, 3, rng);
             assert_gradients_match(&[a, b], 1e-6, |t, v| {
                 let y = t.add_row_broadcast(v[0], v[1]);
-                let r = t.relu(y);
-                t.sum(r)
+                let s = t.sigmoid(y);
+                t.sum(s)
+            });
+        });
+    }
+
+    #[test]
+    fn bias_relu_gradcheck() {
+        for_cases(24, |rng| {
+            let a = small_matrix(4, 3, rng);
+            let b = small_matrix(1, 3, rng);
+            // keep every pre-activation away from the kink at 0
+            let pre = a.add(&Matrix::from_vec(4, 3, b.data().repeat(4)));
+            let a = a.zip(&pre, |x, p| if p.abs() < 0.05 { x + 0.1 } else { x });
+            assert_gradients_match(&[a, b], 1e-6, |t, v| {
+                let y = t.bias_relu(v[0], v[1]);
+                let s = t.tanh(y);
+                t.sum(s)
             });
         });
     }
@@ -235,7 +251,8 @@ mod tests {
         // kink differs — verifies the harness can detect discrepancies.
         let x = Matrix::from_rows(&[&[1.0, -1.0]]);
         let err = max_gradient_error(&[x], 1e-5, |t, v| {
-            let r = t.relu(v[0]);
+            let zero = t.constant(Matrix::zeros(1, 2));
+            let r = t.bias_relu(v[0], zero);
             t.sum(r)
         });
         assert!(err < 1e-6, "away from the kink relu must check out: {err}");

@@ -9,11 +9,20 @@ use crate::pool::{self, AlignedBuf};
 use crate::simd;
 use std::fmt;
 
-/// Fused multiply-adds (or element writes) below which a kernel stays on
-/// the calling thread: pool dispatch costs microseconds, and the tiny
-/// per-sample matrices of DP-SGD must not pay it. The batch loop above
-/// them is already parallel.
-const MIN_PAR_WORK: usize = 1 << 16;
+/// Fused multiply-adds below which a dense product stays on the calling
+/// thread: pool dispatch costs microseconds, and the tiny per-sample
+/// matrices of DP-SGD must not pay it. The batch loop above them is
+/// already parallel. On a 2-vCPU VM, `bench_kernels` timed an
+/// `m×32·32×32` product slower at `par4` than serially at m = 70, within
+/// noise of it at m = 512 (2^19 multiply-adds), and faster in every run
+/// at m = 1024 (2^20): the threshold is the first size that wins.
+const MIN_PAR_WORK: usize = 1 << 20;
+
+/// Element writes below which [`Matrix::transpose`] stays on the calling
+/// thread. A memory-bound copy has its own crossover, not yet measured,
+/// so this keeps the value both kernels shared before the product's was
+/// measured.
+const MIN_PAR_TRANSPOSE: usize = 1 << 16;
 
 /// Square tile edge for the blocked [`Matrix::transpose`].
 const TB: usize = 32;
@@ -269,7 +278,7 @@ impl Matrix {
         if self.rows == 0 || self.cols == 0 {
             return out;
         }
-        if self.rows * self.cols < MIN_PAR_WORK || privim_rt::par::num_threads() <= 1 {
+        if self.rows * self.cols < MIN_PAR_TRANSPOSE || privim_rt::par::num_threads() <= 1 {
             self.transpose_rows(0, &mut out.data);
         } else {
             privim_rt::par::for_each_row_chunk(&mut out.data, self.rows, |c0, chunk| {
@@ -335,6 +344,22 @@ impl Matrix {
             cols: self.cols,
             data,
         }
+    }
+
+    /// Hidden-layer activation `max(self + bias, 0)` with `bias` a `1×cols`
+    /// row added to every row: one pass, the bits of a bias add followed
+    /// by a ReLU. The training tape ([`crate::Tape::bias_relu`]) and
+    /// tape-free inference both call it.
+    pub fn bias_relu(&self, bias: &Matrix) -> Matrix {
+        assert_eq!(bias.rows, 1, "bias must be a row vector");
+        assert_eq!(self.cols, bias.cols, "bias width mismatch");
+        let mut out = self.clone();
+        for row in out.data.chunks_exact_mut(self.cols.max(1)) {
+            for (x, &b) in row.iter_mut().zip(bias.data.iter()) {
+                *x = (*x + b).max(0.0);
+            }
+        }
+        out
     }
 
     /// Scale by a constant.
@@ -523,7 +548,9 @@ mod tests {
             assert_eq!(
                 g.to_bits(),
                 w.to_bits(),
-                "{what}: element {idx}: {g:?} vs {w:?}"
+                "{what}: element {idx}: {g:?} vs {w:?} ({:#x} vs {:#x})",
+                g.to_bits(),
+                w.to_bits()
             );
         }
     }
@@ -553,6 +580,9 @@ mod tests {
         use crate::simd::{set_backend, Choice};
         use privim_rt::SeedableRng;
         let mut rng = privim_rt::ChaCha8Rng::seed_from_u64(18);
+        // finite specials keep the unskipped blocks and the row-interleaved
+        // tail in play; infinities and NaN send a call down the skipping loop
+        let a_finite = [0.0, -0.0, 5e-324, -2.2e-308];
         let a_special = [
             0.0,
             -0.0,
@@ -579,33 +609,35 @@ mod tests {
             }
             set_backend(None);
         };
-        for m in 1..=9 {
+        // m: every count up to 9, two full groups of 8 tail rows plus
+        // 4 + 1, and the n = 70 sample; n: the 1- and 2-column tails, tails
+        // of every width class, a full 16-column block, and blocks plus a
+        // tail
+        for m in (1..=9).chain([12, 16, 17, 21, 23, 70]) {
             for k in [0, 1, 3, 31, 32, 33, 64, 65, 70] {
-                for n in [1, 3, 4, 5, 7, 8, 9, 16, 17, 32, 33] {
-                    let a = seeded(m, k, &a_special, &mut rng);
-                    let at = a.transpose();
-                    // finite b runs the register blocks, b with inf/NaN
-                    // the element-wise loop
-                    for special in [&[][..], &b_special[..]] {
-                        let b = seeded(k, n, special, &mut rng);
-                        check(
-                            &a,
-                            &at,
-                            &b,
-                            &format!("{m}x{k}x{n} b_special={}", !special.is_empty()),
-                        );
+                for n in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32, 33] {
+                    for (sa, a_sp) in [("finite", &a_finite[..]), ("special", &a_special[..])] {
+                        let a = seeded(m, k, a_sp, &mut rng);
+                        let at = a.transpose();
+                        for special in [&[][..], &b_special[..]] {
+                            let b = seeded(k, n, special, &mut rng);
+                            let sb = !special.is_empty();
+                            check(&a, &at, &b, &format!("{m}x{k}x{n} a={sa} b_special={sb}"));
+                        }
                     }
                 }
             }
         }
-        // the parallel path: 101 rows in chunks of 34, 34 and 33, so the
-        // last chunk ends on a single-row tail
+        // the parallel path: 1001 rows (above MIN_PAR_WORK) in chunks of
+        // 334, 334 and 333, so the last chunk ends on a single-row tail
         privim_rt::par::set_threads(3);
-        let a = seeded(101, 70, &a_special, &mut rng);
-        let at = a.transpose();
-        for special in [&[][..], &b_special[..]] {
-            let b = seeded(70, 33, special, &mut rng);
-            check(&a, &at, &b, "101x70x33 at 3 threads");
+        for a_sp in [&a_finite[..], &a_special[..]] {
+            let a = seeded(1001, 70, a_sp, &mut rng);
+            let at = a.transpose();
+            for special in [&[][..], &b_special[..]] {
+                let b = seeded(70, 33, special, &mut rng);
+                check(&a, &at, &b, "1001x70x33 at 3 threads");
+            }
         }
         privim_rt::par::set_threads(0);
     }
@@ -621,6 +653,57 @@ mod tests {
             }
         }
         assert_eq!(t.transpose(), a);
+    }
+
+    #[test]
+    fn parallel_kernels_are_bit_identical_across_thread_counts() {
+        // each operand is above its kernel's dispatch threshold, so 2 and
+        // 7 threads take the pool path that 1 thread skips
+        let a = test_matrix(1100, 32, 5);
+        let b = test_matrix(32, 32, 6);
+        let at = test_matrix(32, 1100, 7);
+        let small = test_matrix(300, 250, 8);
+        let big = test_matrix(1100, 960, 9);
+        assert!(a.rows() * a.cols() * b.cols() >= MIN_PAR_WORK);
+        assert!(small.data().len() >= MIN_PAR_TRANSPOSE && big.data().len() >= MIN_PAR_WORK);
+        let run = |threads: usize| {
+            privim_rt::par::set_threads(threads);
+            let out = [
+                a.matmul(&b),
+                at.matmul_tn(&b),
+                small.transpose(),
+                big.transpose(),
+            ];
+            privim_rt::par::set_threads(0);
+            out
+        };
+        let want = run(1);
+        assert_bits("matmul at 1 thread", &want[0], &naive_matmul(&a, &b));
+        assert_bits(
+            "matmul_tn at 1 thread",
+            &want[1],
+            &naive_matmul(&at.transpose(), &b),
+        );
+        for (t, m) in [(&want[2], &small), (&want[3], &big)] {
+            assert_eq!(t.shape(), (m.cols(), m.rows()));
+            for r in 0..m.rows() {
+                for c in 0..m.cols() {
+                    assert_eq!(t.get(c, r).to_bits(), m.get(r, c).to_bits());
+                }
+            }
+        }
+        for threads in [2, 7] {
+            let got = run(threads);
+            let kernels = [
+                "matmul",
+                "matmul_tn",
+                "transpose 300x250",
+                "transpose 1100x960",
+            ];
+            for ((name, g), w) in kernels.iter().zip(&got).zip(&want) {
+                assert_bits(&format!("{name} at {threads} threads"), g, w);
+            }
+        }
     }
 
     #[test]

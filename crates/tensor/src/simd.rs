@@ -25,9 +25,21 @@
 //!   sequence of the plain zero-skipping loop: `+0.0`, then its terms in
 //!   ascending `k`, each a multiply then an add. It is one portable body,
 //!   compiled per backend through `#[target_feature]`.
+//! * **Portable bodies** (the crate-internal `Kernel` trait and
+//!   `dispatch`): a loop nest written once in plain Rust and compiled per
+//!   backend the same way — `gemm`, and the attention forward scatter and
+//!   backward. The compiler only vectorizes across independent elements
+//!   and never fuses or reassociates, so each element's operations are
+//!   those of the scalar loop. Only finite inputs take the per-backend
+//!   builds; an infinity or a NaN sends the call to one build shared by
+//!   every backend, because where two NaNs of different bits meet, the
+//!   result follows the operand order a build happens to pick.
 //!
 //! Together: results are bit-identical across `PRIVIM_SIMD` settings,
 //! thread counts and architectures — pinned by `tests/determinism.rs`.
+//! The hand-written elementwise kernels are the one exception left: an
+//! `axpy` or `add_assign` that adds two NaNs of different bits may return
+//! either one, depending on the build.
 //!
 //! All loads are unaligned-tolerant (`loadu`); the allocation side
 //! ([`crate::pool`]) hands out 64-byte-aligned buffers so the unaligned
@@ -842,6 +854,101 @@ unsafe fn sumsq_neon(a: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
+// Portable loop bodies, compiled once per backend
+// ---------------------------------------------------------------------
+
+/// A loop nest written once in plain Rust and compiled once per backend
+/// by [`dispatch`], whose `#[target_feature]` wrappers the body is
+/// inlined into (so `run` must be `#[inline(always)]`). The compiler then
+/// vectorizes its loops over independent elements at that backend's
+/// width. Rust never fuses a multiply and an add and never reassociates a
+/// floating-point sum, so lanes only change which elements go through the
+/// ALU together, and every operation's operands are the same on every
+/// backend.
+///
+/// Its result bits still depend on the build in one case: an add or a
+/// multiply that meets two NaNs of different bits returns one of them,
+/// and which one follows the operand order the compiler picks for that
+/// build. With every input finite that cannot happen: a NaN can then only
+/// come from an invalid operation (`∞ − ∞`, `0 · ∞`), and every such NaN
+/// is the architecture's one default NaN. So a body is only dispatched on
+/// finite inputs ([`all_finite`]); inputs holding an infinity or a NaN go
+/// to [`run_baseline`], one build shared by every backend.
+pub(crate) trait Kernel {
+    /// What the body returns.
+    type Output;
+    /// The body; must be `#[inline(always)]`.
+    fn run(self) -> Self::Output;
+}
+
+/// Run `k` compiled for the active backend.
+pub(crate) fn dispatch<K: Kernel>(k: K) -> K::Output {
+    #[cfg(target_arch = "x86_64")]
+    {
+        match active() {
+            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
+            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { run_avx2(k) },
+            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
+            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { run_sse2(k) },
+            _ => {}
+        }
+    }
+    #[cfg(target_arch = "aarch64")]
+    {
+        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
+            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
+            return unsafe { run_neon(k) };
+        }
+    }
+    k.run()
+}
+
+/// Run `k` compiled once for the baseline target, whatever the active
+/// backend: the path for a [`Kernel`] whose inputs are not all finite.
+#[inline(never)]
+pub(crate) fn run_baseline<K: Kernel>(k: K) -> K::Output {
+    k.run()
+}
+
+/// Whether every entry of `x` is finite. `v · 0` is a signed zero for a
+/// finite `v` and NaN for an infinity or a NaN, so eight running sums of
+/// it stay finite exactly when every entry is. The baseline target has no
+/// 64-bit integer compare for the vectorized `is_finite`, and these float
+/// sums ran about 2.4× faster than it on 2 240 entries.
+pub(crate) fn all_finite(x: &[f64]) -> bool {
+    let mut acc = [0.0f64; 8];
+    let chunks = x.chunks_exact(8);
+    let rest = chunks.remainder();
+    for c in chunks {
+        for (a, &v) in acc.iter_mut().zip(c) {
+            *a += v * 0.0;
+        }
+    }
+    acc.iter().chain(rest).fold(0.0, |s, &v| s + v * 0.0).is_finite()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect avx2 per unsafe-audit; the body is safe code, so every access is bounds-checked")
+unsafe fn run_avx2<K: Kernel>(k: K) -> K::Output {
+    k.run()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect sse2 per unsafe-audit; the body is safe code, so every access is bounds-checked")
+unsafe fn run_sse2<K: Kernel>(k: K) -> K::Output {
+    k.run()
+}
+
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect neon per unsafe-audit; the body is safe code, so every access is bounds-checked")
+unsafe fn run_neon<K: Kernel>(k: K) -> K::Output {
+    k.run()
+}
+
+// ---------------------------------------------------------------------
 // gemm: register-blocked dense product with a strided left operand
 // ---------------------------------------------------------------------
 
@@ -860,50 +967,34 @@ unsafe fn sumsq_neon(a: &[f64]) -> f64 {
 /// That is the sequence of the plain `i → k → j` loop that skips zero
 /// `A` entries, so the result is bit-identical on every backend and for
 /// every row partition (DESIGN.md §14). `out` is overwritten.
+///
+/// # Panics
+/// If neither stride is 1: those are the only two layouts.
 pub fn gemm(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
+    assert!(rs == 1 || cs == 1, "gemm: A must be row-major or transposed");
     if n == 0 || b.is_empty() {
         out.fill(0.0);
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
-            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { gemm_avx2(out, a, rs, cs, b, n) },
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
-            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { gemm_sse2(out, a, rs, cs, b, n) },
-            _ => {}
-        }
+    dispatch(Gemm { out, a, rs, cs, b, n })
+}
+
+/// [`gemm`]'s operands, as one [`Kernel`].
+struct Gemm<'a> {
+    out: &'a mut [f64],
+    a: &'a [f64],
+    rs: usize,
+    cs: usize,
+    b: &'a [f64],
+    n: usize,
+}
+
+impl Kernel for Gemm<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        gemm_body(self.out, self.a, self.rs, self.cs, self.b, self.n)
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
-            return unsafe { gemm_neon(out, a, rs, cs, b, n) };
-        }
-    }
-    gemm_body(out, a, rs, cs, b, n)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect avx2 per unsafe-audit; the body is safe code, so every access is bounds-checked")
-unsafe fn gemm_avx2(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
-    gemm_body(out, a, rs, cs, b, n)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect sse2 per unsafe-audit; the body is safe code, so every access is bounds-checked")
-unsafe fn gemm_sse2(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
-    gemm_body(out, a, rs, cs, b, n)
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect neon per unsafe-audit; the body is safe code, so every access is bounds-checked")
-unsafe fn gemm_neon(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
-    gemm_body(out, a, rs, cs, b, n)
 }
 
 /// Output rows of one [`gemm`] register block.
@@ -914,47 +1005,65 @@ const MR: usize = 2;
 /// loop.
 const NR: usize = 16;
 
-/// The one kernel body, instantiated per backend: blocks of `MR` rows
-/// (then single rows for the `m % MR` tail), each swept by
-/// [`gemm_rows`].
+/// Output rows whose `k`-chains run interleaved in the column tail.
+const TR: usize = 8;
+
+/// The one kernel body, instantiated per backend.
 ///
-/// The zero-skip costs nothing in the blocked columns. If every `b` entry
-/// is finite, a zero `A` entry's product is a signed zero, and under
-/// round-to-nearest a sum is `−0.0` only if both addends are, so an
-/// accumulator that starts at `+0.0` is never `−0.0` and adding a signed
-/// zero leaves it bit-unchanged: skipping and adding agree. Only an
-/// infinite or NaN `b` entry breaks that (`0 · ∞ = NaN`), and then every
-/// column takes the element-wise loop, which skips explicitly.
+/// No zero-skip is needed when every `A` and `b` entry is finite, which
+/// is checked once per call. A zero `A` entry's product is then a signed
+/// zero, and under round-to-nearest a sum is `−0.0` only if both addends
+/// are, so an accumulator that starts at `+0.0` is never `−0.0` and
+/// adding a signed zero leaves it bit-unchanged: skipping and adding
+/// agree. No product is NaN either, so an add never meets two NaNs, whose
+/// result's payload would depend on the operand order the compiler picks.
+/// Then blocks of `MR` rows (then a single row) sweep the `NR`-column
+/// blocks ([`gemm_block`]), and groups of `TR` rows (then 4, then single
+/// rows) sweep the `n % NR` tail columns ([`gemm_tail`]). An infinite or
+/// NaN entry anywhere sends every element through [`gemm_skipping`].
 #[inline(always)]
 fn gemm_body(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
-    let m = out.len() / n;
-    let finite = b.iter().fold(true, |ok, v| ok & v.is_finite());
-    let nb = if finite { n - n % NR } else { 0 };
-    let mut i = 0;
-    while i + MR <= m {
-        gemm_rows::<MR>(
-            &mut out[i * n..(i + MR) * n],
-            &a[i * rs..],
-            rs,
-            cs,
-            b,
-            n,
-            nb,
-        );
-        i += MR;
+    let (m, k) = (out.len() / n, b.len() / n);
+    if m == 0 {
+        return;
     }
-    while i < m {
-        gemm_rows::<1>(&mut out[i * n..(i + 1) * n], &a[i * rs..], rs, cs, b, n, nb);
-        i += 1;
+    // every A entry the product reads lies in this span
+    let span = &a[..(m - 1) * rs + (k - 1) * cs + 1];
+    if !(all_finite(b) && all_finite(span)) {
+        return gemm_skipping(out, a, rs, cs, b, n);
+    }
+    let nb = n - n % NR;
+    let mut i = 0;
+    if nb > 0 {
+        while i + MR <= m {
+            gemm_block::<MR>(&mut out[i * n..(i + MR) * n], &a[i * rs..], rs, cs, b, n, nb);
+            i += MR;
+        }
+        if i < m {
+            gemm_block::<1>(&mut out[i * n..(i + 1) * n], &a[i * rs..], rs, cs, b, n, nb);
+        }
+    }
+    if nb < n {
+        i = 0;
+        while i + TR <= m {
+            gemm_tail::<TR>(&mut out[i * n..(i + TR) * n], &a[i * rs..], rs, cs, b, n, nb);
+            i += TR;
+        }
+        if i + 4 <= m {
+            gemm_tail::<4>(&mut out[i * n..(i + 4) * n], &a[i * rs..], rs, cs, b, n, nb);
+            i += 4;
+        }
+        while i < m {
+            gemm_tail::<1>(&mut out[i * n..(i + 1) * n], &a[i * rs..], rs, cs, b, n, nb);
+            i += 1;
+        }
     }
 }
 
 /// `R` output rows: every `NR`-column block below `nb` keeps its
-/// `R × NR` accumulators in registers across the whole `k` loop; the
-/// columns from `nb` on run the same sequence one element at a time,
-/// skipping exact-zero `A` entries.
+/// `R × NR` accumulators in registers across the whole `k` loop.
 #[inline(always)]
-fn gemm_rows<const R: usize>(
+fn gemm_block<const R: usize>(
     out: &mut [f64],
     a: &[f64],
     rs: usize,
@@ -979,17 +1088,68 @@ fn gemm_rows<const R: usize>(
             out[r * n + j..r * n + j + NR].copy_from_slice(acc_r);
         }
     }
-    for r in 0..R {
-        for j in nb..n {
+}
+
+/// `R` output rows of the columns from `nb` on (the `n×32 · 32×1` score
+/// and readout products, and their `Aᵀ·d` backward): one accumulator per
+/// row, so the `R` rows' `k`-chains are in flight at once instead of one
+/// after the other. Each of [`gemm`]'s two layouts gets a loop whose
+/// slices carry their own bounds: through `matmul_tn` (`rs == 1`) the `R`
+/// entries of a `k` step are contiguous and load as vectors; through
+/// `matmul` (`cs == 1`) each row is one slice of length `k`.
+#[inline(always)]
+fn gemm_tail<const R: usize>(
+    out: &mut [f64],
+    a: &[f64],
+    rs: usize,
+    cs: usize,
+    b: &[f64],
+    n: usize,
+    nb: usize,
+) {
+    let k = b.len() / n;
+    for j in nb..n {
+        let mut acc = [0.0f64; R];
+        if rs == 1 {
+            for kk in 0..k {
+                let bv = b[kk * n + j];
+                for (o, &av) in acc.iter_mut().zip(&a[kk * cs..kk * cs + R]) {
+                    *o += av * bv;
+                }
+            }
+        } else {
+            let rows: [&[f64]; R] = std::array::from_fn(|r| &a[r * rs..r * rs + k]);
+            for kk in 0..k {
+                let bv = b[kk * n + j];
+                for (o, row) in acc.iter_mut().zip(&rows) {
+                    *o += row[kk] * bv;
+                }
+            }
+        }
+        for (r, &v) in acc.iter().enumerate() {
+            out[r * n + j] = v;
+        }
+    }
+}
+
+/// The reference sequence, element by element, skipping exact-zero `A`
+/// entries: the path for an `A` or `b` holding an infinity or a NaN. Kept
+/// out of the per-backend builds (see [`Kernel`]), so where two NaNs meet
+/// the bits are one build's on every backend.
+#[inline(never)]
+fn gemm_skipping(out: &mut [f64], a: &[f64], rs: usize, cs: usize, b: &[f64], n: usize) {
+    let k = b.len() / n;
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        for (j, o) in orow.iter_mut().enumerate() {
             let mut s = 0.0;
             for kk in 0..k {
-                let av = a[r * rs + kk * cs];
+                let av = a[i * rs + kk * cs];
                 // privim-lint: allow(float-eq, reason = "exact-zero skip: 0.0 · b contributes nothing, so skipping only IEEE zeros is lossless")
                 if av != 0.0 {
                     s += av * b[kk * n + j];
                 }
             }
-            out[r * n + j] = s;
+            *o = s;
         }
     }
 }
@@ -1058,6 +1218,24 @@ mod tests {
                 });
                 for (g, &w) in got_scale.iter().zip(&a) {
                     assert_eq!(g.to_bits(), (w * 0.3).to_bits(), "scale {c:?} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_finite_finds_every_infinity_and_nan() {
+        assert!(all_finite(&[]));
+        for len in [1, 7, 8, 9, 17, 70] {
+            let mut x = vec_pat(len, 3);
+            x[0] = f64::MAX;
+            x[len - 1] = -5e-324;
+            assert!(all_finite(&x), "len {len}");
+            for pos in 0..len {
+                for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN] {
+                    let keep = std::mem::replace(&mut x[pos], bad);
+                    assert!(!all_finite(&x), "len {len}: {bad} at {pos}");
+                    x[pos] = keep;
                 }
             }
         }

@@ -10,8 +10,9 @@
 //! (Eq. 5) require; see each constructor's docs for the backward rule:
 //!
 //! - dense: [`Tape::matmul`], [`Tape::concat_cols`],
-//!   [`Tape::add_row_broadcast`] (bias);
-//! - elementwise: add, sub, mul, scale, add_scalar, one_minus, relu,
+//!   [`Tape::add_row_broadcast`] (the readout bias) and
+//!   [`Tape::bias_relu`] (every hidden layer's bias add and ReLU, one op);
+//! - elementwise: add, sub, mul, scale, add_scalar, one_minus,
 //!   leaky_relu, sigmoid, tanh, exp, clamp01;
 //! - reductions: [`Tape::sum`], [`Tape::mean`];
 //! - message passing: [`Tape::spmm`] (GCN, SAGE, GIN and the loss's
@@ -49,9 +50,9 @@ enum Op {
     Sub(Var, Var),
     Mul(Var, Var),
     AddRowBroadcast(Var, Var),
+    BiasRelu(Var, Var),
     Scale(Var, f64),
     AddScalar(Var),
-    Relu(Var),
     LeakyRelu(Var, f64),
     Sigmoid(Var),
     Tanh(Var),
@@ -236,10 +237,15 @@ impl Tape {
         self.push(Op::AddScalar(a), v)
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0));
-        self.push(Op::Relu(a), v)
+    /// Hidden-layer activation `max(a + bias, 0)`, `bias` a `1×d` row
+    /// ([`Matrix::bias_relu`]): the bits of [`Self::add_row_broadcast`]
+    /// followed by a ReLU, in one op. Backward: the mask comes from the
+    /// stored output (`y > 0` exactly where `a + bias > 0`, NaN included),
+    /// and the bias gradient sums the masked rows in row order in the same
+    /// pass.
+    pub fn bias_relu(&mut self, a: Var, bias: Var) -> Var {
+        let v = self.value(a).bias_relu(self.value(bias));
+        self.push(Op::BiasRelu(a, bias), v)
     }
 
     /// Leaky ReLU with negative slope `alpha` (GAT/GRAT attention scores).
@@ -425,12 +431,22 @@ impl Tape {
                     acc(&mut grads, bias.0, bsum);
                     acc(&mut grads, a.0, d);
                 }
-                Op::Scale(a, c) => acc_scaled(&mut grads, a.0, &d, *c),
-                Op::AddScalar(a) => acc(&mut grads, a.0, d),
-                Op::Relu(a) => {
-                    let da = self.value(*a).zip(&d, |x, g| if x > 0.0 { g } else { 0.0 });
+                Op::BiasRelu(a, bias) => {
+                    let mut da = d;
+                    let mut bsum = Matrix::zeros(1, da.cols());
+                    let y = &self.nodes[id].value;
+                    for r in 0..da.rows() {
+                        let rows = da.row_mut(r).iter_mut().zip(y.row(r));
+                        for ((g, &yv), b) in rows.zip(bsum.data_mut()) {
+                            *g = if yv > 0.0 { *g } else { 0.0 };
+                            *b += *g;
+                        }
+                    }
+                    acc(&mut grads, bias.0, bsum);
                     acc(&mut grads, a.0, da);
                 }
+                Op::Scale(a, c) => acc_scaled(&mut grads, a.0, &d, *c),
+                Op::AddScalar(a) => acc(&mut grads, a.0, d),
                 Op::LeakyRelu(a, alpha) => {
                     let al = *alpha;
                     let da = self
@@ -554,13 +570,14 @@ mod tests {
 
     #[test]
     fn constant_input_keeps_parameter_gradients_and_gets_none() {
-        // sum(sigmoid(relu(x·W1)·W2)) with x as a leaf, then as a constant
+        // sum(sigmoid(relu(x·W1 + b1)·W2)) with x as a leaf, then as a constant
         let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0], &[0.0, 1.5, -0.5], &[1.0, 0.0, 0.25]]);
         let w1 = Matrix::from_rows(&[
             &[0.3, -0.2, 0.1, 0.7],
             &[-0.4, 0.9, 0.0, 0.2],
             &[0.6, 0.1, -0.8, 0.5],
         ]);
+        let b1 = Matrix::from_rows(&[&[0.1, -0.3, 0.0, 0.2]]);
         let w2 = Matrix::from_rows(&[&[0.5], &[-1.0], &[0.25], &[2.0]]);
         let run = |constant: bool| {
             let mut t = Tape::new();
@@ -571,7 +588,8 @@ mod tests {
             };
             let (p1, p2) = (t.leaf(w1.clone()), t.leaf(w2.clone()));
             let h = t.matmul(xv, p1);
-            let h = t.relu(h);
+            let bias = t.leaf(b1.clone());
+            let h = t.bias_relu(h, bias);
             let o = t.matmul(h, p2);
             let o = t.sigmoid(o);
             let l = t.sum(o);
@@ -588,6 +606,45 @@ mod tests {
             "a leaf input gets its gradient"
         );
         assert_eq!(x_const, Matrix::zeros(3, 3), "a constant gets none");
+    }
+
+    #[test]
+    fn bias_relu_matches_the_bias_add_then_relu_chain_bitwise() {
+        let sp = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.0, 5e-324];
+        // every (x, b) pair of specials, so x + b covers NaN, ±0.0 and ±inf
+        let (rows, cols) = (sp.len(), sp.len());
+        let x = Matrix::from_vec(rows, cols, (0..rows * cols).map(|i| sp[i / cols]).collect());
+        let b = Matrix::from_vec(1, cols, sp.to_vec());
+        let up: Vec<f64> = (0..rows * cols).map(|i| [0.5, -0.0, 2.0, 0.0, -1.25][i % 5]).collect();
+        let up = Matrix::from_vec(rows, cols, up);
+        let mut t = Tape::new();
+        let (xv, bv) = (t.leaf(x.clone()), t.leaf(b.clone()));
+        let y = t.bias_relu(xv, bv);
+        let w = t.constant(up.clone());
+        let weighted = t.mul(y, w);
+        let l = t.sum(weighted);
+        let g = t.backward(l);
+        // the chain: add_row_broadcast's value, relu's map, relu's masked
+        // backward, then the broadcast's row-ordered bias sum
+        let mut pre = x.clone();
+        for r in 0..rows {
+            for (v, &bj) in pre.row_mut(r).iter_mut().zip(b.data()) {
+                *v += bj;
+            }
+        }
+        let want_y = pre.map(|v| v.max(0.0));
+        let want_dx = pre.zip(&up, |v, gv| if v > 0.0 { gv } else { 0.0 });
+        let mut want_db = Matrix::zeros(1, cols);
+        for r in 0..rows {
+            for j in 0..cols {
+                want_db.set(0, j, want_db.get(0, j) + want_dx.get(r, j));
+            }
+        }
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(t.value(y)), bits(&want_y), "forward");
+        assert_eq!(bits(&x.bias_relu(&b)), bits(&want_y), "Matrix::bias_relu");
+        assert_eq!(bits(&g.wrt(xv)), bits(&want_dx), "input gradient");
+        assert_eq!(bits(&g.wrt(bv)), bits(&want_db), "bias gradient");
     }
 
     #[test]
@@ -671,7 +728,7 @@ mod tests {
     fn scratch_tape_is_reset_between_uses() {
         let n1 = Tape::with_scratch(|t| {
             let x = t.leaf(Matrix::from_rows(&[&[1.0, 2.0]]));
-            let y = t.relu(x);
+            let y = t.add_scalar(x, 1.0);
             let l = t.sum(y);
             let g = t.backward(l);
             assert_eq!(g.wrt(x).data(), &[1.0, 1.0]);

@@ -77,12 +77,14 @@ echo "== bench smoke (kernel harness + bit-identity assertions, tiny sizes)"
 # bench_kernels asserts SIMD/tiled/parallel kernels match their scalar
 # and naive references bitwise before timing anything; --smoke proves
 # that in well under a second without touching the checked-in
-# BENCH_kernels.json trajectory. Run it twice — once with dispatch
-# free (auto picks the widest backend the CPU has) and once pinned to
-# scalar — so the bit-identity assertions execute under both dispatch
-# entry points.
+# BENCH_kernels.json trajectory. Run it three times — with dispatch free
+# (auto picks the widest backend the CPU has), pinned to scalar, and
+# pinned to SSE2 — so the bit-identity assertions against the naive
+# references (the column tail, the attention backward) execute under
+# every x86-64 dispatch entry point.
 cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 PRIVIM_SIMD=scalar cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
+PRIVIM_SIMD=sse2 cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 
 echo "== fault-injection matrix (divergence recovery under seeded faults)"
 for seed in 1 2; do
