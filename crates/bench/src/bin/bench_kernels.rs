@@ -2,12 +2,12 @@
 //!
 //! Times the tensor primitives the DP-SGD hot path bottoms out in —
 //! `Matrix::matmul`, `Matrix::transpose`, `Csr::spmm`, `Csr::spmm_transpose`,
-//! the `simd` reductions (`dot`, `sum`) and the DP-SGD clip loop — in
+//! the `simd` reduction `sum` and the DP-SGD clip loop — in
 //! several configurations per kernel:
 //!
 //! * **naive** — the pre-tiling seed kernel (re-implemented here verbatim),
 //! * **per backend** — the current kernel pinned to each SIMD backend the
-//!   CPU supports (`scalar` always, then `sse2`/`avx2`/`neon` as detected),
+//!   CPU supports (`scalar` always, then `avx2` if detected),
 //!   serial (`set_threads(1)`),
 //! * **serial** — the current kernel under the default (`PRIVIM_SIMD`
 //!   env / auto) backend at 1 thread,
@@ -196,19 +196,13 @@ fn assert_bit_identical(name: &str, a: &Matrix, b: &Matrix) {
     }
 }
 
-/// The backends this CPU can actually run: `scalar` always, then every
-/// wider backend whose forced resolution sticks.
+/// The backends this CPU can actually run: `scalar` always, then `avx2`
+/// if its forced resolution sticks.
 fn available_backends() -> Vec<(simd::Choice, &'static str)> {
     let mut v: Vec<(simd::Choice, &'static str)> = vec![(simd::Choice::Scalar, "scalar")];
-    for (c, n) in [
-        (simd::Choice::Sse2, "sse2"),
-        (simd::Choice::Avx2, "avx2"),
-        (simd::Choice::Neon, "neon"),
-    ] {
-        simd::set_backend(Some(c));
-        if simd::active().name() == n {
-            v.push((c, n));
-        }
+    simd::set_backend(Some(simd::Choice::Avx2));
+    if simd::active() == simd::Backend::Avx2 {
+        v.push((simd::Choice::Avx2, "avx2"));
     }
     simd::set_backend(None);
     v
@@ -421,7 +415,6 @@ fn main() {
     // timing so every configuration measures the product, not the setup.
     let _ = adj.spmm_transpose(&h);
     let xv = random_matrix(1, rv, &mut rng);
-    let yv = random_matrix(1, rv, &mut rng);
     let grads: Vec<Matrix> = (0..2).map(|_| random_matrix(cm, cm, &mut rng)).collect();
     let hw = random_matrix(gn, 32, &mut rng);
     let a_vec = random_matrix(32, 1, &mut rng);
@@ -490,16 +483,6 @@ fn main() {
             Some(&|| naive_spmm_transpose(&adj, &h)),
             &|| adj.spmm_transpose(&h),
             Some("short rows (x32): gather-bound, SIMD gains are modest by design"),
-        ),
-        run_case(
-            "dot",
-            format!("n={rv}"),
-            iters,
-            None,
-            &|| Matrix::full(1, 1, simd::dot(xv.data(), yv.data())),
-            Some(
-                "at n=1e6 the stream comes from DRAM: memory-bound, backends near parity (smoke's cache-resident n shows the compute-bound speedup)",
-            ),
         ),
         run_case(
             "sum",

@@ -391,7 +391,7 @@ mod tests {
                 if want_hw.has_non_finite() {
                     fallbacks += 1;
                 }
-                for c in [Choice::Scalar, Choice::Sse2, Choice::Avx2, Choice::Neon, Choice::Auto] {
+                for c in [Choice::Scalar, Choice::Avx2, Choice::Auto] {
                     set_backend(Some(c));
                     let mut got_hw = skip.clone();
                     let got = attend_backward(&d, &saved, &hw, &a_dst, &a_src, &mut got_hw);
@@ -471,7 +471,7 @@ mod tests {
                 [agg, ga_dst, ga_src, hw_grad].map(|m| bits(&m))
             };
             let want = run(Choice::Scalar);
-            for c in [Choice::Sse2, Choice::Avx2, Choice::Neon, Choice::Auto] {
+            for c in [Choice::Avx2, Choice::Auto] {
                 let got = run(c);
                 for (name, (g, w)) in ["agg", "∂a_dst", "∂a_src", "∂hw"]
                     .iter()

@@ -1,49 +1,46 @@
 //! SIMD backend for the dense inner loops, under a cross-backend
 //! determinism contract.
 //!
-//! Every kernel here exists in (up to) four implementations — scalar,
-//! SSE2, AVX2 on x86-64, NEON on AArch64 — selected at runtime behind one
-//! [`Backend`] dispatch (`PRIVIM_SIMD={auto,avx2,sse2,neon,scalar}`, or
-//! [`set_backend`] for in-process tests). The contract that makes the
-//! selection *invisible to results*:
+//! Every kernel here is one portable body (the crate-internal `Kernel`
+//! trait): a loop nest written once in plain Rust and compiled twice —
+//! for the baseline target ([`Backend::Scalar`], which already holds SSE2
+//! on x86-64 and NEON on AArch64) and, on x86-64, with AVX2 enabled
+//! ([`Backend::Avx2`]). One runtime dispatch picks the build
+//! (`PRIVIM_SIMD={auto,avx2,scalar}`, or [`set_backend`] for in-process
+//! tests). The compiler only vectorizes across independent elements and
+//! never fuses a multiply and an add or reassociates a sum, so each
+//! element's operations are those of the scalar loop on both builds:
 //!
 //! * **Elementwise kernels** ([`axpy`], [`add_assign`], [`scale`]) compute
-//!   each output element from exactly the operations the scalar loop
-//!   performs (`y[i] + a * x[i]` — separate IEEE-754 multiply and add,
-//!   never a fused multiply-add), so lanes only change *which elements go
-//!   together through the ALU*, not any element's value.
-//! * **Reductions** ([`sum`], [`dot`], [`sumsq`]) use **fixed-width
-//!   virtual lane accumulators**: 4 × `f64` lanes where lane `j`
-//!   accumulates elements `j, j+4, j+8, …` in ascending order, a fixed
-//!   final combine `(l0 + l2) + (l1 + l3)`, then the `len % 4` tail added
-//!   sequentially. The scalar backend materialises the same four
-//!   accumulators; SSE2/NEON split them across two 2-lane registers
-//!   (`[l0,l1]`,`[l2,l3]`) whose vertical add + horizontal fold produces
-//!   the identical combine; AVX2 holds all four in one register and
-//!   extracts low/high halves the same way.
+//!   each output element as `y[i] + a * x[i]` does: a separate IEEE-754
+//!   multiply and add, never a fused multiply-add.
+//! * **Reductions** ([`sum`], [`sumsq`]) use **four virtual lane
+//!   accumulators**: lane `j` accumulates elements `j, j+4, j+8, …` in
+//!   ascending order, the lanes combine as `(l0 + l2) + (l1 + l3)`, then
+//!   the `len % 4` tail is added in order.
 //! * **The dense product** ([`gemm`]) gives each output element the
 //!   sequence of the plain zero-skipping loop: `+0.0`, then its terms in
-//!   ascending `k`, each a multiply then an add. It is one portable body,
-//!   compiled per backend through `#[target_feature]`.
-//! * **Portable bodies** (the crate-internal `Kernel` trait and
-//!   `dispatch`): a loop nest written once in plain Rust and compiled per
-//!   backend the same way — `gemm`, and the attention forward scatter and
-//!   backward. The compiler only vectorizes across independent elements
-//!   and never fuses or reassociates, so each element's operations are
-//!   those of the scalar loop. Only finite inputs take the per-backend
-//!   builds; an infinity or a NaN sends the call to one build shared by
-//!   every backend, because where two NaNs of different bits meet, the
-//!   result follows the operand order a build happens to pick.
+//!   ascending `k`, each a multiply then an add.
+//!
+//! A build's own choices reach the result bits in one case: an add or a
+//! multiply that meets two NaNs of different bits returns one of them,
+//! picked by the operand order that build emits. So each kernel takes the
+//! per-backend build only where that cannot happen, and otherwise runs
+//! `run_baseline`, one build shared by every backend:
+//!
+//! * [`axpy`] (and [`add_assign`], which is `axpy` with `a = 1`): iff
+//!   `a` and `x` are finite. Then each added term is finite, and an add
+//!   meets at most one NaN.
+//! * [`scale`]: iff `a` is finite.
+//! * [`sum`], [`sumsq`]: always, then once more in `run_baseline` iff the
+//!   result is not finite. A finite result met no NaN on the way, so this
+//!   costs nothing on finite data.
+//! * [`gemm`], the sparse product (`SparseMatrix::spmm`) and the
+//!   attention forward scatter and backward: iff every input they
+//!   multiply or add is finite.
 //!
 //! Together: results are bit-identical across `PRIVIM_SIMD` settings,
 //! thread counts and architectures — pinned by `tests/determinism.rs`.
-//! The hand-written elementwise kernels are the one exception left: an
-//! `axpy` or `add_assign` that adds two NaNs of different bits may return
-//! either one, depending on the build.
-//!
-//! All loads are unaligned-tolerant (`loadu`); the allocation side
-//! ([`crate::pool`]) hands out 64-byte-aligned buffers so the unaligned
-//! opcodes never actually cross into the slow split-load path.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -53,28 +50,21 @@ use std::sync::OnceLock;
 pub enum Choice {
     /// Pick the widest backend the CPU supports.
     Auto,
-    /// Force the scalar (4-virtual-lane) reference implementation.
+    /// Force the baseline build.
     Scalar,
-    /// Force SSE2 (falls back to scalar if undetected).
-    Sse2,
-    /// Force AVX2 (falls back to scalar if undetected).
+    /// Force AVX2 (falls back to the baseline build if undetected).
     Avx2,
-    /// Force NEON (falls back to scalar off AArch64).
-    Neon,
 }
 
-/// Resolved backend (what will actually run). Every variant is only ever
-/// returned when the corresponding CPU feature was runtime-detected.
+/// Resolved backend (what will actually run). `Avx2` is only ever
+/// returned when the CPU feature was runtime-detected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Portable 4-virtual-lane scalar kernels.
+    /// The build for the baseline target (its vector width: SSE2 on
+    /// x86-64, NEON on AArch64, none elsewhere).
     Scalar,
-    /// 2×f64 SSE2 registers (two per virtual accumulator group).
-    Sse2,
-    /// 4×f64 AVX2 registers.
+    /// The build with AVX2 enabled: 4×f64 registers.
     Avx2,
-    /// 2×f64 NEON registers.
-    Neon,
 }
 
 impl Backend {
@@ -82,9 +72,7 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         }
     }
 }
@@ -100,9 +88,7 @@ fn encode(c: Choice) -> u8 {
     match c {
         Choice::Auto => 1,
         Choice::Scalar => 2,
-        Choice::Sse2 => 3,
-        Choice::Avx2 => 4,
-        Choice::Neon => 5,
+        Choice::Avx2 => 3,
     }
 }
 
@@ -118,9 +104,7 @@ pub fn set_backend(choice: Option<Choice>) {
 fn parse_choice(s: &str) -> Choice {
     match s.to_ascii_lowercase().as_str() {
         "scalar" => Choice::Scalar,
-        "sse2" => Choice::Sse2,
         "avx2" => Choice::Avx2,
-        "neon" => Choice::Neon,
         _ => Choice::Auto,
     }
 }
@@ -129,9 +113,7 @@ fn requested() -> Choice {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => Choice::Auto,
         2 => Choice::Scalar,
-        3 => Choice::Sse2,
-        4 => Choice::Avx2,
-        5 => Choice::Neon,
+        3 => Choice::Avx2,
         _ => *ENV_CHOICE.get_or_init(|| {
             std::env::var("PRIVIM_SIMD")
                 .map(|v| parse_choice(&v))
@@ -144,54 +126,16 @@ fn requested() -> Choice {
 /// A request the hardware cannot honour degrades to `Scalar` — results
 /// are identical either way; only throughput differs.
 pub fn active() -> Backend {
-    let req = requested();
+    if requested() == Choice::Scalar {
+        return Backend::Scalar;
+    }
     #[cfg(target_arch = "x86_64")]
     {
-        return match req {
-            Choice::Scalar | Choice::Neon => Backend::Scalar,
-            Choice::Avx2 => {
-                if is_x86_feature_detected!("avx2") {
-                    Backend::Avx2
-                } else {
-                    Backend::Scalar
-                }
-            }
-            Choice::Sse2 => {
-                if is_x86_feature_detected!("sse2") {
-                    Backend::Sse2
-                } else {
-                    Backend::Scalar
-                }
-            }
-            Choice::Auto => {
-                if is_x86_feature_detected!("avx2") {
-                    Backend::Avx2
-                } else if is_x86_feature_detected!("sse2") {
-                    Backend::Sse2
-                } else {
-                    Backend::Scalar
-                }
-            }
-        };
+        if is_x86_feature_detected!("avx2") {
+            return Backend::Avx2;
+        }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return match req {
-            Choice::Scalar | Choice::Sse2 | Choice::Avx2 => Backend::Scalar,
-            Choice::Neon | Choice::Auto => {
-                if std::arch::is_aarch64_feature_detected!("neon") {
-                    Backend::Neon
-                } else {
-                    Backend::Scalar
-                }
-            }
-        };
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        let _ = req;
-        Backend::Scalar
-    }
+    Backend::Scalar
 }
 
 /// Detected-feature summary for bench metadata (independent of the
@@ -207,12 +151,9 @@ pub fn detected_features() -> String {
             feats.push("sse2");
         }
     }
+    // a baseline feature of every AArch64 target
     #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            feats.push("neon");
-        }
-    }
+    feats.push("neon");
     if feats.is_empty() {
         "none".to_string()
     } else {
@@ -221,645 +162,12 @@ pub fn detected_features() -> String {
 }
 
 // ---------------------------------------------------------------------
-// axpy: y[i] += a * x[i]  (elementwise — trivially backend-invariant)
-// ---------------------------------------------------------------------
-
-/// `y[i] += a * x[i]`. The SpMM, attention-scatter and optimizer inner loop.
-pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-    debug_assert_eq!(y.len(), x.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; slices are equal-length per the debug_assert and the kernels index strictly below len")
-            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { axpy_avx2(y, a, x) },
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; slices are equal-length per the debug_assert and the kernels index strictly below len")
-            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { axpy_sse2(y, a, x) },
-            _ => {}
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path, so the target_feature contract holds; slices are equal-length per the debug_assert and the kernels index strictly below len")
-            return unsafe { axpy_neon(y, a, x) };
-        }
-    }
-    axpy_scalar(y, a, x)
-}
-
-fn axpy_scalar(y: &mut [f64], a: f64, x: &[f64]) {
-    for (o, &v) in y.iter_mut().zip(x) {
-        *o += a * v;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers must (and per unsafe-audit, do) runtime-detect avx2; all pointer arithmetic stays below the slice lengths asserted equal by every caller")
-unsafe fn axpy_avx2(y: &mut [f64], a: f64, x: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = y.len().min(x.len());
-    let n4 = n & !3;
-    let av = _mm256_set1_pd(a);
-    let yp = y.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        let yv = _mm256_loadu_pd(yp.add(i));
-        let xv = _mm256_loadu_pd(xp.add(i));
-        // mul then add (no FMA): same two roundings as the scalar loop
-        _mm256_storeu_pd(yp.add(i), _mm256_add_pd(yv, _mm256_mul_pd(av, xv)));
-        i += 4;
-    }
-    for j in n4..n {
-        y[j] += a * x[j];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers must (and per unsafe-audit, do) runtime-detect sse2; all pointer arithmetic stays below the slice lengths asserted equal by every caller")
-unsafe fn axpy_sse2(y: &mut [f64], a: f64, x: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = y.len().min(x.len());
-    let n2 = n & !1;
-    let av = _mm_set1_pd(a);
-    let yp = y.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut i = 0;
-    while i < n2 {
-        let yv = _mm_loadu_pd(yp.add(i));
-        let xv = _mm_loadu_pd(xp.add(i));
-        _mm_storeu_pd(yp.add(i), _mm_add_pd(yv, _mm_mul_pd(av, xv)));
-        i += 2;
-    }
-    for j in n2..n {
-        y[j] += a * x[j];
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers must (and per unsafe-audit, do) runtime-detect neon; all pointer arithmetic stays below the slice lengths asserted equal by every caller")
-unsafe fn axpy_neon(y: &mut [f64], a: f64, x: &[f64]) {
-    use std::arch::aarch64::*;
-    let n = y.len().min(x.len());
-    let n2 = n & !1;
-    let av = vdupq_n_f64(a);
-    let yp = y.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut i = 0;
-    while i < n2 {
-        let yv = vld1q_f64(yp.add(i));
-        let xv = vld1q_f64(xp.add(i));
-        // vmulq + vaddq, not vfmaq: keep the scalar's two-rounding result
-        vst1q_f64(yp.add(i), vaddq_f64(yv, vmulq_f64(av, xv)));
-        i += 2;
-    }
-    for j in n2..n {
-        y[j] += a * x[j];
-    }
-}
-
-// ---------------------------------------------------------------------
-// add_assign: y[i] += x[i]
-// ---------------------------------------------------------------------
-
-/// `y[i] += x[i]` (gradient summation, noise addition).
-pub fn add_assign(y: &mut [f64], x: &[f64]) {
-    debug_assert_eq!(y.len(), x.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernels never index past the shorter slice")
-            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { add_assign_avx2(y, x) },
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernels never index past the shorter slice")
-            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { add_assign_sse2(y, x) },
-            _ => {}
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path; kernels never index past the shorter slice")
-            return unsafe { add_assign_neon(y, x) };
-        }
-    }
-    add_assign_scalar(y, x)
-}
-
-fn add_assign_scalar(y: &mut [f64], x: &[f64]) {
-    for (o, &v) in y.iter_mut().zip(x) {
-        *o += v;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect avx2 per unsafe-audit; indices stay below min(len)")
-unsafe fn add_assign_avx2(y: &mut [f64], x: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = y.len().min(x.len());
-    let n4 = n & !3;
-    let yp = y.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        _mm256_storeu_pd(
-            yp.add(i),
-            _mm256_add_pd(_mm256_loadu_pd(yp.add(i)), _mm256_loadu_pd(xp.add(i))),
-        );
-        i += 4;
-    }
-    for j in n4..n {
-        y[j] += x[j];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect sse2 per unsafe-audit; indices stay below min(len)")
-unsafe fn add_assign_sse2(y: &mut [f64], x: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = y.len().min(x.len());
-    let n2 = n & !1;
-    let yp = y.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut i = 0;
-    while i < n2 {
-        _mm_storeu_pd(
-            yp.add(i),
-            _mm_add_pd(_mm_loadu_pd(yp.add(i)), _mm_loadu_pd(xp.add(i))),
-        );
-        i += 2;
-    }
-    for j in n2..n {
-        y[j] += x[j];
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect neon per unsafe-audit; indices stay below min(len)")
-unsafe fn add_assign_neon(y: &mut [f64], x: &[f64]) {
-    use std::arch::aarch64::*;
-    let n = y.len().min(x.len());
-    let n2 = n & !1;
-    let yp = y.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut i = 0;
-    while i < n2 {
-        vst1q_f64(yp.add(i), vaddq_f64(vld1q_f64(yp.add(i)), vld1q_f64(xp.add(i))));
-        i += 2;
-    }
-    for j in n2..n {
-        y[j] += x[j];
-    }
-}
-
-// ---------------------------------------------------------------------
-// scale: y[i] *= a
-// ---------------------------------------------------------------------
-
-/// `y[i] *= a` (gradient clipping, weight decay).
-pub fn scale(y: &mut [f64], a: f64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernel indexes strictly below y.len()")
-            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { scale_avx2(y, a) },
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernel indexes strictly below y.len()")
-            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { scale_sse2(y, a) },
-            _ => {}
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path; kernel indexes strictly below y.len()")
-            return unsafe { scale_neon(y, a) };
-        }
-    }
-    scale_scalar(y, a)
-}
-
-fn scale_scalar(y: &mut [f64], a: f64) {
-    for o in y.iter_mut() {
-        *o *= a;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect avx2 per unsafe-audit; indices stay below y.len()")
-unsafe fn scale_avx2(y: &mut [f64], a: f64) {
-    use std::arch::x86_64::*;
-    let n = y.len();
-    let n4 = n & !3;
-    let av = _mm256_set1_pd(a);
-    let yp = y.as_mut_ptr();
-    let mut i = 0;
-    while i < n4 {
-        _mm256_storeu_pd(yp.add(i), _mm256_mul_pd(_mm256_loadu_pd(yp.add(i)), av));
-        i += 4;
-    }
-    for j in n4..n {
-        y[j] *= a;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect sse2 per unsafe-audit; indices stay below y.len()")
-unsafe fn scale_sse2(y: &mut [f64], a: f64) {
-    use std::arch::x86_64::*;
-    let n = y.len();
-    let n2 = n & !1;
-    let av = _mm_set1_pd(a);
-    let yp = y.as_mut_ptr();
-    let mut i = 0;
-    while i < n2 {
-        _mm_storeu_pd(yp.add(i), _mm_mul_pd(_mm_loadu_pd(yp.add(i)), av));
-        i += 2;
-    }
-    for j in n2..n {
-        y[j] *= a;
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect neon per unsafe-audit; indices stay below y.len()")
-unsafe fn scale_neon(y: &mut [f64], a: f64) {
-    use std::arch::aarch64::*;
-    let n = y.len();
-    let n2 = n & !1;
-    let av = vdupq_n_f64(a);
-    let yp = y.as_mut_ptr();
-    let mut i = 0;
-    while i < n2 {
-        vst1q_f64(yp.add(i), vmulq_f64(vld1q_f64(yp.add(i)), av));
-        i += 2;
-    }
-    for j in n2..n {
-        y[j] *= a;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reductions: 4-virtual-lane accumulators, fixed combine (l0+l2)+(l1+l3)
-// ---------------------------------------------------------------------
-
-/// Sum of all elements under the 4-lane virtual accumulator contract.
-pub fn sum(a: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernel indexes strictly below a.len()")
-            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { sum_avx2(a) },
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernel indexes strictly below a.len()")
-            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { sum_sse2(a) },
-            _ => {}
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path; kernel indexes strictly below a.len()")
-            return unsafe { sum_neon(a) };
-        }
-    }
-    sum_scalar(a)
-}
-
-/// The reference 4-lane reduction every SIMD backend must reproduce.
-fn sum_scalar(a: &[f64]) -> f64 {
-    let n4 = a.len() & !3;
-    let mut l = [0.0f64; 4];
-    let mut i = 0;
-    while i < n4 {
-        l[0] += a[i];
-        l[1] += a[i + 1];
-        l[2] += a[i + 2];
-        l[3] += a[i + 3];
-        i += 4;
-    }
-    let mut t = (l[0] + l[2]) + (l[1] + l[3]);
-    for &x in &a[n4..] {
-        t += x;
-    }
-    t
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect avx2 per unsafe-audit; indices stay below a.len()")
-unsafe fn sum_avx2(a: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let n4 = a.len() & !3;
-    let mut acc = _mm256_setzero_pd();
-    let p = a.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        acc = _mm256_add_pd(acc, _mm256_loadu_pd(p.add(i)));
-        i += 4;
-    }
-    let lo = _mm256_castpd256_pd128(acc); // [l0, l1]
-    let hi = _mm256_extractf128_pd::<1>(acc); // [l2, l3]
-    let v = _mm_add_pd(lo, hi); // [l0+l2, l1+l3]
-    let mut t = _mm_cvtsd_f64(v) + _mm_cvtsd_f64(_mm_unpackhi_pd(v, v));
-    for &x in &a[n4..] {
-        t += x;
-    }
-    t
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect sse2 per unsafe-audit; indices stay below a.len()")
-unsafe fn sum_sse2(a: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let n4 = a.len() & !3;
-    let mut a01 = _mm_setzero_pd(); // lanes 0,1
-    let mut a23 = _mm_setzero_pd(); // lanes 2,3
-    let p = a.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        a01 = _mm_add_pd(a01, _mm_loadu_pd(p.add(i)));
-        a23 = _mm_add_pd(a23, _mm_loadu_pd(p.add(i + 2)));
-        i += 4;
-    }
-    let v = _mm_add_pd(a01, a23); // [l0+l2, l1+l3]
-    let mut t = _mm_cvtsd_f64(v) + _mm_cvtsd_f64(_mm_unpackhi_pd(v, v));
-    for &x in &a[n4..] {
-        t += x;
-    }
-    t
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect neon per unsafe-audit; indices stay below a.len()")
-unsafe fn sum_neon(a: &[f64]) -> f64 {
-    use std::arch::aarch64::*;
-    let n4 = a.len() & !3;
-    let mut a01 = vdupq_n_f64(0.0);
-    let mut a23 = vdupq_n_f64(0.0);
-    let p = a.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        a01 = vaddq_f64(a01, vld1q_f64(p.add(i)));
-        a23 = vaddq_f64(a23, vld1q_f64(p.add(i + 2)));
-        i += 4;
-    }
-    let v = vaddq_f64(a01, a23);
-    let mut t = vgetq_lane_f64::<0>(v) + vgetq_lane_f64::<1>(v);
-    for &x in &a[n4..] {
-        t += x;
-    }
-    t
-}
-
-/// Dot product `Σ a[i]·b[i]` under the 4-lane contract.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernels never index past the shorter slice")
-            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { dot_avx2(a, b) },
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernels never index past the shorter slice")
-            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { dot_sse2(a, b) },
-            _ => {}
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path; kernels never index past the shorter slice")
-            return unsafe { dot_neon(a, b) };
-        }
-    }
-    dot_scalar(a, b)
-}
-
-fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let n4 = n & !3;
-    let mut l = [0.0f64; 4];
-    let mut i = 0;
-    while i < n4 {
-        l[0] += a[i] * b[i];
-        l[1] += a[i + 1] * b[i + 1];
-        l[2] += a[i + 2] * b[i + 2];
-        l[3] += a[i + 3] * b[i + 3];
-        i += 4;
-    }
-    let mut t = (l[0] + l[2]) + (l[1] + l[3]);
-    for j in n4..n {
-        t += a[j] * b[j];
-    }
-    t
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect avx2 per unsafe-audit; indices stay below min(len)")
-unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
-    let n4 = n & !3;
-    let mut acc = _mm256_setzero_pd();
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        // mul then add (no FMA) to match the scalar lanes bit-for-bit
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i))));
-        i += 4;
-    }
-    let lo = _mm256_castpd256_pd128(acc);
-    let hi = _mm256_extractf128_pd::<1>(acc);
-    let v = _mm_add_pd(lo, hi);
-    let mut t = _mm_cvtsd_f64(v) + _mm_cvtsd_f64(_mm_unpackhi_pd(v, v));
-    for j in n4..n {
-        t += a[j] * b[j];
-    }
-    t
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect sse2 per unsafe-audit; indices stay below min(len)")
-unsafe fn dot_sse2(a: &[f64], b: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
-    let n4 = n & !3;
-    let mut a01 = _mm_setzero_pd();
-    let mut a23 = _mm_setzero_pd();
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        a01 = _mm_add_pd(a01, _mm_mul_pd(_mm_loadu_pd(pa.add(i)), _mm_loadu_pd(pb.add(i))));
-        a23 = _mm_add_pd(a23, _mm_mul_pd(_mm_loadu_pd(pa.add(i + 2)), _mm_loadu_pd(pb.add(i + 2))));
-        i += 4;
-    }
-    let v = _mm_add_pd(a01, a23);
-    let mut t = _mm_cvtsd_f64(v) + _mm_cvtsd_f64(_mm_unpackhi_pd(v, v));
-    for j in n4..n {
-        t += a[j] * b[j];
-    }
-    t
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect neon per unsafe-audit; indices stay below min(len)")
-unsafe fn dot_neon(a: &[f64], b: &[f64]) -> f64 {
-    use std::arch::aarch64::*;
-    let n = a.len().min(b.len());
-    let n4 = n & !3;
-    let mut a01 = vdupq_n_f64(0.0);
-    let mut a23 = vdupq_n_f64(0.0);
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        a01 = vaddq_f64(a01, vmulq_f64(vld1q_f64(pa.add(i)), vld1q_f64(pb.add(i))));
-        a23 = vaddq_f64(a23, vmulq_f64(vld1q_f64(pa.add(i + 2)), vld1q_f64(pb.add(i + 2))));
-        i += 4;
-    }
-    let v = vaddq_f64(a01, a23);
-    let mut t = vgetq_lane_f64::<0>(v) + vgetq_lane_f64::<1>(v);
-    for j in n4..n {
-        t += a[j] * b[j];
-    }
-    t
-}
-
-/// Sum of squares `Σ a[i]²` under the 4-lane contract (the DP-SGD
-/// gradient-norm primitive; callers take `.sqrt()`).
-pub fn sumsq(a: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match active() {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernel indexes strictly below a.len()")
-            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { sumsq_avx2(a) },
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path; kernel indexes strictly below a.len()")
-            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { sumsq_sse2(a) },
-            _ => {}
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path; kernel indexes strictly below a.len()")
-            return unsafe { sumsq_neon(a) };
-        }
-    }
-    sumsq_scalar(a)
-}
-
-fn sumsq_scalar(a: &[f64]) -> f64 {
-    let n4 = a.len() & !3;
-    let mut l = [0.0f64; 4];
-    let mut i = 0;
-    while i < n4 {
-        l[0] += a[i] * a[i];
-        l[1] += a[i + 1] * a[i + 1];
-        l[2] += a[i + 2] * a[i + 2];
-        l[3] += a[i + 3] * a[i + 3];
-        i += 4;
-    }
-    let mut t = (l[0] + l[2]) + (l[1] + l[3]);
-    for &x in &a[n4..] {
-        t += x * x;
-    }
-    t
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect avx2 per unsafe-audit; indices stay below a.len()")
-unsafe fn sumsq_avx2(a: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let n4 = a.len() & !3;
-    let mut acc = _mm256_setzero_pd();
-    let p = a.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        let v = _mm256_loadu_pd(p.add(i));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(v, v));
-        i += 4;
-    }
-    let lo = _mm256_castpd256_pd128(acc);
-    let hi = _mm256_extractf128_pd::<1>(acc);
-    let v = _mm_add_pd(lo, hi);
-    let mut t = _mm_cvtsd_f64(v) + _mm_cvtsd_f64(_mm_unpackhi_pd(v, v));
-    for &x in &a[n4..] {
-        t += x * x;
-    }
-    t
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect sse2 per unsafe-audit; indices stay below a.len()")
-unsafe fn sumsq_sse2(a: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let n4 = a.len() & !3;
-    let mut a01 = _mm_setzero_pd();
-    let mut a23 = _mm_setzero_pd();
-    let p = a.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        let v0 = _mm_loadu_pd(p.add(i));
-        let v1 = _mm_loadu_pd(p.add(i + 2));
-        a01 = _mm_add_pd(a01, _mm_mul_pd(v0, v0));
-        a23 = _mm_add_pd(a23, _mm_mul_pd(v1, v1));
-        i += 4;
-    }
-    let v = _mm_add_pd(a01, a23);
-    let mut t = _mm_cvtsd_f64(v) + _mm_cvtsd_f64(_mm_unpackhi_pd(v, v));
-    for &x in &a[n4..] {
-        t += x * x;
-    }
-    t
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect neon per unsafe-audit; indices stay below a.len()")
-unsafe fn sumsq_neon(a: &[f64]) -> f64 {
-    use std::arch::aarch64::*;
-    let n4 = a.len() & !3;
-    let mut a01 = vdupq_n_f64(0.0);
-    let mut a23 = vdupq_n_f64(0.0);
-    let p = a.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        let v0 = vld1q_f64(p.add(i));
-        let v1 = vld1q_f64(p.add(i + 2));
-        a01 = vaddq_f64(a01, vmulq_f64(v0, v0));
-        a23 = vaddq_f64(a23, vmulq_f64(v1, v1));
-        i += 4;
-    }
-    let v = vaddq_f64(a01, a23);
-    let mut t = vgetq_lane_f64::<0>(v) + vgetq_lane_f64::<1>(v);
-    for &x in &a[n4..] {
-        t += x * x;
-    }
-    t
-}
-
-// ---------------------------------------------------------------------
 // Portable loop bodies, compiled once per backend
 // ---------------------------------------------------------------------
 
 /// A loop nest written once in plain Rust and compiled once per backend
-/// by [`dispatch`], whose `#[target_feature]` wrappers the body is
-/// inlined into (so `run` must be `#[inline(always)]`). The compiler then
+/// by [`dispatch`], whose `#[target_feature]` wrapper the body is inlined
+/// into (so `run` must be `#[inline(always)]`). The compiler then
 /// vectorizes its loops over independent elements at that backend's
 /// width. Rust never fuses a multiply and an add and never reassociates a
 /// floating-point sum, so lanes only change which elements go through the
@@ -871,9 +179,10 @@ unsafe fn sumsq_neon(a: &[f64]) -> f64 {
 /// and which one follows the operand order the compiler picks for that
 /// build. With every input finite that cannot happen: a NaN can then only
 /// come from an invalid operation (`∞ − ∞`, `0 · ∞`), and every such NaN
-/// is the architecture's one default NaN. So a body is only dispatched on
-/// finite inputs ([`all_finite`]); inputs holding an infinity or a NaN go
-/// to [`run_baseline`], one build shared by every backend.
+/// is the architecture's one default NaN. So a body is only dispatched
+/// where no two NaNs can meet (the module doc gives each kernel's rule,
+/// most of them [`all_finite`]); other inputs go to [`run_baseline`], one
+/// build shared by every backend.
 pub(crate) trait Kernel {
     /// What the body returns.
     type Output;
@@ -885,26 +194,17 @@ pub(crate) trait Kernel {
 pub(crate) fn dispatch<K: Kernel>(k: K) -> K::Output {
     #[cfg(target_arch = "x86_64")]
     {
-        match active() {
+        if active() == Backend::Avx2 && is_x86_feature_detected!("avx2") {
             // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
-            Backend::Avx2 if is_x86_feature_detected!("avx2") => return unsafe { run_avx2(k) },
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_x86_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
-            Backend::Sse2 if is_x86_feature_detected!("sse2") => return unsafe { run_sse2(k) },
-            _ => {}
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if active() == Backend::Neon && std::arch::is_aarch64_feature_detected!("neon") {
-            // privim-lint: allow(unsafe, reason = "dispatch guard re-checks is_aarch64_feature_detected! on this exact path, so the target_feature contract holds; the kernel body is safe code with checked indexing")
-            return unsafe { run_neon(k) };
+            return unsafe { run_avx2(k) };
         }
     }
     k.run()
 }
 
 /// Run `k` compiled once for the baseline target, whatever the active
-/// backend: the path for a [`Kernel`] whose inputs are not all finite.
+/// backend: the path for a [`Kernel`] whose inputs could make two NaNs
+/// meet.
 #[inline(never)]
 pub(crate) fn run_baseline<K: Kernel>(k: K) -> K::Output {
     k.run()
@@ -914,7 +214,9 @@ pub(crate) fn run_baseline<K: Kernel>(k: K) -> K::Output {
 /// finite `v` and NaN for an infinity or a NaN, so eight running sums of
 /// it stay finite exactly when every entry is. The baseline target has no
 /// 64-bit integer compare for the vectorized `is_finite`, and these float
-/// sums ran about 2.4× faster than it on 2 240 entries.
+/// sums ran about 2.4× faster than it on 2 240 entries. The tail joins
+/// the lanes and the lanes combine as a tree, so a short slice pays a few
+/// dependent adds, not one per entry.
 pub(crate) fn all_finite(x: &[f64]) -> bool {
     let mut acc = [0.0f64; 8];
     let chunks = x.chunks_exact(8);
@@ -924,7 +226,11 @@ pub(crate) fn all_finite(x: &[f64]) -> bool {
             *a += v * 0.0;
         }
     }
-    acc.iter().chain(rest).fold(0.0, |s, &v| s + v * 0.0).is_finite()
+    for (a, &v) in acc.iter_mut().zip(rest) {
+        *a += v * 0.0;
+    }
+    let [a0, a1, a2, a3, a4, a5, a6, a7] = acc;
+    (((a0 + a4) + (a1 + a5)) + ((a2 + a6) + (a3 + a7))).is_finite()
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -934,18 +240,115 @@ unsafe fn run_avx2<K: Kernel>(k: K) -> K::Output {
     k.run()
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect sse2 per unsafe-audit; the body is safe code, so every access is bounds-checked")
-unsafe fn run_sse2<K: Kernel>(k: K) -> K::Output {
-    k.run()
+// ---------------------------------------------------------------------
+// Elementwise kernels
+// ---------------------------------------------------------------------
+
+/// `y[i] += a * x[i]` (scaled gradient accumulation, the SGD update).
+pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
+    debug_assert_eq!(y.len(), x.len());
+    let k = Axpy { y, a, x };
+    if a.is_finite() && all_finite(x) {
+        dispatch(k)
+    } else {
+        run_baseline(k)
+    }
 }
 
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// privim-lint: allow(unsafe, reason = "target_feature fn: callers runtime-detect neon per unsafe-audit; the body is safe code, so every access is bounds-checked")
-unsafe fn run_neon<K: Kernel>(k: K) -> K::Output {
-    k.run()
+struct Axpy<'a> {
+    y: &'a mut [f64],
+    a: f64,
+    x: &'a [f64],
+}
+
+impl Kernel for Axpy<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        for (o, &v) in self.y.iter_mut().zip(self.x) {
+            *o += self.a * v;
+        }
+    }
+}
+
+/// `y[i] += x[i]` (gradient summation, noise addition): [`axpy`] with
+/// `a = 1`, as `1 · v` is `v` bit for bit for every finite `v`.
+pub fn add_assign(y: &mut [f64], x: &[f64]) {
+    axpy(y, 1.0, x)
+}
+
+/// `y[i] *= a` (gradient clipping, weight decay).
+pub fn scale(y: &mut [f64], a: f64) {
+    let k = Scale { y, a };
+    if a.is_finite() {
+        dispatch(k)
+    } else {
+        run_baseline(k)
+    }
+}
+
+struct Scale<'a> {
+    y: &'a mut [f64],
+    a: f64,
+}
+
+impl Kernel for Scale<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        for o in self.y.iter_mut() {
+            *o *= self.a;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reductions: 4-virtual-lane accumulators, fixed combine (l0+l2)+(l1+l3)
+// ---------------------------------------------------------------------
+
+/// Sum of all elements under the 4-lane virtual accumulator contract.
+pub fn sum(a: &[f64]) -> f64 {
+    reduce(Reduce::<false>(a))
+}
+
+/// Sum of squares `Σ a[i]²` under the 4-lane contract (the DP-SGD
+/// gradient-norm primitive; callers take `.sqrt()`).
+pub fn sumsq(a: &[f64]) -> f64 {
+    reduce(Reduce::<true>(a))
+}
+
+/// Runs a reduction's per-backend build, and its baseline build instead
+/// when the result is an infinity or a NaN: only then can two NaNs have
+/// met on the way.
+fn reduce<const SQUARE: bool>(k: Reduce<'_, SQUARE>) -> f64 {
+    let t = dispatch(k);
+    if t.is_finite() {
+        t
+    } else {
+        run_baseline(k)
+    }
+}
+
+/// [`sum`] (`SQUARE = false`) or [`sumsq`] (`SQUARE = true`) of a slice:
+/// the one 4-lane body both share.
+#[derive(Clone, Copy)]
+struct Reduce<'a, const SQUARE: bool>(&'a [f64]);
+
+impl<const SQUARE: bool> Kernel for Reduce<'_, SQUARE> {
+    type Output = f64;
+    #[inline(always)]
+    fn run(self) -> f64 {
+        let term = |x: f64| if SQUARE { x * x } else { x };
+        let chunks = self.0.chunks_exact(4);
+        let tail = chunks.remainder();
+        let mut l = [0.0f64; 4];
+        for c in chunks {
+            for (lj, &x) in l.iter_mut().zip(c) {
+                *lj += term(x);
+            }
+        }
+        tail.iter().fold((l[0] + l[2]) + (l[1] + l[3]), |t, &x| t + term(x))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1164,10 +567,28 @@ mod tests {
             .collect()
     }
 
-    fn backends_under_test() -> Vec<Choice> {
-        // Exercise every choice; unsupported ones resolve to scalar, which
-        // still checks the dispatcher paths.
-        vec![Choice::Scalar, Choice::Sse2, Choice::Avx2, Choice::Neon, Choice::Auto]
+    /// Infinities, NaNs of both signs and several payloads, and one
+    /// signalling NaN (quiet bit clear).
+    const SPECIALS: [u64; 8] = [
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0xfff8_0000_0000_0000,
+        0x7ff8_0000_0000_0bad,
+        0xfffc_0000_dead_0000,
+        0x7ffa_5a5a_0000_0001,
+        0x7ff4_0000_0000_0001,
+    ];
+
+    /// `vec_pat(n, salt)` with a special value at every `(salt + 1)`-th
+    /// entry, so NaNs of different bits meet in the elementwise adds, in
+    /// the reduction lanes, their combine and the tail.
+    fn vec_special(n: usize, salt: u64) -> Vec<f64> {
+        let mut v = vec_pat(n, salt);
+        for (j, e) in v.iter_mut().step_by(salt as usize + 1).enumerate() {
+            *e = f64::from_bits(SPECIALS[(j + salt as usize) % SPECIALS.len()]);
+        }
+        v
     }
 
     fn with_backend<T>(c: Choice, f: impl FnOnce() -> T) -> T {
@@ -1177,48 +598,52 @@ mod tests {
         out
     }
 
+    /// Every kernel's output bits under backend `c`: the reductions of
+    /// `x` and `y`, `axpy(y, a, x)`, `add_assign(y, x)` and `scale(x, a)`.
+    fn kernel_bits(c: Choice, x: &[f64], y: &[f64], a: f64) -> [(&'static str, Vec<u64>); 7] {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        with_backend(c, || {
+            let mut axpy_y = y.to_vec();
+            axpy(&mut axpy_y, a, x);
+            let mut add_y = y.to_vec();
+            add_assign(&mut add_y, x);
+            let mut scale_x = x.to_vec();
+            scale(&mut scale_x, a);
+            [
+                ("sum x", vec![sum(x).to_bits()]),
+                ("sum y", vec![sum(y).to_bits()]),
+                ("sumsq x", vec![sumsq(x).to_bits()]),
+                ("sumsq y", vec![sumsq(y).to_bits()]),
+                ("axpy", bits(&axpy_y)),
+                ("add_assign", bits(&add_y)),
+                ("scale", bits(&scale_x)),
+            ]
+        })
+    }
+
     #[test]
     fn every_backend_is_bit_identical_to_scalar() {
+        let nan = |b: u64| f64::from_bits(b);
         for n in [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65, 257] {
-            let a = vec_pat(n, 1);
-            let b = vec_pat(n, 2);
-            let want_sum = with_backend(Choice::Scalar, || sum(&a));
-            let want_dot = with_backend(Choice::Scalar, || dot(&a, &b));
-            let want_sq = with_backend(Choice::Scalar, || sumsq(&a));
-            let want_axpy = with_backend(Choice::Scalar, || {
-                let mut y = b.clone();
-                axpy(&mut y, 1.75, &a);
-                y
-            });
-            for c in backends_under_test() {
-                assert_eq!(with_backend(c, || sum(&a)).to_bits(), want_sum.to_bits(), "sum {c:?} n={n}");
-                assert_eq!(with_backend(c, || dot(&a, &b)).to_bits(), want_dot.to_bits(), "dot {c:?} n={n}");
-                assert_eq!(with_backend(c, || sumsq(&a)).to_bits(), want_sq.to_bits(), "sumsq {c:?} n={n}");
-                let got = with_backend(c, || {
-                    let mut y = b.clone();
-                    axpy(&mut y, 1.75, &a);
-                    y
-                });
-                for (g, w) in got.iter().zip(&want_axpy) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "axpy {c:?} n={n}");
+            let finite = (vec_pat(n, 1), vec_pat(n, 2), vec![1.75]);
+            let special = (vec_special(n, 1), vec_special(n, 2), SPECIALS.map(nan).to_vec());
+            for (x, y, scalars) in [finite, special] {
+                for a in scalars.into_iter().chain([0.3, -0.0]) {
+                    let want = kernel_bits(Choice::Scalar, &x, &y, a);
+                    for c in [Choice::Avx2, Choice::Auto] {
+                        for ((name, got), (_, w)) in kernel_bits(c, &x, &y, a).iter().zip(&want) {
+                            assert_eq!(got, w, "{name} {c:?} n={n} a={:#x}", a.to_bits());
+                        }
+                    }
                 }
-                let got_add = with_backend(c, || {
-                    let mut y = b.clone();
-                    add_assign(&mut y, &a);
-                    y
-                });
-                let want_add: Vec<f64> = b.iter().zip(&a).map(|(&x, &y)| x + y).collect();
-                for (g, w) in got_add.iter().zip(&want_add) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "add_assign {c:?} n={n}");
-                }
-                let got_scale = with_backend(c, || {
-                    let mut y = a.clone();
-                    scale(&mut y, 0.3);
-                    y
-                });
-                for (g, &w) in got_scale.iter().zip(&a) {
-                    assert_eq!(g.to_bits(), (w * 0.3).to_bits(), "scale {c:?} n={n}");
-                }
+            }
+            // the elementwise kernels compute the plain scalar formula
+            let (x, y) = (vec_pat(n, 1), vec_pat(n, 2));
+            let [.., (_, axpy_y), (_, add_y), (_, scale_x)] = kernel_bits(Choice::Scalar, &x, &y, 0.3);
+            for (i, (&xi, &yi)) in x.iter().zip(&y).enumerate() {
+                assert_eq!(axpy_y[i], (yi + 0.3 * xi).to_bits(), "axpy n={n}");
+                assert_eq!(add_y[i], (yi + xi).to_bits(), "add_assign n={n}");
+                assert_eq!(scale_x[i], (xi * 0.3).to_bits(), "scale n={n}");
             }
         }
     }
@@ -1263,8 +688,6 @@ mod tests {
     fn env_parse_accepts_the_documented_values() {
         assert_eq!(parse_choice("scalar"), Choice::Scalar);
         assert_eq!(parse_choice("AVX2"), Choice::Avx2);
-        assert_eq!(parse_choice("sse2"), Choice::Sse2);
-        assert_eq!(parse_choice("neon"), Choice::Neon);
         assert_eq!(parse_choice("auto"), Choice::Auto);
         assert_eq!(parse_choice("mystery"), Choice::Auto);
     }
@@ -1272,10 +695,8 @@ mod tests {
     #[test]
     fn active_resolves_to_a_supported_backend() {
         let b = active();
-        #[cfg(target_arch = "x86_64")]
-        assert_ne!(b, Backend::Neon);
-        #[cfg(target_arch = "aarch64")]
-        assert!(matches!(b, Backend::Neon | Backend::Scalar));
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(b, Backend::Scalar);
         assert!(!b.name().is_empty());
         assert!(!detected_features().is_empty());
     }

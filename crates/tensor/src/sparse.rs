@@ -6,6 +6,7 @@
 //! and the autograd tape's `spmm` op.
 
 use crate::matrix::Matrix;
+use crate::simd;
 use std::sync::OnceLock;
 
 /// Work (nnz × dense width) below which an spmm stays on the calling
@@ -182,26 +183,31 @@ impl SparseMatrix {
         if self.rows == 0 || dc == 0 {
             return out;
         }
+        let finite = simd::all_finite(&self.values) && simd::all_finite(dense.data());
         if self.nnz() * dc < MIN_PAR_WORK || privim_rt::par::num_threads() <= 1 {
-            self.spmm_rows(dense, 0, out.data_mut());
+            self.spmm_rows(dense, finite, 0, out.data_mut());
         } else {
             privim_rt::par::for_each_row_chunk(out.data_mut(), dc, |r0, chunk| {
-                self.spmm_rows(dense, r0, chunk);
+                self.spmm_rows(dense, finite, r0, chunk);
             });
         }
         out
     }
 
-    /// Serial spmm kernel for output rows `r0 .. r0 + out_chunk.len()/dc`.
-    fn spmm_rows(&self, dense: &Matrix, r0: usize, out_chunk: &mut [f64]) {
-        let dc = dense.cols();
-        for (local, orow) in out_chunk.chunks_mut(dc).enumerate() {
-            let (cols, vals) = self.row(r0 + local);
-            for (&c, &v) in cols.iter().zip(vals) {
-                // elementwise axpy over the dense row: per-element
-                // accumulation order is unchanged on every SIMD backend
-                crate::simd::axpy(orow, v, dense.row(c as usize));
-            }
+    /// Serial spmm kernel for output rows `r0 .. r0 + out_chunk.len()/dc`,
+    /// on the active backend's build only if the values and `dense` are
+    /// `finite` (see [`simd::Kernel`]).
+    fn spmm_rows(&self, dense: &Matrix, finite: bool, r0: usize, out_chunk: &mut [f64]) {
+        let rows = SpmmRows {
+            a: self,
+            dense,
+            r0,
+            out: out_chunk,
+        };
+        if finite {
+            simd::dispatch(rows)
+        } else {
+            simd::run_baseline(rows)
         }
     }
 
@@ -264,6 +270,35 @@ impl SparseMatrix {
             }
         }
         m
+    }
+}
+
+/// [`SparseMatrix::spmm_rows`]'s loop nest, as one [`simd::Kernel`]:
+/// each output element adds `v · dense[c][j]` over its sparse row's
+/// entries in ascending column order, a multiply then an add, so the
+/// per-element sequence is the same on every backend. One dispatch per
+/// call, not one per non-zero: the loss's products are one column wide,
+/// where a dispatch cost more than the multiply-add it ran.
+struct SpmmRows<'a> {
+    a: &'a SparseMatrix,
+    dense: &'a Matrix,
+    r0: usize,
+    out: &'a mut [f64],
+}
+
+impl simd::Kernel for SpmmRows<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        let dc = self.dense.cols();
+        for (local, orow) in self.out.chunks_mut(dc).enumerate() {
+            let (cols, vals) = self.a.row(self.r0 + local);
+            for (&c, &v) in cols.iter().zip(vals) {
+                for (o, &d) in orow.iter_mut().zip(self.dense.row(c as usize)) {
+                    *o += v * d;
+                }
+            }
+        }
     }
 }
 
@@ -354,6 +389,44 @@ mod tests {
         let p1 = s.transposed() as *const SparseMatrix;
         let p2 = s.transposed() as *const SparseMatrix;
         assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn spmm_is_bit_identical_on_every_backend_with_nan_payloads() {
+        use crate::simd::{set_backend, Choice};
+        // infinities, NaNs of both signs and several payloads, one signalling
+        let special = [
+            0x7ff0_0000_0000_0000u64,
+            0xfff0_0000_0000_0000,
+            0x7ff8_0000_0000_0bad,
+            0xfffc_0000_dead_0000,
+            0x7ff4_0000_0000_0001,
+        ]
+        .map(f64::from_bits);
+        let s = SparseMatrix::from_triplets(
+            30,
+            20,
+            (0..30).flat_map(|r| {
+                let v = if r % 7 == 3 { special[r % 5] } else { 0.5 + r as f64 };
+                [(r, r % 20, v), (r, (r * 3 + 1) % 20, -0.25), (r, (r * 7 + 2) % 20, 2.0)]
+            }),
+        );
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for dc in [1, 5, 33] {
+            let mut d = Matrix::from_vec(20, dc, (0..20 * dc).map(|i| (i % 11) as f64 - 5.0).collect());
+            for (i, x) in d.data_mut().iter_mut().enumerate().step_by(9) {
+                *x = special[i % 5];
+            }
+            for (a, dense) in [(&s, &d), (s.transposed(), &Matrix::full(30, dc, 1.5))] {
+                set_backend(Some(Choice::Scalar));
+                let want = bits(&a.spmm(dense));
+                for c in [Choice::Avx2, Choice::Auto] {
+                    set_backend(Some(c));
+                    assert_eq!(bits(&a.spmm(dense)), want, "dc={dc} {c:?}");
+                }
+                set_backend(None);
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ echo "archived $LINT_JSON (${LINT_SECS}s)"
 echo "== lint self-check (the analyzer's own sources must pass its rules)"
 cargo run -q --offline -p privim-lint -- --workspace --under crates/lint
 
-echo "== lint audit of the unsafe intrinsics modules (SIMD + aligned pool)"
+echo "== lint audit of the unsafe modules (SIMD dispatch + aligned pool)"
 # The only `unsafe` in the tensor crate lives in the SIMD dispatch layer
 # and the 64-byte-aligned allocator. Run the unsafe-audit / panic-surface
 # rules scoped to exactly those modules and archive the artifact so a new
@@ -65,26 +65,17 @@ echo "== offline tests (workspace, PRIVIM_SIMD=scalar)"
 # numeric assertions on the fallback path.
 PRIVIM_SIMD=scalar cargo test -q --offline --workspace
 
-echo "== offline tests (tensor, gnn, golden bits, determinism; PRIVIM_SIMD=sse2)"
-# The dense-product kernel (simd::gemm) is instantiated once per backend,
-# and the two legs above run only the auto (AVX2 here) and scalar ones.
-# This leg puts the SSE2 instantiation against the kernel property test
-# and the golden training hashes. NEON cannot run on an x86-64 box.
-PRIVIM_SIMD=sse2 cargo test -q --offline -p privim-tensor -p privim-gnn
-PRIVIM_SIMD=sse2 cargo test -q --offline --test golden_training_bits --test determinism
-
 echo "== bench smoke (kernel harness + bit-identity assertions, tiny sizes)"
 # bench_kernels asserts SIMD/tiled/parallel kernels match their scalar
 # and naive references bitwise before timing anything; --smoke proves
 # that in well under a second without touching the checked-in
-# BENCH_kernels.json trajectory. Run it three times — with dispatch free
-# (auto picks the widest backend the CPU has), pinned to scalar, and
-# pinned to SSE2 — so the bit-identity assertions against the naive
-# references (the column tail, the attention backward) execute under
-# every x86-64 dispatch entry point.
+# BENCH_kernels.json trajectory. Run it twice — with dispatch free
+# (auto picks AVX2 where the CPU has it) and pinned to scalar (the
+# baseline build, SSE2 on x86-64) — so the bit-identity assertions
+# against the naive references (the column tail, the attention backward)
+# execute under both builds of every kernel.
 cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 PRIVIM_SIMD=scalar cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
-PRIVIM_SIMD=sse2 cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 
 echo "== fault-injection matrix (divergence recovery under seeded faults)"
 for seed in 1 2; do
