@@ -10,7 +10,8 @@
 //!   CPU supports (`scalar` always, then `avx2` if detected),
 //!   serial (`set_threads(1)`),
 //! * **serial** — the current kernel under the default (`PRIVIM_SIMD`
-//!   env / auto) backend at 1 thread,
+//!   env / auto) backend at 1 thread: the per-backend row of that build,
+//!   not a second run of it,
 //! * **par4** — the same on the persistent pool at `set_threads(4)`.
 //!
 //! Before any timing, every kernel's output is asserted *bit-identical*
@@ -25,10 +26,14 @@
 //! sample, that sample's dense products (`h·W`, `hᵀ·d` and its width-1
 //! form `hᵀ·g` through `matmul_tn`, and `d·Wᵀ`), `matmul` at 512 and 1024
 //! rows (either side of `MIN_PAR_WORK`, where `par4` starts to pay),
-//! `attend_backward` (one GRAT attention layer's backward at n = 70,
-//! against a naive copy of its scalar loops), and `grat_sample_grad`, one
-//! paper-default GRAT forward plus backward under the Eq. 5 loss on a
-//! train-star-sized (35 nodes) and a train-hp-sized (6 nodes) subgraph.
+//! `transpose` at 2^15 and 2^16 elements (either side of
+//! `MIN_PAR_TRANSPOSE`), `attend` (one GRAT attention layer's forward at
+//! n = 70 and on the Facebook-calibrated graph, against the arc-order
+//! scatter it replaced), `attend_backward` (that layer's backward at
+//! n = 70, against a naive copy of its scalar loops), and
+//! `grat_sample_grad`, one paper-default GRAT forward plus backward under
+//! the Eq. 5 loss on a train-star-sized (35 nodes) and a train-hp-sized
+//! (6 nodes) subgraph, on the scratch tape as the trainer runs it.
 //!
 //! All wall-clock reads go through `privim_rt::bench::time_iters` (the
 //! workspace's single timing point, per the `wall-clock` lint rule).
@@ -40,11 +45,13 @@
 
 use privim::loss::{im_loss, LossConfig};
 use privim_gnn::{node_features, GnnConfig, GnnModel, GraphTensors};
+use privim_graph::datasets::Dataset;
 use privim_graph::generators;
 use privim_rt::bench::time_iters;
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
-use privim_tensor::{attention, simd, GradClip, Matrix, SparseMatrix, Tape};
+use privim_tensor::attention::{self, Arcs};
+use privim_tensor::{simd, GradClip, Matrix, SparseMatrix, Tape};
 
 /// Seed-era dense kernel: plain `i → k → j` scalar loop with the zero-skip.
 /// Term order per output element is k-ascending, exactly like the blocked
@@ -119,6 +126,44 @@ fn naive_spmm_transpose(s: &SparseMatrix, dense: &Matrix) -> Matrix {
     out
 }
 
+/// The GRAT attention forward as it was before the gather: leaky-ReLU
+/// scores in arc order, the per-source softmax as three passes over the
+/// whole arc list, and the scatter `agg[dst_i] += α_i · hw[src_i]` in arc
+/// order. Returns `[agg, α]`.
+fn naive_attend(hw: &Matrix, s_dst: &Matrix, s_src: &Matrix, src: &[u32], dst: &[u32]) -> Vec<Matrix> {
+    let n = hw.rows();
+    let mut alpha: Vec<f64> = src
+        .iter()
+        .zip(dst)
+        .map(|(&s, &d)| {
+            let v = s_dst.data()[d as usize] + s_src.data()[s as usize];
+            if v > 0.0 {
+                v
+            } else {
+                0.2 * v
+            }
+        })
+        .collect();
+    let (mut max, mut sum) = (vec![f64::NEG_INFINITY; n], vec![0.0; n]);
+    for (&v, &g) in alpha.iter().zip(src) {
+        max[g as usize] = max[g as usize].max(v);
+    }
+    for (v, &g) in alpha.iter_mut().zip(src) {
+        *v = (*v - max[g as usize]).exp();
+        sum[g as usize] += *v;
+    }
+    for (v, &g) in alpha.iter_mut().zip(src) {
+        *v /= sum[g as usize];
+    }
+    let mut agg = Matrix::zeros(n, hw.cols());
+    for ((&s, &d), &a) in src.iter().zip(dst).zip(&alpha) {
+        for (o, &v) in agg.row_mut(d as usize).iter_mut().zip(hw.row(s as usize)) {
+            *o += a * v;
+        }
+    }
+    vec![agg, Matrix::from_vec(alpha.len(), 1, alpha)]
+}
+
 /// The attention backward as it was before its finite-`g` fast path: the
 /// scalar loops of `attention::attend_backward`, with the exact-zero skip
 /// in the `∂a_dst`/`∂a_src` sums. Returns `[∂hw | ∂a_dst | ∂a_src]`
@@ -127,12 +172,12 @@ fn naive_attend_backward(
     hw: &Matrix,
     a_dst: &Matrix,
     a_src: &Matrix,
-    src: &[u32],
-    dst: &[u32],
+    arcs: &Arcs,
     d: &Matrix,
 ) -> Matrix {
     let (s_dst, s_src) = (naive_matmul(hw, a_dst), naive_matmul(hw, a_src));
-    let (_, alpha) = attention::attend(hw, &s_dst, &s_src, src, dst, false);
+    let (src, dst) = (arcs.src(), arcs.dst());
+    let alpha = &naive_attend(hw, &s_dst, &s_src, src, dst)[1];
     let alpha = alpha.data();
     let mut g: Vec<f64> = src
         .iter()
@@ -186,23 +231,44 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     )
 }
 
-fn assert_bit_identical(name: &str, a: &Matrix, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "{name}: shape mismatch");
-    for (i, (x, y)) in a.data().iter().zip(b.data()).collect::<Vec<_>>().into_iter().enumerate() {
-        assert!(
-            x.to_bits() == y.to_bits(),
-            "{name}: bit mismatch at flat index {i}: {x:?} vs {y:?}"
-        );
+/// A case's output: one matrix, or several (a gradient list).
+trait Output {
+    fn matrices(&self) -> Vec<&Matrix>;
+}
+
+impl Output for Matrix {
+    fn matrices(&self) -> Vec<&Matrix> {
+        vec![self]
     }
 }
 
-/// The backends this CPU can actually run: `scalar` always, then `avx2`
-/// if its forced resolution sticks.
+impl Output for Vec<Matrix> {
+    fn matrices(&self) -> Vec<&Matrix> {
+        self.iter().collect()
+    }
+}
+
+fn assert_bit_identical(name: &str, a: &impl Output, b: &impl Output) {
+    let (a, b) = (a.matrices(), b.matrices());
+    assert_eq!(a.len(), b.len(), "{name}: output count mismatch");
+    for (k, (a, b)) in a.into_iter().zip(b).enumerate() {
+        assert_eq!(a.shape(), b.shape(), "{name}: shape mismatch in output {k}");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits(),
+                "{name}: bit mismatch in output {k} at flat index {i}: {x:?} vs {y:?}"
+            );
+        }
+    }
+}
+
+/// The builds this CPU can actually run: `scalar` always, then `avx2`
+/// if `auto` resolves to it.
 fn available_backends() -> Vec<(simd::Choice, &'static str)> {
     let mut v: Vec<(simd::Choice, &'static str)> = vec![(simd::Choice::Scalar, "scalar")];
-    simd::set_backend(Some(simd::Choice::Avx2));
+    simd::set_backend(Some(simd::Choice::Auto));
     if simd::active() == simd::Backend::Avx2 {
-        v.push((simd::Choice::Avx2, "avx2"));
+        v.push((simd::Choice::Auto, "avx2"));
     }
     simd::set_backend(None);
     v
@@ -280,15 +346,16 @@ impl CaseResult {
     }
 }
 
-/// Time `f` under every available SIMD backend (serial), under the
-/// default backend serially and at 4 threads, and optionally a naive
-/// reference — asserting every configuration bit-identical first.
-fn run_case(
+/// Time `f` under every available SIMD backend (serial) and under the
+/// default backend at 4 threads, and optionally a naive reference —
+/// asserting every configuration bit-identical first. The serial time is
+/// the default backend's own row, not a second run of the same build.
+fn run_case<T: Output>(
     name: &str,
     shape: String,
     iters: u64,
-    naive: Option<&dyn Fn() -> Matrix>,
-    f: &dyn Fn() -> Matrix,
+    naive: Option<&dyn Fn() -> T>,
+    f: &dyn Fn() -> T,
     note: Option<&'static str>,
 ) -> CaseResult {
     privim_rt::par::set_threads(1);
@@ -311,8 +378,10 @@ fn run_case(
         privim_rt::par::set_threads(1);
         time_iters(iters, naive)
     });
-    privim_rt::par::set_threads(1);
-    let serial_secs = time_iters(iters, f);
+    let serial_secs = backend_secs
+        .iter()
+        .find(|(b, _)| *b == simd::active().name())
+        .map_or_else(|| time_iters(iters, f), |&(_, secs)| secs);
     privim_rt::par::set_threads(4);
     let par4_secs = time_iters(iters, f);
     privim_rt::par::set_threads(0); // back to auto
@@ -350,15 +419,16 @@ fn grat_sample(n: usize, m: usize, rng: &mut ChaCha8Rng) -> (GraphTensors, Matri
     (GraphTensors::new(&g), node_features(&g), model)
 }
 
-/// One sample's DP-SGD gradient: forward, Eq. 5 loss, backward; every
-/// parameter gradient flattened into one row.
-fn sample_grad((gt, x, model): &(GraphTensors, Matrix, GnnModel)) -> Matrix {
-    let mut tape = Tape::new();
-    let (probs, pvars) = model.forward(&mut tape, gt, x);
-    let loss = im_loss(&mut tape, gt, probs, &LossConfig::paper_default());
-    let grads = tape.backward(loss);
-    let flat: Vec<f64> = pvars.iter().flat_map(|&v| grads.wrt(v).data().to_vec()).collect();
-    Matrix::from_vec(1, flat.len(), flat)
+/// One sample's DP-SGD gradient as the trainer takes it: forward, Eq. 5
+/// loss and backward on the thread's scratch tape, each parameter
+/// gradient moved out of the sweep.
+fn sample_grad((gt, x, model): &(GraphTensors, Matrix, GnnModel)) -> Vec<Matrix> {
+    Tape::with_scratch(|tape| {
+        let (probs, pvars) = model.forward(tape, gt, x);
+        let loss = im_loss(tape, gt, probs, &LossConfig::paper_default());
+        let mut grads = tape.backward(loss);
+        pvars.iter().map(|&v| grads.take(v)).collect()
+    })
 }
 
 fn fmt_secs(secs: f64) -> String {
@@ -431,18 +501,33 @@ fn main() {
     // One n = 70 GRAT attention layer: arcs with self-loops, scores wide
     // enough that α is far from uniform, and a masked upstream gradient.
     let att = GraphTensors::new(&generators::barabasi_albert(ps, 2, &mut rng));
-    let (att_src, att_dst) = (att.att_src.clone(), att.att_dst.clone());
+    let att_arcs = att.arcs().clone();
     let (ahw, ad) = (random_matrix(ps, 32, &mut rng), pd.clone());
     let (a_dst, a_src) = (random_matrix(32, 1, &mut rng).scale(4.0), random_matrix(32, 1, &mut rng).scale(4.0));
     let mut att_tape = Tape::new();
     let att_vars = [att_tape.leaf(ahw.clone()), att_tape.leaf(a_dst.clone()), att_tape.leaf(a_src.clone())];
-    let agg = att_tape.attend(att_vars[0], att_vars[1], att_vars[2], att_src.clone(), att_dst.clone(), false);
+    let agg = att_tape.attend(att_vars[0], att_vars[1], att_vars[2], att_arcs.clone(), false);
     let upstream = att_tape.constant(ad.clone());
     let weighted = att_tape.mul(agg, upstream);
     let att_loss = att_tape.sum(weighted);
     let star = grat_sample(35, 2, &mut rng);
     let hp = grat_sample(6, 1, &mut rng);
-    let arcs = |s: &(GraphTensors, Matrix, GnnModel)| format!("n={} E={}", s.0.n, s.0.att_src.len());
+    let arcs = |s: &(GraphTensors, Matrix, GnnModel)| format!("n={} E={}", s.0.n, s.0.arcs().len());
+    // One GRAT attention layer's forward from its per-node scores, at
+    // n = 70 and on the Facebook-calibrated graph
+    let att_scores = (ahw.matmul(&a_dst), ahw.matmul(&a_src));
+    let fb = GraphTensors::new(&Dataset::Facebook.generate_scaled(if smoke { 0.03 } else { 1.0 }, &mut rng));
+    let fb_hw = random_matrix(fb.n, 32, &mut rng);
+    let fb_scores = (fb_hw.matmul(&a_dst), fb_hw.matmul(&a_src));
+    let attend_old = |hw: &Matrix, (s_dst, s_src): &(Matrix, Matrix), arcs: &Arcs| {
+        naive_attend(hw, s_dst, s_src, arcs.src(), arcs.dst())
+    };
+    let attend_new = |hw: &Matrix, (s_dst, s_src): &(Matrix, Matrix), arcs: &Arcs| {
+        let (agg, alpha) = attention::attend(hw, s_dst, s_src, arcs, false);
+        vec![agg, alpha]
+    };
+    let t_below = random_matrix(tr / 4, tr / 2, &mut rng);
+    let t_at = random_matrix(tr / 2, tr / 2, &mut rng);
 
     println!(
         "{:<24} {:>11} {:>11} {:>11} {:>11}",
@@ -467,6 +552,22 @@ fn main() {
                 "pure permutation, memory-bound: backends are at parity by design — \
                  there is no arithmetic to vectorize",
             ),
+        ),
+        run_case(
+            "transpose",
+            format!("{}x{}", tr / 4, tr / 2),
+            iters * 10,
+            Some(&|| naive_transpose(&t_below)),
+            &|| t_below.transpose(),
+            Some("2^15 elements in the full run, below MIN_PAR_TRANSPOSE: par4 runs the serial loop"),
+        ),
+        run_case(
+            "transpose",
+            format!("{}x{}", tr / 2, tr / 2),
+            iters * 10,
+            Some(&|| naive_transpose(&t_at)),
+            &|| t_at.transpose(),
+            Some("2^16 elements in the full run, MIN_PAR_TRANSPOSE: the smallest transpose par4 splits onto the pool"),
         ),
         run_case(
             "spmm",
@@ -566,10 +667,26 @@ fn main() {
             Some("per-sample score/readout weight gradient hᵀ·g: the column tail reading h by column"),
         ),
         run_case(
-            "attend_backward",
-            format!("n={ps} E={}", att_src.len()),
+            "attend",
+            format!("n={ps} E={}", att_arcs.len()),
             iters * 200,
-            Some(&|| naive_attend_backward(&ahw, &a_dst, &a_src, &att_src, &att_dst, &ad)),
+            Some(&|| attend_old(&ahw, &att_scores, &att_arcs)),
+            &|| attend_new(&ahw, &att_scores, &att_arcs),
+            Some("one GRAT attention layer's forward from its scores: naive = the arc-order scatter it replaced"),
+        ),
+        run_case(
+            "attend",
+            format!("n={} E={}", fb.n, fb.arcs().len()),
+            iters,
+            Some(&|| attend_old(&fb_hw, &fb_scores, fb.arcs())),
+            &|| attend_new(&fb_hw, &fb_scores, fb.arcs()),
+            Some("the same on the Facebook-calibrated graph, as full-graph scoring runs it"),
+        ),
+        run_case(
+            "attend_backward",
+            format!("n={ps} E={}", att_arcs.len()),
+            iters * 200,
+            Some(&|| naive_attend_backward(&ahw, &a_dst, &a_src, &att_arcs, &ad)),
             &|| {
                 // the tape's backward through sum and mul hands attend
                 // exactly `ad` (1.0 · ad) as its upstream gradient

@@ -7,8 +7,10 @@
 //!   container size itself, which forces overwhelming noise (the paper's
 //!   explanation for EGN's last-place utility).
 //! - **HP** (Xiang et al., S&P'24): HeterPoisson — node-level samples
-//!   (one ego neighbourhood per node over an in-degree-capped graph) drawn
-//!   in Poisson batches, with Symmetric Multivariate Laplace noise.
+//!   (one ego neighbourhood per node over an in-degree-capped graph) with
+//!   Symmetric Multivariate Laplace noise. DP-SGD draws B of them per
+//!   step, as it does for every method (HeterPoisson itself draws Poisson
+//!   batches).
 //!   Designed for node-level tasks: each sample sees only a single node's
 //!   capped neighbourhood, which is exactly the structural deficiency the
 //!   paper exploits ("focus solely on single node for each subgraph").
@@ -44,8 +46,8 @@ pub fn egn_container(
 /// HP-style container: per-node ego subgraphs over the θ-capped graph.
 ///
 /// HeterPoisson is a node-level method: each "sample" is one node together
-/// with its (degree-capped) in-neighbourhood, and each DP-SGD batch is a
-/// Poisson draw of such samples. This is the paper's characterisation of
+/// with its (degree-capped) in-neighbourhood; DP-SGD draws B such samples
+/// per step, as for every method. This is the paper's characterisation of
 /// HP applied to IM: "focus solely on single node for each subgraph",
 /// which is exactly why it loses multi-hop structure. The per-node
 /// occurrence across ego sets is capped at `theta + 1` (own ego plus at

@@ -61,7 +61,7 @@ impl LossConfig {
 pub fn im_loss(tape: &mut Tape, gt: &GraphTensors, probs: Var, cfg: &LossConfig) -> Var {
     assert!(cfg.steps >= 1, "need at least one diffusion step");
     assert!(cfg.lambda >= 0.0, "lambda must be non-negative");
-    let adj = tape.sparse_const(gt.adj_loss.clone());
+    let adj = tape.sparse_const(gt.adj_loss().clone());
 
     // H^{(0)} = p; inactive_prod accumulates Π_i (1 - p̂_i).
     let mut h = probs;

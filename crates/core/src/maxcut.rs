@@ -25,7 +25,7 @@ pub fn maxcut_loss(tape: &mut Tape, gt: &GraphTensors, probs: Var, lambda: f64) 
     // arc-level in-adjacency (each undirected edge = 2 arcs) the sum double
     // counts, which only rescales the objective.
     // Σ_{(v,u) arcs} p_v (1 − p_u) = pᵀ A_ic (1 − p) computed via spmm.
-    let adj = tape.sparse_const(gt.adj_ic.clone());
+    let adj = tape.sparse_const(gt.adj_ic().clone());
     let one_minus_p = tape.one_minus(probs);
     let agg = tape.spmm(adj, one_minus_p); // row u: Σ_in w (1 - p_v) ... per-arc
     let cut_terms = tape.mul(probs, agg);

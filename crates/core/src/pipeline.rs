@@ -259,11 +259,6 @@ struct PreparedRun {
     /// For HP the training graph was θ-capped; scoring still uses the full
     /// graph, so only the container differs.
     preprocess_secs: f64,
-    /// HP trains on one Poisson batch per step instead of B subgraphs.
-    batch_override: Option<usize>,
-    /// HP's per-step subsampled accounting: effective container size
-    /// `round(1/rate)` with `n_g = batch = 1`.
-    privacy_override: Option<PrivacyParams>,
 }
 
 /// Run one method once. `rep` perturbs every RNG so repeated calls give
@@ -320,8 +315,6 @@ fn prepare(
                 gnn: GnnKind::Grat,
                 noise: NoiseKind::Gaussian,
                 preprocess_secs: t0.elapsed().as_secs_f64(),
-                batch_override: None,
-                privacy_override: None,
             }
         }
         Method::PrivImScs { .. } => {
@@ -337,8 +330,6 @@ fn prepare(
                 gnn: GnnKind::Grat,
                 noise: NoiseKind::Gaussian,
                 preprocess_secs: t0.elapsed().as_secs_f64(),
-                batch_override: None,
-                privacy_override: None,
             }
         }
         Method::PrivImStar { .. } | Method::NonPrivate => {
@@ -354,8 +345,6 @@ fn prepare(
                 gnn: GnnKind::Grat,
                 noise: NoiseKind::Gaussian,
                 preprocess_secs: t0.elapsed().as_secs_f64(),
-                batch_override: None,
-                privacy_override: None,
             }
         }
         Method::PrivImStarWith { kind, .. } => {
@@ -371,8 +360,6 @@ fn prepare(
                 gnn: kind,
                 noise: NoiseKind::Gaussian,
                 preprocess_secs: t0.elapsed().as_secs_f64(),
-                batch_override: None,
-                privacy_override: None,
             }
         }
         Method::Egn { .. } => {
@@ -388,14 +375,13 @@ fn prepare(
                 gnn: GnnKind::Gcn,
                 noise: NoiseKind::Gaussian,
                 preprocess_secs: t0.elapsed().as_secs_f64(),
-                batch_override: None,
-                privacy_override: None,
             }
         }
         Method::Hp { .. } | Method::HpGrat { .. } => {
             // HeterPoisson: per-node ego samples over the θ-capped graph,
-            // Poisson batches, SML noise. Occurrence bound θ + 1 (own ego
-            // plus at most θ neighbours' egos) is enforced by construction.
+            // SML noise, and B samples per step like every method.
+            // Occurrence bound θ + 1 (own ego plus at most θ neighbours'
+            // egos) is enforced by construction.
             let (_, container) = hp_container(tg, p.theta, rng);
             PreparedRun {
                 container,
@@ -407,8 +393,6 @@ fn prepare(
                 },
                 noise: NoiseKind::Sml,
                 preprocess_secs: t0.elapsed().as_secs_f64(),
-                batch_override: None,
-                privacy_override: None,
             }
         }
         Method::Celf | Method::Degree | Method::Random => {
@@ -503,15 +487,14 @@ fn train_stage(
     let preprocess_secs = prep.preprocess_secs + t_prep.elapsed().as_secs_f64();
 
     // Privacy accounting: calibrate σ to the requested ε.
-    let batch = prep.batch_override.unwrap_or(p.batch);
     let (sigma, epsilon) = match method.epsilon() {
         Some(eps) => {
-            let params = prep.privacy_override.unwrap_or(PrivacyParams {
+            let params = PrivacyParams {
                 n_g: prep.occurrence_bound.max(1),
-                batch: batch as u64,
+                batch: p.batch as u64,
                 container: prep.container.len().max(1) as u64,
                 steps: p.iters as u64,
-            });
+            };
             // the naive pipeline spends half its δ on the Lemma 1
             // refinement's failure probability
             let delta = if matches!(method, Method::PrivIm { .. }) {
@@ -544,7 +527,7 @@ fn train_stage(
         &mut model_rng,
     );
     let train_cfg = DpSgdConfig {
-        batch,
+        batch: p.batch,
         iters: p.iters,
         lr: p.lr,
         clip: p.clip,
@@ -567,7 +550,7 @@ fn train_stage(
         model,
         sigma,
         epsilon,
-        batch,
+        batch: p.batch,
         container_size: prep.container.len(),
         max_occurrence: prep.container.max_occurrence(),
         occurrence_bound: prep.occurrence_bound,

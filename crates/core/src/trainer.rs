@@ -42,10 +42,13 @@ pub struct TrainItem {
 }
 
 impl TrainItem {
-    /// Prepare a sampled subgraph.
+    /// Prepare a sampled subgraph, building the loss operator (Eq. 5)
+    /// here rather than on the sample's first training step.
     pub fn from_subgraph(s: &Subgraph) -> Self {
+        let gt = GraphTensors::new(&s.graph);
+        gt.adj_loss();
         TrainItem {
-            gt: GraphTensors::new(&s.graph),
+            gt,
             x: node_features(&s.graph),
         }
     }

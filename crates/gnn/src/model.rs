@@ -358,23 +358,23 @@ impl GnnModel {
         let pvars: Vec<Var> = self.params.iter().map(|p| tape.leaf(p.clone())).collect();
         let mut h = tape.constant(x.clone());
         let mut pi = 0usize;
-        let gcn_id = tape.sparse_const(gt.adj_gcn.clone());
-        let mean_id = tape.sparse_const(gt.adj_mean.clone());
-        let sum_id = tape.sparse_const(gt.adj_sum.clone());
-
+        // each layer registers the one operator its kind aggregates with,
+        // so only that one is built (attention reads the arcs instead)
         for _ in 0..self.config.layers {
             h = match self.config.kind {
                 GnnKind::Gcn => {
                     let (w, b) = (pvars[pi], pvars[pi + 1]);
                     pi += 2;
-                    let agg = tape.spmm(gcn_id, h);
+                    let op = tape.sparse_const(gt.adj_gcn().clone());
+                    let agg = tape.spmm(op, h);
                     let lin = tape.matmul(agg, w);
                     tape.bias_relu(lin, b)
                 }
                 GnnKind::GraphSage => {
                     let (w, b) = (pvars[pi], pvars[pi + 1]);
                     pi += 2;
-                    let m = tape.spmm(mean_id, h);
+                    let op = tape.sparse_const(gt.adj_mean().clone());
+                    let m = tape.spmm(op, h);
                     let cat = tape.concat_cols(h, m);
                     let lin = tape.matmul(cat, w);
                     tape.bias_relu(lin, b)
@@ -387,8 +387,7 @@ impl GnnModel {
                     // Eq. 35 (GAT): normalise over each target's in-arcs;
                     // Eq. 39 (GRAT): over each source's out-arcs.
                     let gat = self.config.kind == GnnKind::Gat;
-                    let (src, dst) = (gt.att_src.clone(), gt.att_dst.clone());
-                    let agg = tape.attend(hw, a_dst, a_src, src, dst, gat);
+                    let agg = tape.attend(hw, a_dst, a_src, gt.arcs().clone(), gat);
                     // GAT-only skip connection: target-normalised attention
                     // averages away the node's own magnitude information
                     // (on attribute-poor graphs the degree signal inverts),
@@ -407,7 +406,8 @@ impl GnnModel {
                         pvars[pi + 4],
                     );
                     pi += 5;
-                    let neigh = tape.spmm(sum_id, h);
+                    let op = tape.sparse_const(gt.adj_sum().clone());
+                    let neigh = tape.spmm(op, h);
                     let one_plus_eps = tape.add_scalar(eps, 1.0);
                     let eps_col = tape.gather_rows(one_plus_eps, Arc::new(vec![0u32; gt.n]));
                     let scaled_self = tape.mul_col_broadcast(eps_col, h);
@@ -459,11 +459,11 @@ impl GnnModel {
             h = match config.kind {
                 GnnKind::Gcn => {
                     pi += 2;
-                    gt.adj_gcn.spmm(&h).matmul(&w[p]).bias_relu(&w[p + 1])
+                    gt.adj_gcn().spmm(&h).matmul(&w[p]).bias_relu(&w[p + 1])
                 }
                 GnnKind::GraphSage => {
                     pi += 2;
-                    let m = gt.adj_mean.spmm(&h);
+                    let m = gt.adj_mean().spmm(&h);
                     h.concat_cols(&m).matmul(&w[p]).bias_relu(&w[p + 1])
                 }
                 GnnKind::Gat | GnnKind::Grat => {
@@ -473,8 +473,7 @@ impl GnnModel {
                     let hw = h.matmul(&w[p]);
                     let (s_dst, s_src) = (hw.matmul(&w[p + 1]), hw.matmul(&w[p + 2]));
                     let gat = config.kind == GnnKind::Gat;
-                    let (src, dst) = (&gt.att_src[..], &gt.att_dst[..]);
-                    let (mut agg, _) = attention::attend(&hw, &s_dst, &s_src, src, dst, gat);
+                    let (mut agg, _) = attention::attend(&hw, &s_dst, &s_src, gt.arcs(), gat);
                     if gat {
                         agg.add_assign(&hw);
                     }
@@ -482,7 +481,7 @@ impl GnnModel {
                 }
                 GnnKind::Gin => {
                     pi += 5;
-                    let mut pre = gt.adj_sum.spmm(&h);
+                    let mut pre = gt.adj_sum().spmm(&h);
                     pre.add_scaled_assign(&h, 1.0 + w[p + 4].get(0, 0));
                     let a1 = pre.matmul(&w[p]).bias_relu(&w[p + 1]);
                     a1.matmul(&w[p + 2]).bias_relu(&w[p + 3])
@@ -594,7 +593,7 @@ pub(crate) mod tests {
             )
         };
         let gat = model.config.kind == GnnKind::Gat;
-        let (src, dst) = (&gt.att_src[..], &gt.att_dst[..]);
+        let (src, dst) = (gt.arcs().src(), gt.arcs().dst());
         let mut h = x.clone();
         for pi in (0..model.config.layers).map(|l| 4 * l) {
             let hw = mm(&h, pi);
@@ -767,6 +766,20 @@ pub(crate) mod tests {
         }
         assert_eq!(GnnKind::from_name("GRAT"), Some(GnnKind::Grat));
         assert_eq!(GnnKind::from_name("transformer"), None);
+    }
+
+    #[test]
+    fn attention_inference_builds_no_operator() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let g = generators::barabasi_albert(30, 3, &mut rng);
+        for kind in [GnnKind::Gat, GnnKind::Grat] {
+            let model = GnnModel::new(GnnConfig::paper_default_with(kind), &mut rng);
+            // score_graph's steps, keeping the tensors to inspect
+            let gt = GraphTensors::new(&g);
+            let scores = model.infer(&gt, &node_features(&g));
+            assert_eq!(scores, model.score_graph(&g), "{kind:?}");
+            assert_eq!(gt.operators_built(), 0, "{kind:?}");
+        }
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! [`attend`] is the one forward kernel behind the training tape's
 //! [`crate::Tape::attend`] op and the model's tape-free inference. It reads
 //! the per-node scores `s_dst = hw·a_dst` and `s_src = hw·a_src` (`n×1`)
-//! and per-arc scalars only: no `E×hidden` buffer is built.
-//! `attend_backward` is the tape op's backward. It
-//! reproduces, operation for operation, the gradients of the gather →
-//! contract → leaky-ReLU → segment-softmax → scale → scatter chain the op
-//! replaced (DESIGN.md §10.5).
+//! and per-arc scalars only: no `E×hidden` buffer is built. It runs in
+//! two passes over an [`Arcs`] value: a softmax pass per segment that
+//! writes α in arc order, then a gather per target over its in-arcs that
+//! keeps the output row in registers. `attend_backward` is the tape op's
+//! backward. It reproduces, operation for operation, the gradients of the
+//! gather → contract → leaky-ReLU → segment-softmax → scale → scatter
+//! chain the op replaced (DESIGN.md §10.5).
 
 use crate::matrix::Matrix;
 use crate::simd;
@@ -16,104 +18,243 @@ use std::sync::Arc;
 /// Negative slope of the leaky ReLU on the attention scores.
 const SLOPE: f64 = 0.2;
 
+/// Output columns the gather keeps in registers at once: 32 f64, eight
+/// AVX2 registers, the paper's hidden width.
+const CHUNK: usize = 32;
+
 /// Arc `(s, d)`'s score before the leaky ReLU.
 #[inline]
 fn raw_score(s_dst: &Matrix, s_src: &Matrix, s: u32, d: u32) -> f64 {
     s_dst.data()[d as usize] + s_src.data()[s as usize]
 }
 
-/// Aggregate `hw` (`n×hidden`) over the arcs `src[i] → dst[i]`: arc `i`
-/// scores `e_i = leaky_relu(s_dst[dst_i] + s_src[src_i])`, its coefficient
-/// `α_i` is the softmax of `e` within its segment (each target's in-arcs if
-/// `by_dst`, the GAT normalisation of Eq. 35; else each source's out-arcs,
-/// GRAT's Eq. 39), and `α_i · hw[src_i]` is added into row `dst_i` in arc
-/// order. Returns the `n×hidden` aggregate and the `E×1` coefficients.
+/// The arcs `src[i] → dst[i]` of one attention layer over `n` nodes, in
+/// arc order, with both of their groupings: each target's in-arcs (the
+/// gather, and GAT's softmax) and each source's out-arcs (GRAT's
+/// softmax). A group lists its arcs in arc order, so a pass over it adds
+/// a segment's terms in the order a pass over the whole arc list did.
+#[derive(Debug)]
+pub struct Arcs {
+    src: Vec<u32>,
+    dst: Vec<u32>,
+    /// Target `d`'s in-slots: `[source, arc index]` of each in-arc.
+    by_target: Groups,
+    /// Source `s`'s out-arcs: `[target, arc index]` of each.
+    by_source: Groups,
+}
+
+/// Arcs grouped by one endpoint: node `k`'s are `slot[off[k]..off[k + 1]]`,
+/// each `[other endpoint, arc index]`, so a pass over a group reads one
+/// sequential stream.
+#[derive(Debug)]
+struct Groups {
+    off: Vec<usize>,
+    slot: Vec<[u32; 2]>,
+}
+
+impl Groups {
+    /// The arcs `key[i] – other[i]` grouped by `key < n`, each group in
+    /// ascending arc order (a stable counting sort).
+    fn by(n: usize, key: &[u32], other: &[u32]) -> Groups {
+        let mut off = vec![0usize; n + 1];
+        for &k in key {
+            off[k as usize + 1] += 1;
+        }
+        for k in 0..n {
+            off[k + 1] += off[k];
+        }
+        let mut next = off[..n].to_vec();
+        let mut slot = vec![[0u32; 2]; key.len()];
+        for (i, (&k, &o)) in key.iter().zip(other).enumerate() {
+            slot[next[k as usize]] = [o, i as u32];
+            next[k as usize] += 1;
+        }
+        Groups { off, slot }
+    }
+
+    fn nodes(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    fn get(&self, k: usize) -> &[[u32; 2]] {
+        &self.slot[self.off[k]..self.off[k + 1]]
+    }
+}
+
+impl Arcs {
+    /// Group the arcs `src[i] → dst[i]` over nodes `0..n`. Panics on an
+    /// endpoint outside `0..n`.
+    pub fn new(n: usize, src: Vec<u32>, dst: Vec<u32>) -> Arcs {
+        assert_eq!(src.len(), dst.len(), "arc endpoint length mismatch");
+        assert!(
+            u32::try_from(src.len()).is_ok(),
+            "more arcs than u32 indices"
+        );
+        Arcs {
+            by_target: Groups::by(n, &dst, &src),
+            by_source: Groups::by(n, &src, &dst),
+            src,
+            dst,
+        }
+    }
+
+    /// Node count.
+    pub fn nodes(&self) -> usize {
+        self.by_target.nodes()
+    }
+
+    /// Arc count.
+    pub fn len(&self) -> usize {
+        self.src.len()
+    }
+
+    /// Whether there are no arcs.
+    pub fn is_empty(&self) -> bool {
+        self.src.is_empty()
+    }
+
+    /// Source of each arc, in arc order.
+    pub fn src(&self) -> &[u32] {
+        &self.src
+    }
+
+    /// Target of each arc, in arc order.
+    pub fn dst(&self) -> &[u32] {
+        &self.dst
+    }
+
+    /// Target `d`'s in-slots in arc order, each `[source, arc index]`:
+    /// the in-slot → arc permutation restricted to `d`.
+    pub fn in_slots(&self, d: usize) -> &[[u32; 2]] {
+        self.by_target.get(d)
+    }
+}
+
+/// Aggregate `hw` (`n×hidden`) over `arcs`: arc `i = (s, d)` scores
+/// `e_i = leaky_relu(s_dst[d] + s_src[s])`, its coefficient `α_i` is the
+/// softmax of `e` within its segment (each target's in-arcs if `by_dst`,
+/// the GAT normalisation of Eq. 35; else each source's out-arcs, GRAT's
+/// Eq. 39), and row `d` of the aggregate is `Σ α_i · hw[s]` over `d`'s
+/// in-arcs in arc order. Returns the `n×hidden` aggregate and the `E×1`
+/// coefficients in arc order.
 pub fn attend(
     hw: &Matrix,
     s_dst: &Matrix,
     s_src: &Matrix,
-    src: &[u32],
-    dst: &[u32],
+    arcs: &Arcs,
     by_dst: bool,
 ) -> (Matrix, Matrix) {
-    assert_eq!(src.len(), dst.len(), "arc endpoint length mismatch");
     let n = hw.rows();
+    assert_eq!(arcs.nodes(), n, "arcs are over another node count");
     // The n×hidden output first: the matrix pool hands out the first
     // buffer big enough, so this takes the one the previous layer released
     // and α gets one its size, rather than the other way round.
     let mut agg = Matrix::zeros(n, hw.cols());
-    let mut alpha = Matrix::zeros(src.len(), 1);
-    for (a, (&s, &d)) in alpha.data_mut().iter_mut().zip(src.iter().zip(dst)) {
-        let v = raw_score(s_dst, s_src, s, d);
-        *a = if v > 0.0 { v } else { SLOPE * v };
+    let mut alpha = Matrix::zeros(arcs.len(), 1);
+    if by_dst {
+        softmax(alpha.data_mut(), &arcs.by_target, |d, s| {
+            raw_score(s_dst, s_src, s, d)
+        });
+    } else {
+        softmax(alpha.data_mut(), &arcs.by_source, |s, d| {
+            raw_score(s_dst, s_src, s, d)
+        });
     }
-    segment_softmax(alpha.data_mut(), if by_dst { dst } else { src }, n);
     let finite = simd::all_finite(hw.data()) && simd::all_finite(alpha.data());
-    let scatter = Scatter {
+    let gather = Gather {
         agg: &mut agg,
         hw,
-        src,
-        dst,
+        arcs,
         alpha: alpha.data(),
     };
     if finite {
-        simd::dispatch(scatter)
+        simd::dispatch(gather)
     } else {
-        simd::run_baseline(scatter)
+        simd::run_baseline(gather)
     }
     (agg, alpha)
 }
 
-/// [`attend`]'s scatter `agg[dst_i] += α_i · hw[src_i]`, in arc order, as
-/// one [`simd::Kernel`]: the rows are added at the backend's vector width
-/// without a dispatch per arc. Dispatched only when `hw` and α are finite.
-struct Scatter<'a> {
+/// α in arc order, one segment at a time: the leaky-ReLU scores, their
+/// maximum, `exp(e − max)` and its sum, then the quotients. Each pass
+/// walks the segment's arcs in arc order, so the maximum and the sum
+/// take their terms in the order of a pass over the whole arc list.
+/// `score(k, other)` is the raw score of an arc of segment `k`.
+fn softmax(alpha: &mut [f64], segments: &Groups, score: impl Fn(u32, u32) -> f64) {
+    for k in 0..segments.nodes() {
+        let slots = segments.get(k);
+        let mut max = f64::NEG_INFINITY;
+        for &[other, i] in slots {
+            let v = score(k as u32, other);
+            let e = if v > 0.0 { v } else { SLOPE * v };
+            alpha[i as usize] = e;
+            max = max.max(e);
+        }
+        let mut sum = 0.0;
+        for &[_, i] in slots {
+            let e = (alpha[i as usize] - max).exp();
+            alpha[i as usize] = e;
+            sum += e;
+        }
+        for &[_, i] in slots {
+            alpha[i as usize] /= sum;
+        }
+    }
+}
+
+/// [`attend`]'s gather `agg[d] = Σ α_i · hw[s_i]` over `d`'s in-arcs in
+/// arc order, as one [`simd::Kernel`]. Each row is summed [`CHUNK`]
+/// columns at a time in a register accumulator that starts at `+0.0`, so
+/// every element takes the adds of a scatter into a zeroed row in arc
+/// order. Dispatched only when `hw` and α are finite.
+struct Gather<'a> {
     agg: &'a mut Matrix,
     hw: &'a Matrix,
-    src: &'a [u32],
-    dst: &'a [u32],
+    arcs: &'a Arcs,
     alpha: &'a [f64],
 }
 
-impl simd::Kernel for Scatter<'_> {
+impl simd::Kernel for Gather<'_> {
     type Output = ();
 
     #[inline(always)]
     fn run(self) {
-        for ((&s, &d), &a) in self.src.iter().zip(self.dst).zip(self.alpha) {
-            let row = self.agg.row_mut(d as usize);
-            for (o, &v) in row.iter_mut().zip(self.hw.row(s as usize)) {
-                *o += a * v;
+        let cols = self.hw.cols();
+        for d in 0..self.arcs.nodes() {
+            let slots = self.arcs.in_slots(d);
+            let terms = || {
+                slots
+                    .iter()
+                    .map(|&[s, i]| (self.alpha[i as usize], self.hw.row(s as usize)))
+            };
+            let out = self.agg.row_mut(d);
+            let mut c0 = 0;
+            while c0 + CHUNK <= cols {
+                let mut acc = [0.0; CHUNK];
+                for (a, row) in terms() {
+                    for (o, &v) in acc.iter_mut().zip(&row[c0..c0 + CHUNK]) {
+                        *o += a * v;
+                    }
+                }
+                out[c0..c0 + CHUNK].copy_from_slice(&acc);
+                c0 += CHUNK;
+            }
+            // the last `cols % CHUNK` columns, summed in the zeroed row
+            for (a, row) in terms() {
+                for (o, &v) in out[c0..].iter_mut().zip(&row[c0..]) {
+                    *o += a * v;
+                }
             }
         }
     }
 }
 
-/// Softmax of `e` within each segment `seg[i] < n`, in place, stabilised
-/// by the per-segment maximum.
-fn segment_softmax(e: &mut [f64], seg: &[u32], n: usize) {
-    let mut max = Matrix::full(n, 1, f64::NEG_INFINITY);
-    let mut sum = Matrix::zeros(n, 1);
-    let (max, sum) = (max.data_mut(), sum.data_mut());
-    for (&v, &g) in e.iter().zip(seg) {
-        max[g as usize] = max[g as usize].max(v);
-    }
-    for (v, &g) in e.iter_mut().zip(seg) {
-        *v = (*v - max[g as usize]).exp();
-        sum[g as usize] += *v;
-    }
-    for (v, &g) in e.iter_mut().zip(seg) {
-        *v /= sum[g as usize];
-    }
-}
-
 /// What the tape op keeps for [`attend_backward`]: the arcs, the
 /// normalisation, the per-node scores `hw·a_dst` and `hw·a_src` (`n×1`) and
-/// the coefficients α (`E×1`), all in pooled buffers.
+/// the coefficients α (`E×1`, arc order), all in pooled buffers.
 #[derive(Clone, Debug)]
 pub(crate) struct Saved {
-    pub src: Arc<Vec<u32>>,
-    pub dst: Arc<Vec<u32>>,
+    pub arcs: Arc<Arcs>,
     pub by_dst: bool,
     pub s_dst: Matrix,
     pub s_src: Matrix,
@@ -125,15 +266,13 @@ pub(crate) fn forward(
     hw: &Matrix,
     a_dst: &Matrix,
     a_src: &Matrix,
-    src: Arc<Vec<u32>>,
-    dst: Arc<Vec<u32>>,
+    arcs: Arc<Arcs>,
     by_dst: bool,
 ) -> (Matrix, Saved) {
     let (s_dst, s_src) = (hw.matmul(a_dst), hw.matmul(a_src));
-    let (agg, alpha) = attend(hw, &s_dst, &s_src, &src, &dst, by_dst);
+    let (agg, alpha) = attend(hw, &s_dst, &s_src, &arcs, by_dst);
     let saved = Saved {
-        src,
-        dst,
+        arcs,
         by_dst,
         s_dst,
         s_src,
@@ -209,7 +348,7 @@ impl simd::Kernel for Backward<'_> {
             a_src,
             hw_grad,
         } = self;
-        let (src, dst) = (&saved.src[..], &saved.dst[..]);
+        let (src, dst) = (saved.arcs.src(), saved.arcs.dst());
         let mut g = Matrix::zeros(src.len(), 1);
         for (gi, (&s, &t)) in g.data_mut().iter_mut().zip(src.iter().zip(dst)) {
             let (dr, hr) = (d.row(t as usize), hw.row(s as usize));
@@ -290,7 +429,7 @@ mod tests {
         a_src: &Matrix,
         hw_grad: &mut Matrix,
     ) -> (Matrix, Matrix) {
-        let (src, dst) = (&saved.src[..], &saved.dst[..]);
+        let (src, dst) = (saved.arcs.src(), saved.arcs.dst());
         let mut g = Matrix::zeros(src.len(), 1);
         for (gi, (&s, &t)) in g.data_mut().iter_mut().zip(src.iter().zip(dst)) {
             let (dr, hr) = (d.row(t as usize), hw.row(s as usize));
@@ -382,8 +521,7 @@ mod tests {
                     &hw,
                     &a_dst,
                     &a_src,
-                    Arc::new(src.clone()),
-                    Arc::new(dst.clone()),
+                    Arc::new(Arcs::new(n, src.clone(), dst.clone())),
                     by_dst,
                 );
                 let mut want_hw = skip.clone();
@@ -391,7 +529,7 @@ mod tests {
                 if want_hw.has_non_finite() {
                     fallbacks += 1;
                 }
-                for c in [Choice::Scalar, Choice::Avx2, Choice::Auto] {
+                for c in [Choice::Scalar, Choice::Auto] {
                     set_backend(Some(c));
                     let mut got_hw = skip.clone();
                     let got = attend_backward(&d, &saved, &hw, &a_dst, &a_src, &mut got_hw);
@@ -460,8 +598,7 @@ mod tests {
                     &hw,
                     &a_dst,
                     &a_src,
-                    Arc::new(src.clone()),
-                    Arc::new(dst.clone()),
+                    Arc::new(Arcs::new(n, src.clone(), dst.clone())),
                     by_dst,
                 );
                 let mut hw_grad = skip.clone();
@@ -471,7 +608,7 @@ mod tests {
                 [agg, ga_dst, ga_src, hw_grad].map(|m| bits(&m))
             };
             let want = run(Choice::Scalar);
-            for c in [Choice::Avx2, Choice::Auto] {
+            for c in [Choice::Auto] {
                 let got = run(c);
                 for (name, (g, w)) in ["agg", "∂a_dst", "∂a_src", "∂hw"]
                     .iter()
@@ -483,18 +620,94 @@ mod tests {
         }
     }
 
+    /// The forward as it was before the gather: scores in arc order, the
+    /// segment softmax as three passes over the whole arc list, then the
+    /// scatter `agg[dst_i] += α_i · hw[src_i]` in arc order.
+    fn scatter_forward(
+        hw: &Matrix,
+        s_dst: &Matrix,
+        s_src: &Matrix,
+        src: &[u32],
+        dst: &[u32],
+        by_dst: bool,
+    ) -> [Vec<u64>; 2] {
+        let n = hw.rows();
+        let mut alpha: Vec<f64> = src
+            .iter()
+            .zip(dst)
+            .map(|(&s, &d)| raw_score(s_dst, s_src, s, d))
+            .collect();
+        for v in alpha.iter_mut() {
+            *v = if *v > 0.0 { *v } else { SLOPE * *v };
+        }
+        let seg = if by_dst { dst } else { src };
+        let (mut max, mut sum) = (vec![f64::NEG_INFINITY; n], vec![0.0; n]);
+        for (&v, &g) in alpha.iter().zip(seg) {
+            max[g as usize] = max[g as usize].max(v);
+        }
+        for (v, &g) in alpha.iter_mut().zip(seg) {
+            *v = (*v - max[g as usize]).exp();
+            sum[g as usize] += *v;
+        }
+        for (v, &g) in alpha.iter_mut().zip(seg) {
+            *v /= sum[g as usize];
+        }
+        let mut agg = Matrix::zeros(n, hw.cols());
+        for ((&s, &d), &a) in src.iter().zip(dst).zip(&alpha) {
+            for (o, &v) in agg.row_mut(d as usize).iter_mut().zip(hw.row(s as usize)) {
+                *o += a * v;
+            }
+        }
+        [bits(&agg), alpha.iter().map(|v| v.to_bits()).collect()]
+    }
+
+    #[test]
+    fn forward_matches_the_arc_order_scatter() {
+        use crate::simd::{set_backend, Choice};
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        for case in 0..30 {
+            // widths below, at and above the register chunk, with a tail
+            let (n, hidden) = (
+                [1, 2, 9, 35, 70][case % 5],
+                [3, 32, 45, 64, 70, 8][case % 6],
+            );
+            // seeded arcs in no particular order, repeats and self-loops
+            // included, and a node or two with no arcs at all
+            let arcs = rng.gen_range(0..4 * n + 1);
+            let src: Vec<u32> = (0..arcs).map(|_| rng.gen_range(0..n as u32)).collect();
+            let dst: Vec<u32> = (0..arcs).map(|_| rng.gen_range(0..n as u32)).collect();
+            let hw = sparse_matrix(n, hidden, 1.5, &mut rng);
+            let (s_dst, s_src) = (
+                sparse_matrix(n, 1, 8.0, &mut rng),
+                sparse_matrix(n, 1, 8.0, &mut rng),
+            );
+            let grouped = Arcs::new(n, src.clone(), dst.clone());
+            for by_dst in [true, false] {
+                let want = scatter_forward(&hw, &s_dst, &s_src, &src, &dst, by_dst);
+                for c in [Choice::Scalar, Choice::Auto] {
+                    set_backend(Some(c));
+                    let (agg, alpha) = attend(&hw, &s_dst, &s_src, &grouped, by_dst);
+                    set_backend(None);
+                    let what = format!("case {case} n={n} hidden={hidden} by_dst={by_dst} {c:?}");
+                    assert_eq!(bits(&agg), want[0], "agg {what}");
+                    assert_eq!(bits(&alpha), want[1], "α {what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn coefficients_normalise_per_target_or_per_source() {
         // zero attention vectors: α is uniform within each segment, and
         // with hw = I row `d` of the aggregate lists α of d's in-arcs
         let hw = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]);
         let zero = Matrix::zeros(3, 1);
-        let (src, dst) = ([0u32, 0, 1, 2], [1u32, 2, 2, 2]);
-        let (gat, alpha) = attend(&hw, &zero, &zero, &src, &dst, true);
+        let arcs = Arcs::new(3, vec![0, 0, 1, 2], vec![1, 2, 2, 2]);
+        let (gat, alpha) = attend(&hw, &zero, &zero, &arcs, true);
         assert_eq!(alpha.data(), &[1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]);
         assert_eq!(gat.row(1), &[1.0, 0.0, 0.0]);
         assert_eq!(gat.row(2), &[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]);
-        let (grat, alpha) = attend(&hw, &zero, &zero, &src, &dst, false);
+        let (grat, alpha) = attend(&hw, &zero, &zero, &arcs, false);
         assert_eq!(alpha.data(), &[0.5, 0.5, 1.0, 1.0]);
         assert_eq!(grat.row(0), &[0.0, 0.0, 0.0]);
         assert_eq!(grat.row(2), &[0.5, 1.0, 1.0]);

@@ -156,15 +156,18 @@ mod tests {
     /// `a_dst` and `a_src` on 5 nodes: node 4 has only its self-loop, node
     /// 0 three in-arcs and node 2 three out-arcs.
     fn attend_gradcheck(by_dst: bool) {
-        let src = Arc::new(vec![0u32, 1, 2, 3, 4, 2, 2, 3, 1]);
-        let dst = Arc::new(vec![0u32, 1, 2, 3, 4, 0, 1, 0, 3]);
+        let arcs = Arc::new(crate::attention::Arcs::new(
+            5,
+            vec![0, 1, 2, 3, 4, 2, 2, 3, 1],
+            vec![0, 1, 2, 3, 4, 0, 1, 0, 3],
+        ));
         for_cases(24, |rng| {
             let hw = small_matrix(5, 3, rng);
             let a_dst = small_matrix(3, 1, rng);
             let a_src = small_matrix(3, 1, rng);
-            let (src, dst) = (src.clone(), dst.clone());
+            let arcs = arcs.clone();
             assert_gradients_match(&[hw, a_dst, a_src], 1e-5, move |t, v| {
-                let agg = t.attend(v[0], v[1], v[2], src.clone(), dst.clone(), by_dst);
+                let agg = t.attend(v[0], v[1], v[2], arcs.clone(), by_dst);
                 let out = if by_dst { t.add(agg, v[0]) } else { agg };
                 let y = t.tanh(out);
                 t.sum(y)

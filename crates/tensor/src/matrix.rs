@@ -593,7 +593,7 @@ mod tests {
             f64::NAN,
         ];
         let b_special = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
-        let choices = [Choice::Scalar, Choice::Avx2, Choice::Auto];
+        let choices = [Choice::Scalar, Choice::Auto];
         let check = |a: &Matrix, at: &Matrix, b: &Matrix, what: &str| {
             let want = naive_matmul(a, b);
             for c in choices {

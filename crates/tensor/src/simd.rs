@@ -6,7 +6,7 @@
 //! for the baseline target ([`Backend::Scalar`], which already holds SSE2
 //! on x86-64 and NEON on AArch64) and, on x86-64, with AVX2 enabled
 //! ([`Backend::Avx2`]). One runtime dispatch picks the build
-//! (`PRIVIM_SIMD={auto,avx2,scalar}`, or [`set_backend`] for in-process
+//! (`PRIVIM_SIMD={auto,scalar}`, or [`set_backend`] for in-process
 //! tests). The compiler only vectorizes across independent elements and
 //! never fuses a multiply and an add or reassociates a sum, so each
 //! element's operations are those of the scalar loop on both builds:
@@ -36,7 +36,7 @@
 //!   result is not finite. A finite result met no NaN on the way, so this
 //!   costs nothing on finite data.
 //! * [`gemm`], the sparse product (`SparseMatrix::spmm`) and the
-//!   attention forward scatter and backward: iff every input they
+//!   attention forward gather and backward: iff every input they
 //!   multiply or add is finite.
 //!
 //! Together: results are bit-identical across `PRIVIM_SIMD` settings,
@@ -52,8 +52,6 @@ pub enum Choice {
     Auto,
     /// Force the baseline build.
     Scalar,
-    /// Force AVX2 (falls back to the baseline build if undetected).
-    Avx2,
 }
 
 /// Resolved backend (what will actually run). `Avx2` is only ever
@@ -88,7 +86,6 @@ fn encode(c: Choice) -> u8 {
     match c {
         Choice::Auto => 1,
         Choice::Scalar => 2,
-        Choice::Avx2 => 3,
     }
 }
 
@@ -98,13 +95,14 @@ pub fn set_backend(choice: Option<Choice>) {
     OVERRIDE.store(choice.map(encode).unwrap_or(0), Ordering::SeqCst);
 }
 
-/// Parse a `PRIVIM_SIMD` value. Unknown strings resolve to `Auto`: the
-/// contract makes every backend bit-identical, so a typo can only cost
-/// speed, never correctness — and `Auto` is the fast safe default.
+/// Parse a `PRIVIM_SIMD` value. Anything but `scalar` resolves to
+/// `Auto` (so `avx2`, which `Auto` already picks where the CPU has it,
+/// and the retired `sse2`/`neon` do too): the contract makes every
+/// backend bit-identical, so a typo can only cost speed, never
+/// correctness — and `Auto` is the fast safe default.
 fn parse_choice(s: &str) -> Choice {
     match s.to_ascii_lowercase().as_str() {
         "scalar" => Choice::Scalar,
-        "avx2" => Choice::Avx2,
         _ => Choice::Auto,
     }
 }
@@ -113,7 +111,6 @@ fn requested() -> Choice {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => Choice::Auto,
         2 => Choice::Scalar,
-        3 => Choice::Avx2,
         _ => *ENV_CHOICE.get_or_init(|| {
             std::env::var("PRIVIM_SIMD")
                 .map(|v| parse_choice(&v))
@@ -630,7 +627,7 @@ mod tests {
             for (x, y, scalars) in [finite, special] {
                 for a in scalars.into_iter().chain([0.3, -0.0]) {
                     let want = kernel_bits(Choice::Scalar, &x, &y, a);
-                    for c in [Choice::Avx2, Choice::Auto] {
+                    for c in [Choice::Auto] {
                         for ((name, got), (_, w)) in kernel_bits(c, &x, &y, a).iter().zip(&want) {
                             assert_eq!(got, w, "{name} {c:?} n={n} a={:#x}", a.to_bits());
                         }
@@ -687,7 +684,7 @@ mod tests {
     #[test]
     fn env_parse_accepts_the_documented_values() {
         assert_eq!(parse_choice("scalar"), Choice::Scalar);
-        assert_eq!(parse_choice("AVX2"), Choice::Avx2);
+        assert_eq!(parse_choice("AVX2"), Choice::Auto);
         assert_eq!(parse_choice("auto"), Choice::Auto);
         assert_eq!(parse_choice("mystery"), Choice::Auto);
     }

@@ -420,10 +420,8 @@ mod tests {
             for (a, dense) in [(&s, &d), (s.transposed(), &Matrix::full(30, dc, 1.5))] {
                 set_backend(Some(Choice::Scalar));
                 let want = bits(&a.spmm(dense));
-                for c in [Choice::Avx2, Choice::Auto] {
-                    set_backend(Some(c));
-                    assert_eq!(bits(&a.spmm(dense)), want, "dc={dc} {c:?}");
-                }
+                set_backend(Some(Choice::Auto));
+                assert_eq!(bits(&a.spmm(dense)), want, "dc={dc} auto");
                 set_backend(None);
             }
         }

@@ -340,7 +340,7 @@ impl Tape {
         self.push(Op::MulColBroadcast(c, a), out)
     }
 
-    /// One GAT/GRAT attention aggregation over the arcs `src[i] → dst[i]`
+    /// One GAT/GRAT attention aggregation over `arcs`
     /// ([`attention::attend`]: coefficients from the per-node scores
     /// `hw·a_dst` and `hw·a_src`, normalised per target if `by_dst`, else
     /// per source). The backward repeats the arithmetic of the gather →
@@ -351,16 +351,14 @@ impl Tape {
         hw: Var,
         a_dst: Var,
         a_src: Var,
-        src: Arc<Vec<u32>>,
-        dst: Arc<Vec<u32>>,
+        arcs: Arc<attention::Arcs>,
         by_dst: bool,
     ) -> Var {
         let (value, saved) = attention::forward(
             self.value(hw),
             self.value(a_dst),
             self.value(a_src),
-            src,
-            dst,
+            arcs,
             by_dst,
         );
         self.push(Op::Attend([hw, a_dst, a_src], saved), value)

@@ -72,8 +72,9 @@ echo "== bench smoke (kernel harness + bit-identity assertions, tiny sizes)"
 # BENCH_kernels.json trajectory. Run it twice — with dispatch free
 # (auto picks AVX2 where the CPU has it) and pinned to scalar (the
 # baseline build, SSE2 on x86-64) — so the bit-identity assertions
-# against the naive references (the column tail, the attention backward)
-# execute under both builds of every kernel.
+# against the naive references (the column tail, the attention forward
+# gather against the arc-order scatter, the attention backward) execute
+# under both builds of every kernel.
 cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 PRIVIM_SIMD=scalar cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 
