@@ -35,6 +35,12 @@
 //! the Eq. 5 loss on a train-star-sized (35 nodes) and a train-hp-sized
 //! (6 nodes) subgraph, on the scratch tape as the trainer runs it.
 //!
+//! `ic_spread` times the serve-metered-miss influence query
+//! (`ic_spread_estimate` on BA(4000, 3), 3 seeds, 16 runs, 2 steps) on unit
+//! weights, where it runs one exact cascade, and on 0.5 weights, where it
+//! runs the Monte-Carlo loop; naive = that loop written out over
+//! `ic_simulate_once`, asserted bit-equal to both.
+//!
 //! All wall-clock reads go through `privim_rt::bench::time_iters` (the
 //! workspace's single timing point, per the `wall-clock` lint rule).
 //!
@@ -46,7 +52,8 @@
 use privim::loss::{im_loss, LossConfig};
 use privim_gnn::{node_features, GnnConfig, GnnModel, GraphTensors};
 use privim_graph::datasets::Dataset;
-use privim_graph::generators;
+use privim_graph::{generators, Graph, NodeId};
+use privim_im::{ic_simulate_once, ic_spread_estimate};
 use privim_rt::bench::time_iters;
 use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
@@ -431,6 +438,24 @@ fn sample_grad((gt, x, model): &(GraphTensors, Matrix, GnnModel)) -> Vec<Matrix>
     })
 }
 
+/// serve-metered-miss's influence query: 16 runs of at most 2 steps.
+const SPREAD_RUNS: usize = 16;
+const SPREAD_STEPS: Option<usize> = Some(2);
+
+/// The Monte-Carlo mean written out: run `i` on
+/// `ChaCha8Rng::seed_from_u64(i)`.
+fn naive_ic_spread(g: &Graph, seeds: &[NodeId]) -> Matrix {
+    let total: usize = (0..SPREAD_RUNS as u64)
+        .map(|i| ic_simulate_once(g, seeds, SPREAD_STEPS, &mut ChaCha8Rng::seed_from_u64(i)))
+        .sum();
+    Matrix::full(1, 1, total as f64 / SPREAD_RUNS as f64)
+}
+
+fn ic_spread(g: &Graph, seeds: &[NodeId]) -> Matrix {
+    let spread = ic_spread_estimate(g, seeds, SPREAD_STEPS, SPREAD_RUNS, 0);
+    Matrix::full(1, 1, spread)
+}
+
 fn fmt_secs(secs: f64) -> String {
     if secs < 1e-3 {
         format!("{:.1} µs", secs * 1e6)
@@ -526,6 +551,15 @@ fn main() {
         let (agg, alpha) = attention::attend(hw, s_dst, s_src, arcs, false);
         vec![agg, alpha]
     };
+    // serve-metered-miss's influence query on the serving graph that
+    // `privim-serve pack` builds (BA(n, 3), unit weights), and the same
+    // query once every weight is 0.5
+    let ba = generators::barabasi_albert(if smoke { 300 } else { 4000 }, 3, &mut rng);
+    let spread_seeds: Vec<NodeId> = (0..3)
+        .map(|_| rng.gen_range(0..ba.num_nodes() as NodeId))
+        .collect();
+    let ba_unit = ba.clone().with_uniform_weights(1.0);
+    let ba_half = ba.with_uniform_weights(0.5);
     let t_below = random_matrix(tr / 4, tr / 2, &mut rng);
     let t_at = random_matrix(tr / 2, tr / 2, &mut rng);
 
@@ -719,6 +753,22 @@ fn main() {
             None,
             &|| sample_grad(&hp),
             Some("train-hp shape: one 3-layer GRAT forward + backward, Eq. 5 loss"),
+        ),
+        run_case(
+            "ic_spread",
+            format!("n={} w=1 runs={SPREAD_RUNS} j=2", ba_unit.num_nodes()),
+            iters * 50,
+            Some(&|| naive_ic_spread(&ba_unit, &spread_seeds)),
+            &|| ic_spread(&ba_unit, &spread_seeds),
+            Some("serve-metered-miss influence query on unit weights: one exact cascade, no draws"),
+        ),
+        run_case(
+            "ic_spread",
+            format!("n={} w=0.5 runs={SPREAD_RUNS} j=2", ba_half.num_nodes()),
+            iters * 50,
+            Some(&|| naive_ic_spread(&ba_half, &spread_seeds)),
+            &|| ic_spread(&ba_half, &spread_seeds),
+            Some("the same query on 0.5 weights: the Monte-Carlo loop after a few draw-free arcs"),
         ),
     ];
 

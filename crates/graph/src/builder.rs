@@ -99,35 +99,7 @@ impl GraphBuilder {
         }
         let out_targets: Vec<NodeId> = arcs.iter().map(|&(_, v, _)| v).collect();
         let out_weights: Vec<f64> = arcs.iter().map(|&(_, _, w)| w).collect();
-
-        // In-CSR via counting sort on destination.
-        let mut in_offsets = vec![0usize; n + 1];
-        for &(_, v, _) in &arcs {
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets[..n].to_vec();
-        let mut in_sources = vec![0 as NodeId; arcs.len()];
-        let mut in_weights = vec![0f64; arcs.len()];
-        for &(u, v, w) in &arcs {
-            let slot = cursor[v as usize];
-            in_sources[slot] = u;
-            in_weights[slot] = w;
-            cursor[v as usize] += 1;
-        }
-
-        Graph::from_csr(
-            n,
-            directed,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_sources,
-            in_weights,
-        )
+        Graph::from_out_csr(n, directed, out_offsets, out_targets, out_weights)
     }
 }
 

@@ -28,25 +28,40 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Build a graph from parallel CSR arrays. Intended for use by
-    /// [`crate::builder::GraphBuilder`]; panics if the arrays are inconsistent.
-    pub(crate) fn from_csr(
+    /// Build a graph from its out-CSR, deriving the in-CSR by a counting
+    /// sort on the target, so each in-row lists its sources in arc order.
+    /// Each out-row must be strictly ascending and free of self-loops (the
+    /// layout [`crate::builder::GraphBuilder`] produces); panics if the
+    /// arrays are inconsistent.
+    pub(crate) fn from_out_csr(
         n: usize,
         directed: bool,
         out_offsets: Vec<usize>,
         out_targets: Vec<NodeId>,
         out_weights: Vec<f64>,
-        in_offsets: Vec<usize>,
-        in_sources: Vec<NodeId>,
-        in_weights: Vec<f64>,
     ) -> Self {
         assert_eq!(out_offsets.len(), n + 1, "out_offsets length");
-        assert_eq!(in_offsets.len(), n + 1, "in_offsets length");
-        // Indexing is in-bounds by the length asserts directly above.
+        // Indexing is in-bounds by the length assert directly above.
         assert_eq!(out_targets.len(), out_offsets[n]);
-        assert_eq!(in_sources.len(), in_offsets[n]);
         assert_eq!(out_targets.len(), out_weights.len());
-        assert_eq!(in_sources.len(), in_weights.len());
+        let mut in_offsets = vec![0usize; n + 1];
+        for &v in &out_targets {
+            in_offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut cursor = in_offsets[..n].to_vec();
+        let mut in_sources = vec![0 as NodeId; out_targets.len()];
+        let mut in_weights = vec![0f64; out_targets.len()];
+        for u in 0..n {
+            for a in out_offsets[u]..out_offsets[u + 1] {
+                let v = out_targets[a] as usize;
+                in_sources[cursor[v]] = u as NodeId;
+                in_weights[cursor[v]] = out_weights[a];
+                cursor[v] += 1;
+            }
+        }
         Graph {
             n,
             directed,

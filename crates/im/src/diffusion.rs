@@ -5,6 +5,7 @@ use privim_graph::{Graph, NodeId};
 use privim_rt::ChaCha8Rng;
 use privim_rt::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 /// Reusable buffers for repeated IC realisations on the same graph. The
 /// Monte-Carlo estimators allocate one per worker chunk instead of one per
@@ -16,13 +17,16 @@ struct IcScratch {
     frontier: VecDeque<(NodeId, usize)>,
 }
 
-fn ic_simulate_scratch(
+/// One IC cascade from `seeds`, asking `fires(w_uv)` whether each examined
+/// arc `u → v` (one whose target `v` is still inactive) activates `v`. An
+/// `Err` from `fires` stops the cascade and is returned as is.
+fn ic_cascade<E>(
     g: &Graph,
     seeds: &[NodeId],
     max_steps: Option<usize>,
-    rng: &mut impl Rng,
     s: &mut IcScratch,
-) -> usize {
+    mut fires: impl FnMut(f64) -> Result<bool, E>,
+) -> Result<usize, E> {
     s.active.clear();
     s.active.resize(g.num_nodes(), false);
     s.frontier.clear();
@@ -44,14 +48,50 @@ fn ic_simulate_scratch(
         }
         let ws = g.out_weights(u);
         for (i, &v) in g.out_neighbors(u).iter().enumerate() {
-            if !active[v as usize] && rng.gen::<f64>() < ws[i] {
+            if !active[v as usize] && fires(ws[i])? {
                 active[v as usize] = true;
                 count += 1;
                 frontier.push_back((v, step + 1));
             }
         }
     }
-    count
+    Ok(count)
+}
+
+fn ic_simulate_scratch(
+    g: &Graph,
+    seeds: &[NodeId],
+    max_steps: Option<usize>,
+    rng: &mut impl Rng,
+    s: &mut IcScratch,
+) -> usize {
+    match ic_cascade(g, seeds, max_steps, s, |w| {
+        Ok::<_, Infallible>(rng.gen::<f64>() < w)
+    }) {
+        Ok(count) => count,
+        Err(never) => match never {},
+    }
+}
+
+/// The cascade every IC realisation runs when each arc it examines has a
+/// weight outside `(0, 1)`: such an arc fires for every draw `r ∈ [0, 1)`
+/// (`r < w` with `w ≥ 1`) or for none (`w ≤ 0`, or NaN). `None` at the
+/// first examined arc with `0 < w < 1`, whose outcome depends on the draw.
+fn ic_cascade_without_draws(
+    g: &Graph,
+    seeds: &[NodeId],
+    max_steps: Option<usize>,
+) -> Option<usize> {
+    ic_cascade(g, seeds, max_steps, &mut IcScratch::default(), |w| {
+        if w >= 1.0 {
+            Ok(true)
+        } else if w > 0.0 {
+            Err(())
+        } else {
+            Ok(false)
+        }
+    })
+    .ok()
 }
 
 /// One IC realisation from `seeds`, run until quiescence or for at most
@@ -74,6 +114,13 @@ pub fn ic_simulate_once(
 /// Runs are summed chunk-wise with per-chunk scratch buffers; each run is
 /// seeded by its global index and the counts are integers, so the total is
 /// independent of how runs are split across workers.
+///
+/// When every arc the cascade examines has weight 0 or 1 (the paper's
+/// `w = 1` setting, with or without zero-weight arcs), every realisation
+/// makes the same decisions, so the value is exact and costs one cascade
+/// without random draws, whatever `runs` is. It is bit-identical to the
+/// Monte-Carlo mean (`count · runs / runs`, exact below 2^53). The first
+/// examined arc with `0 < w < 1` sends the call to the Monte-Carlo loop.
 pub fn ic_spread_estimate(
     g: &Graph,
     seeds: &[NodeId],
@@ -82,6 +129,9 @@ pub fn ic_spread_estimate(
     seed: u64,
 ) -> f64 {
     assert!(runs >= 1);
+    if let Some(count) = ic_cascade_without_draws(g, seeds, max_steps) {
+        return count as f64;
+    }
     let total: usize = privim_rt::par::sum_chunks(runs, |range| {
         let mut scratch = IcScratch::default();
         range
@@ -337,6 +387,120 @@ mod tests {
         let seeds = vec![1u32, 2, 3];
         let est = ic_spread_estimate(&g, &seeds, Some(1), 10, 7);
         assert_eq!(est, one_step_spread(&g, &seeds) as f64);
+    }
+
+    /// The Monte-Carlo mean written out: run `i` on
+    /// `ChaCha8Rng::seed_from_u64(seed + i)`, counts summed, then divided.
+    fn monte_carlo_loop(
+        g: &Graph,
+        seeds: &[NodeId],
+        max_steps: Option<usize>,
+        runs: usize,
+        seed: u64,
+    ) -> f64 {
+        let total: usize = (0..runs)
+            .map(|i| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(i as u64));
+                ic_simulate_once(g, seeds, max_steps, &mut rng)
+            })
+            .sum();
+        total as f64 / runs as f64
+    }
+
+    /// A seeded random graph on `n` nodes whose arc weights are all 0 or 1
+    /// and whose last quarter of nodes is isolated.
+    fn zero_one_graph(n: usize, directed: bool, seed: u64) -> Graph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut b = if directed {
+            GraphBuilder::new_directed(n)
+        } else {
+            GraphBuilder::new_undirected(n)
+        };
+        let wired = (n - n / 4) as u32;
+        for _ in 0..3 * n {
+            let u = rng.gen_range(0..wired);
+            let v = rng.gen_range(0..wired);
+            let w = if rng.gen_bool(0.7) { 1.0 } else { 0.0 };
+            b.add_edge(u, v, w);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn zero_one_weights_give_the_monte_carlo_bits_from_one_cascade() {
+        let steps = [None, Some(0), Some(1), Some(2), Some(5)];
+        for (k, &(n, directed)) in [
+            (1, true),
+            (2, false),
+            (9, true),
+            (40, false),
+            (40, true),
+            (150, false),
+            (150, true),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let g = zero_one_graph(n, directed, 100 + k as u64);
+            let last = (n - 1) as NodeId;
+            let seed_lists: [Vec<NodeId>; 4] = [
+                vec![],
+                vec![0, 0, last, 0],
+                vec![last],
+                (0..n as NodeId).step_by(7).collect(),
+            ];
+            for seeds in &seed_lists {
+                for &max_steps in &steps {
+                    assert!(ic_cascade_without_draws(&g, seeds, max_steps).is_some());
+                    for runs in [1, 16, 1000] {
+                        let seed = 31 * k as u64 + runs as u64;
+                        let fast = ic_spread_estimate(&g, seeds, max_steps, runs, seed);
+                        let slow = monte_carlo_loop(&g, seeds, max_steps, runs, seed);
+                        assert_eq!(
+                            fast.to_bits(),
+                            slow.to_bits(),
+                            "n={n} directed={directed} seeds={seeds:?} max_steps={max_steps:?} runs={runs}: {fast} vs {slow}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fractional_arc_first_reached_at_step_two_gives_the_monte_carlo_bits() {
+        // 0 → 1 → 2 ⇢ 3 → 4 with unit arcs except 2 ⇢ 3 (w = 0.5), which
+        // the cascade from 0 examines while expanding the step-2 node.
+        let mut b = GraphBuilder::new_directed(6);
+        for (u, v, w) in [
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (2, 3, 0.5),
+            (3, 4, 1.0),
+            (0, 5, 1.0),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        assert_eq!(ic_cascade_without_draws(&g, &[0], Some(2)), Some(4));
+        for max_steps in [None, Some(3), Some(5)] {
+            assert_eq!(ic_cascade_without_draws(&g, &[0], max_steps), None);
+            for runs in [1, 16, 1000] {
+                let est = ic_spread_estimate(&g, &[0], max_steps, runs, 17);
+                let mc = monte_carlo_loop(&g, &[0], max_steps, runs, 17);
+                assert_eq!(
+                    est.to_bits(),
+                    mc.to_bits(),
+                    "max_steps={max_steps:?} runs={runs}"
+                );
+            }
+            // Both outcomes of the coin show up: this is the sampled mean.
+            let est = ic_spread_estimate(&g, &[0], max_steps, 1000, 17);
+            assert!(
+                est > 4.0 && est < 4.0 + if max_steps == Some(3) { 1.0 } else { 2.0 },
+                "{est}"
+            );
+        }
     }
 
     #[test]

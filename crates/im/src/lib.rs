@@ -15,7 +15,8 @@
 //! computes it exactly and [`celf::celf_exact`] maximises it with the
 //! classic `(1 − 1/e)` guarantee. General `(w, j)` settings are served by
 //! Monte-Carlo estimation ([`diffusion::ic_spread_estimate`]) and
-//! [`celf::celf_monte_carlo`].
+//! [`celf::celf_monte_carlo`]. On 0/1 weights, at any `j`, the estimate
+//! is exact and costs one cascade, whatever the number of runs.
 
 pub mod celf;
 pub mod diffusion;

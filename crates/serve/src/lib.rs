@@ -16,7 +16,7 @@
 //!
 //! | route | what it does |
 //! |---|---|
-//! | `POST /v1/influence` | spread of a seed set (Monte-Carlo IC), LRU-cached |
+//! | `POST /v1/influence` | spread of a seed set (Monte-Carlo IC; exact in one cascade on 0/1 weights, whatever `runs` is), LRU-cached |
 //! | `POST /v1/seeds` | top-`k` seeds via resumable CELF (cached pick order) |
 //! | `POST /v1/embed` | GNN scores for requested nodes, from one forward pass per server |
 //! | `GET /metrics` | plain-text exposition: counters, latency histograms, per-tenant budgets |
