@@ -41,6 +41,13 @@
 //! runs the Monte-Carlo loop; naive = that loop written out over
 //! `ic_simulate_once`, asserted bit-equal to both.
 //!
+//! `bundle_snapshot` times one journal-compaction snapshot of a metered
+//! serving bundle (a paper-default model on that BA(4000, 3) graph, four
+//! tenants): naive = the `Value`-tree pack the server ran per compaction
+//! before the snapshot head was cached (copied below), measured = a
+//! cached `BundleWriter`, whose document is asserted equal to the naive
+//! one byte for byte before timing.
+//!
 //! All wall-clock reads go through `privim_rt::bench::time_iters` (the
 //! workspace's single timing point, per the `wall-clock` lint rule).
 //!
@@ -56,7 +63,9 @@ use privim_graph::{generators, Graph, NodeId};
 use privim_im::{ic_simulate_once, ic_spread_estimate};
 use privim_rt::bench::time_iters;
 use privim_rt::json::Value;
-use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
+use privim_rt::{crc, ChaCha8Rng, Rng, SeedableRng};
+use privim_serve::bundle::{graph_fingerprint, BundleWriter, PackedBundle, PrivacyStatement, BUNDLE_FORMAT, BUNDLE_VERSION};
+use privim_serve::{LedgerConfig, LedgerState};
 use privim_tensor::attention::{self, Arcs};
 use privim_tensor::{simd, GradClip, Matrix, SparseMatrix, Tape};
 
@@ -456,6 +465,53 @@ fn ic_spread(g: &Graph, seeds: &[NodeId]) -> Matrix {
     Matrix::full(1, 1, spread)
 }
 
+/// The bundle document as the server packed every compaction snapshot
+/// before `BundleWriter`: fingerprint the graph, build the payload's
+/// `Value` tree (every edge included), serialize it for the CRC, then
+/// serialize the whole document.
+fn naive_bundle_snapshot(model: &GnnModel, privacy: &PrivacyStatement, g: &Graph, ledger: &LedgerState) -> String {
+    let edges: Vec<Value> = g
+        .arcs()
+        .filter(|&(u, v, _)| g.is_directed() || u <= v)
+        .map(|(u, v, w)| Value::Arr(vec![Value::Num(u as f64), Value::Num(v as f64), Value::Num(w)]))
+        .collect();
+    let payload = Value::obj(vec![
+        ("model", model.checkpoint_payload()),
+        (
+            "privacy",
+            Value::obj(vec![
+                ("epsilon", privacy.epsilon.map(Value::Num).unwrap_or(Value::Null)),
+                ("delta", Value::Num(privacy.delta)),
+                ("sigma", Value::Num(privacy.sigma)),
+                ("steps", Value::Num(privacy.steps as f64)),
+            ]),
+        ),
+        (
+            "graph",
+            Value::obj(vec![
+                ("num_nodes", Value::Num(g.num_nodes() as f64)),
+                ("directed", Value::Bool(g.is_directed())),
+                ("edges", Value::Arr(edges)),
+            ]),
+        ),
+        ("graph_fingerprint", Value::Str(format!("{:#018x}", graph_fingerprint(g)))),
+        ("ledger", ledger.to_json()),
+    ]);
+    let crc = crc::crc32(payload.to_json_string().as_bytes());
+    Value::obj(vec![
+        ("format", Value::Str(BUNDLE_FORMAT.to_string())),
+        ("version", Value::Num(BUNDLE_VERSION as f64)),
+        ("crc32", Value::Str(format!("{crc:#010x}"))),
+        ("payload", payload),
+    ])
+    .to_json_string()
+}
+
+/// One compaction snapshot from the cached writer.
+fn bundle_snapshot(writer: &BundleWriter, ledger: &LedgerState) -> PackedBundle {
+    writer.pack(Some(ledger))
+}
+
 fn fmt_secs(secs: f64) -> String {
     if secs < 1e-3 {
         format!("{:.1} µs", secs * 1e6)
@@ -562,6 +618,25 @@ fn main() {
     let ba_half = ba.with_uniform_weights(0.5);
     let t_below = random_matrix(tr / 4, tr / 2, &mut rng);
     let t_at = random_matrix(tr / 2, tr / 2, &mut rng);
+    // A metered serving bundle on `ba_unit` (the serve-metered-miss graph
+    // shape), with four tenants part-way through their budgets
+    let snap_model = GnnModel::new(GnnConfig::paper_default(), &mut rng);
+    let snap_privacy = PrivacyStatement { epsilon: Some(3.0), delta: 1e-4, sigma: 1.7, steps: 80 };
+    let mut snap_ledger = LedgerState::new(LedgerConfig {
+        epsilon_budget: 4.0,
+        delta: 1e-5,
+        query_sigma: 30.0,
+        retry_after_secs: 60,
+    });
+    for t in 0..4u64 {
+        snap_ledger.tenants.insert(format!("tenant-{t}"), 1_000 + 37 * t);
+    }
+    let snap_writer = BundleWriter::new(&snap_model, &snap_privacy, &ba_unit, graph_fingerprint(&ba_unit));
+    let snap_naive = || naive_bundle_snapshot(&snap_model, &snap_privacy, &ba_unit, &snap_ledger);
+    assert!(
+        bundle_snapshot(&snap_writer, &snap_ledger).as_bytes() == snap_naive().as_bytes(),
+        "bundle_snapshot: the cached writer's document differs from the Value-tree pack"
+    );
 
     println!(
         "{:<24} {:>11} {:>11} {:>11} {:>11}",
@@ -769,6 +844,14 @@ fn main() {
             Some(&|| naive_ic_spread(&ba_half, &spread_seeds)),
             &|| ic_spread(&ba_half, &spread_seeds),
             Some("the same query on 0.5 weights: the Monte-Carlo loop after a few draw-free arcs"),
+        ),
+        run_case(
+            "bundle_snapshot",
+            format!("n={} E={} tenants=4", ba_unit.num_nodes(), ba_unit.num_arcs()),
+            iters,
+            Some(&|| Matrix::full(1, 1, snap_naive().len() as f64)),
+            &|| Matrix::full(1, 1, bundle_snapshot(&snap_writer, &snap_ledger).as_bytes().len() as f64),
+            Some("one compaction snapshot of a metered bundle: naive = the Value-tree pack, measured = the cached BundleWriter (bytes asserted equal first); outputs compared here are document lengths"),
         ),
     ];
 

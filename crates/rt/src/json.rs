@@ -113,8 +113,13 @@ impl Value {
     /// Compact serialisation.
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_json(&mut out);
         out
+    }
+
+    /// Append the compact serialisation to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Pretty serialisation (2-space indent).

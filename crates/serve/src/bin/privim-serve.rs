@@ -235,7 +235,7 @@ fn cmd_pack(f: &Flags) {
     let doc = bundle::pack_with_ledger(&artifact, &graph, state.as_ref());
     // Atomic replace (temp + fsync + rename + dir fsync): a crash
     // mid-pack can never leave a torn bundle at the target path.
-    fsio::atomic_write_durable(&out, doc.to_json_string().as_bytes())
+    fsio::atomic_write_durable(&out, doc.as_bytes())
         .unwrap_or_else(|e| fail(format!("write {}: {e}", out.display())));
     println!(
         "packed {}: |V|={} |E|={} method={} eps={} {metered} fingerprint={:#018x}",

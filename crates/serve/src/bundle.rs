@@ -35,6 +35,11 @@
 //!    computed against. Serialised as a hex *string*: JSON numbers are
 //!    `f64` and would silently round 64-bit identifiers above 2^53.
 //!
+//! Every document is written by a [`BundleWriter`], which serializes the
+//! payload up to the `ledger` section once and streams the CRC over the
+//! ledger tail, so a running server's compaction snapshots re-serialize
+//! only the ledger.
+//!
 //! The privacy statement rides along because under DP the released
 //! artifact *is* `(model, ε, δ, σ, steps)` — a server should be able to
 //! state the budget of the model it is serving (`/metrics` could expose
@@ -97,27 +102,6 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
     fnv1a64(&bytes)
 }
 
-fn graph_to_json(g: &Graph) -> Value {
-    // Undirected CSR stores each edge as two arcs; keep one per pair so
-    // the builder round-trips it (it re-materialises the reverse arcs).
-    let edges: Vec<Value> = g
-        .arcs()
-        .filter(|&(u, v, _)| g.is_directed() || u <= v)
-        .map(|(u, v, w)| {
-            Value::Arr(vec![
-                Value::Num(u as f64),
-                Value::Num(v as f64),
-                Value::Num(w),
-            ])
-        })
-        .collect();
-    Value::obj(vec![
-        ("num_nodes", Value::Num(g.num_nodes() as f64)),
-        ("directed", Value::Bool(g.is_directed())),
-        ("edges", Value::Arr(edges)),
-    ])
-}
-
 fn graph_from_json(v: &Value) -> PrivimResult<Graph> {
     let bad = |msg: &str| PrivimError::Parse(format!("bundle graph: {msg}"));
     let n = v
@@ -153,9 +137,126 @@ fn graph_from_json(v: &Value) -> PrivimResult<Graph> {
     Ok(b.build())
 }
 
+/// A packed bundle document: the exact bytes [`load`] reads back.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PackedBundle(String);
+
+impl PackedBundle {
+    /// The document bytes, ready to write.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.0.as_bytes()
+    }
+
+    /// The document as JSON text: the compact serialization of the
+    /// bundle's `Value` tree.
+    pub fn to_json_string(&self) -> String {
+        self.0.clone()
+    }
+}
+
+/// Writes the bundle documents of one (model, privacy statement, graph).
+///
+/// The payload fields come in the order `model`, `privacy`, `graph`,
+/// `graph_fingerprint`, then the optional `ledger`, and only the ledger
+/// changes between the documents of one deployment. So the writer
+/// serializes the head before it once and keeps it with the CRC-32
+/// register over it; [`Self::pack`] serializes only the ledger section,
+/// finishes a copy of the register over that tail, and emits header +
+/// head + tail. A running server builds one on its first journal
+/// compaction and reuses it for every later snapshot; [`pack_parts`]
+/// builds one per document. Either way a snapshot is byte for byte a
+/// fresh pack of the same parts.
+#[derive(Debug)]
+pub struct BundleWriter {
+    /// Compact payload JSON from its opening `{` through the
+    /// `graph_fingerprint` field, without the closing brace.
+    head: String,
+    /// CRC-32 register over `head`.
+    head_crc: crc::Crc32,
+}
+
+impl BundleWriter {
+    /// Serialize the immutable head of the payload. `fingerprint` must be
+    /// [`graph_fingerprint`] of `graph` (a loaded [`Bundle`] carries it).
+    pub fn new(
+        model: &GnnModel,
+        privacy: &PrivacyStatement,
+        graph: &Graph,
+        fingerprint: u64,
+    ) -> BundleWriter {
+        debug_assert_eq!(fingerprint, graph_fingerprint(graph), "fingerprint of another graph");
+        let mut head = String::from("{\"model\":");
+        model.checkpoint_payload().write_json(&mut head);
+        head.push_str(",\"privacy\":");
+        Value::obj(vec![
+            (
+                "epsilon",
+                privacy.epsilon.map(Value::Num).unwrap_or(Value::Null),
+            ),
+            ("delta", Value::Num(privacy.delta)),
+            ("sigma", Value::Num(privacy.sigma)),
+            ("steps", Value::Num(privacy.steps as f64)),
+        ])
+        .write_json(&mut head);
+        head.push_str(",\"graph\":");
+        write_graph(&mut head, graph);
+        head.push_str(&format!(",\"graph_fingerprint\":\"{fingerprint:#018x}\""));
+        let mut head_crc = crc::Crc32::new();
+        head_crc.update(head.as_bytes());
+        BundleWriter { head, head_crc }
+    }
+
+    /// The full document (header + checksummed payload) with `ledger` as
+    /// its ledger section; `None` = unmetered, no section.
+    pub fn pack(&self, ledger: Option<&LedgerState>) -> PackedBundle {
+        let mut tail = String::new();
+        if let Some(state) = ledger {
+            tail.push_str(",\"ledger\":");
+            state.to_json().write_json(&mut tail);
+        }
+        tail.push('}');
+        let mut crc = self.head_crc;
+        crc.update(tail.as_bytes());
+        let mut text = format!(
+            "{{\"format\":\"{BUNDLE_FORMAT}\",\"version\":{BUNDLE_VERSION},\"crc32\":\"{:#010x}\",\"payload\":",
+            crc.finish()
+        );
+        text.reserve(self.head.len() + tail.len() + 1);
+        text.push_str(&self.head);
+        text.push_str(&tail);
+        text.push('}');
+        PackedBundle(text)
+    }
+}
+
+/// Append the `graph` section. Undirected CSR stores each edge as two
+/// arcs; keep one per pair so the builder round-trips it (it
+/// re-materialises the reverse arcs).
+fn write_graph(out: &mut String, g: &Graph) {
+    out.push_str(&format!(
+        "{{\"num_nodes\":{},\"directed\":{},\"edges\":[",
+        g.num_nodes(),
+        g.is_directed()
+    ));
+    let edges = g.arcs().filter(|&(u, v, _)| g.is_directed() || u <= v);
+    for (i, (u, v, w)) in edges.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        Value::Num(u as f64).write_json(out);
+        out.push(',');
+        Value::Num(v as f64).write_json(out);
+        out.push(',');
+        Value::Num(w).write_json(out);
+        out.push(']');
+    }
+    out.push_str("]}");
+}
+
 /// Build the full bundle document (header + checksummed payload) for an
 /// exported artifact and its serving graph. Unmetered: no ledger section.
-pub fn pack(artifact: &ServeArtifact, graph: &Graph) -> Value {
+pub fn pack(artifact: &ServeArtifact, graph: &Graph) -> PackedBundle {
     pack_with_ledger(artifact, graph, None)
 }
 
@@ -165,7 +266,7 @@ pub fn pack_with_ledger(
     artifact: &ServeArtifact,
     graph: &Graph,
     ledger: Option<&LedgerState>,
-) -> Value {
+) -> PackedBundle {
     let privacy = PrivacyStatement {
         epsilon: artifact.epsilon,
         delta: artifact.delta,
@@ -175,50 +276,20 @@ pub fn pack_with_ledger(
     pack_parts(&artifact.model, &privacy, graph, ledger)
 }
 
-/// Build the bundle document from its parts. A running server compacts
-/// its journal through this (it holds a model + privacy statement, not a
-/// [`ServeArtifact`]); byte-for-byte the same output as pack-time for
-/// the same parts, so a snapshot is indistinguishable from a fresh pack.
+/// Build the bundle document from its parts through a one-off
+/// [`BundleWriter`] (which fingerprints the graph).
 pub fn pack_parts(
     model: &GnnModel,
     privacy: &PrivacyStatement,
     graph: &Graph,
     ledger: Option<&LedgerState>,
-) -> Value {
-    let fingerprint = graph_fingerprint(graph);
-    let mut fields = vec![
-        ("model", model.checkpoint_payload()),
-        (
-            "privacy",
-            Value::obj(vec![
-                (
-                    "epsilon",
-                    privacy.epsilon.map(Value::Num).unwrap_or(Value::Null),
-                ),
-                ("delta", Value::Num(privacy.delta)),
-                ("sigma", Value::Num(privacy.sigma)),
-                ("steps", Value::Num(privacy.steps as f64)),
-            ]),
-        ),
-        ("graph", graph_to_json(graph)),
-        ("graph_fingerprint", Value::Str(format!("{fingerprint:#018x}"))),
-    ];
-    if let Some(state) = ledger {
-        fields.push(("ledger", state.to_json()));
-    }
-    let payload = Value::obj(fields);
-    let crc = crc::crc32(payload.to_json_string().as_bytes());
-    Value::obj(vec![
-        ("format", Value::Str(BUNDLE_FORMAT.to_string())),
-        ("version", Value::Num(BUNDLE_VERSION as f64)),
-        ("crc32", Value::Str(format!("{crc:#010x}"))),
-        ("payload", payload),
-    ])
+) -> PackedBundle {
+    BundleWriter::new(model, privacy, graph, graph_fingerprint(graph)).pack(ledger)
 }
 
 /// Serialise a packed bundle to a writer. Unmetered: no ledger section.
 pub fn save<W: std::io::Write>(artifact: &ServeArtifact, graph: &Graph, mut w: W) -> PrivimResult<()> {
-    w.write_all(pack(artifact, graph).to_json_string().as_bytes())
+    w.write_all(pack(artifact, graph).as_bytes())
         .map_err(|e| PrivimError::io("writing serve bundle", e))
 }
 
@@ -230,12 +301,8 @@ pub fn save_with_ledger<W: std::io::Write>(
     mut w: W,
 ) -> PrivimResult<()> {
     ledger.config.validate()?;
-    w.write_all(
-        pack_with_ledger(artifact, graph, Some(ledger))
-            .to_json_string()
-            .as_bytes(),
-    )
-    .map_err(|e| PrivimError::io("writing serve bundle", e))
+    w.write_all(pack_with_ledger(artifact, graph, Some(ledger)).as_bytes())
+        .map_err(|e| PrivimError::io("writing serve bundle", e))
 }
 
 fn parse_hex_u64(s: &str) -> Option<u64> {
@@ -484,8 +551,10 @@ mod tests {
     /// Re-emit a packed bundle with its payload fields edited and the CRC
     /// recomputed, so the checksum layer passes and the section checks
     /// behind it must fire.
-    fn with_payload_edit(doc: Value, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
-        let Value::Obj(header) = doc else { panic!("doc not an object") };
+    fn with_payload_edit(doc: PackedBundle, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+        let Value::Obj(header) = Value::parse(&doc.to_json_string()).unwrap() else {
+            panic!("doc not an object")
+        };
         let mut payload = header.into_iter().find(|(k, _)| k == "payload").unwrap().1;
         let Value::Obj(fields) = &mut payload else { panic!("payload not an object") };
         edit(fields);

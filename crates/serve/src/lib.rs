@@ -57,7 +57,9 @@
 //!   journaled (length-prefixed, CRC-32'd, fsync'd) *before* the client
 //!   sees a 2xx; startup replays the journal over the bundle's ledger
 //!   with never-undercharge semantics, and periodic compaction folds it
-//!   into an atomically-replaced bundle snapshot.
+//!   into an atomically-replaced bundle snapshot: the payload head,
+//!   serialized once on the first compaction, plus the live ledger
+//!   section, byte for byte a fresh pack.
 //!
 //! Determinism note: response payloads are bit-identical to direct
 //! library calls (the e2e test pins this) — computing scores once and

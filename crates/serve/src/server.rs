@@ -14,7 +14,7 @@
 //! accepted is ever abandoned, including a request whose bytes are still
 //! arriving when shutdown begins.
 
-use crate::bundle::{Bundle, PrivacyStatement};
+use crate::bundle::{Bundle, BundleWriter, PrivacyStatement};
 use crate::cache::ShardedLru;
 use crate::http::Request;
 use crate::ledger::{Admission, TenantLedger};
@@ -131,6 +131,10 @@ pub(crate) struct Shared {
     /// of the loaded bundle).
     model: GnnModel,
     privacy: PrivacyStatement,
+    /// The serialized immutable part of every compaction snapshot, built
+    /// by the first compaction (under the journal lock), so start-up
+    /// never pays for it and an uncompacted deployment never holds it.
+    snapshot: OnceLock<BundleWriter>,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) deadline: Duration,
     default_runs: usize,
@@ -237,6 +241,7 @@ pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
         durability,
         model: bundle.model,
         privacy: bundle.privacy,
+        snapshot: OnceLock::new(),
         graph: bundle.graph,
         fingerprint: bundle.fingerprint,
         metrics: Metrics::new(),
@@ -397,9 +402,11 @@ fn journal_charge(shared: &Shared, tenant: &str, queries_after: u64) -> Result<(
 }
 
 /// Fold the live ledger into an atomically-replaced bundle snapshot,
-/// then truncate the journal. Caller holds the journal lock. Failure at
-/// any step leaves the journal in place — uncompacted but never
-/// undercharged (stale absolute counts replay as a no-op under max).
+/// then truncate the journal. Caller holds the journal lock. The
+/// snapshot is the cached [`BundleWriter`] head plus the ledger section:
+/// only the ledger is serialized per compaction. Failure at any step
+/// leaves the journal in place — uncompacted but never undercharged
+/// (stale absolute counts replay as a no-op under max).
 fn compact(shared: &Shared, writer: &mut WalWriter) {
     let (Some(d), Some(ledger)) = (&shared.durability, &shared.ledger) else {
         return;
@@ -408,9 +415,11 @@ fn compact(shared: &Shared, writer: &mut WalWriter) {
         return;
     };
     let state = ledger.state();
-    let doc = crate::bundle::pack_parts(&shared.model, &shared.privacy, &shared.graph, Some(&state));
-    let snapshot_ok =
-        fsio::atomic_write_durable(bundle_path, doc.to_json_string().as_bytes()).is_ok();
+    let snapshot = shared.snapshot.get_or_init(|| {
+        BundleWriter::new(&shared.model, &shared.privacy, &shared.graph, shared.fingerprint)
+    });
+    let doc = snapshot.pack(Some(&state));
+    let snapshot_ok = fsio::atomic_write_durable(bundle_path, doc.as_bytes()).is_ok();
     if snapshot_ok && writer.reset().is_ok() {
         shared.metrics.wal_compaction();
     } else {

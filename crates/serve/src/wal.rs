@@ -50,6 +50,12 @@
 //! journal ([`WalWriter::reset`]). If the truncation is lost to a crash,
 //! the stale journal's absolute counts are ≤ the snapshot's and replay
 //! max() makes re-applying them a no-op.
+//!
+//! A snapshot is byte for byte a fresh pack of the served bundle with the
+//! live ledger. The server's [`crate::bundle::BundleWriter`], built on
+//! the first compaction, caches everything but the ledger section (the
+//! serialized model, privacy statement and graph, and the CRC-32 register
+//! over them), so each compaction serializes only the ledger.
 
 use privim_rt::crc::crc32;
 use privim_rt::fault::{self, FaultPlan};

@@ -6,6 +6,7 @@
 
 use privim::ServeArtifact;
 use privim_gnn::{GnnConfig, GnnModel};
+use privim_graph::Graph;
 use privim_rt::fault::{FaultPlan, FaultPoint};
 use privim_rt::json::Value;
 use privim_rt::{fault, ChaCha8Rng, Rng, SeedableRng};
@@ -44,9 +45,9 @@ fn generous_config() -> LedgerConfig {
     }
 }
 
-/// A loaded metered bundle over a small graph (untrained model: serving
+/// The artifact and graph of [`metered_bundle`] (untrained model: serving
 /// durability does not depend on weight quality).
-fn metered_bundle(seed: u64) -> bundle::Bundle {
+fn metered_parts(seed: u64) -> (ServeArtifact, Graph) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let g = privim_graph::generators::barabasi_albert(60, 3, &mut rng).with_uniform_weights(1.0);
     let artifact = ServeArtifact {
@@ -56,6 +57,12 @@ fn metered_bundle(seed: u64) -> bundle::Bundle {
         sigma: 1.5,
         steps: 80,
     };
+    (artifact, g)
+}
+
+/// A loaded metered bundle over a small graph, every tenant at zero.
+fn metered_bundle(seed: u64) -> bundle::Bundle {
+    let (artifact, g) = metered_parts(seed);
     let mut buf = Vec::new();
     bundle::save_with_ledger(&artifact, &g, &LedgerState::new(generous_config()), &mut buf)
         .unwrap();
@@ -382,6 +389,99 @@ fn compaction_snapshots_bundle_and_truncates_journal() {
     );
     let _ = std::fs::remove_file(&wal_path);
     let _ = std::fs::remove_file(&bundle_path);
+}
+
+/// Every compaction snapshot is byte for byte a fresh pack of the same
+/// model, privacy statement, graph and ledger state: the first compaction
+/// (which serializes the snapshot head) and a later one (which reuses it).
+#[test]
+fn compaction_snapshots_are_byte_identical_to_a_fresh_pack() {
+    let wal_path = tmp("snapshot-bytes.wal");
+    let bundle_path = tmp("snapshot-bytes-bundle.json");
+    let (artifact, g) = metered_parts(43);
+    let cfg = ServeConfig {
+        workers: 2,
+        durability: Some(DurabilityConfig {
+            wal_path: wal_path.clone(),
+            fsync: FsyncPolicy::Always,
+            compact_every: 3,
+            bundle_path: Some(bundle_path.clone()),
+        }),
+        ..ServeConfig::default()
+    };
+    let handle = start(metered_bundle(43), cfg).unwrap();
+    let port = handle.port();
+    let mut expected = LedgerState::new(generous_config());
+    for i in 1..=7u64 {
+        let tenant = ["acme", "zephyr"][(i % 2) as usize];
+        assert_eq!(post_metered(port, tenant), 200);
+        *expected.tenants.entry(tenant.to_string()).or_insert(0) += 1;
+        if i % 3 == 0 {
+            // The charge that triggered compaction is acknowledged only
+            // after the snapshot was written.
+            let written = std::fs::read(&bundle_path).unwrap();
+            let fresh = bundle::pack_with_ledger(&artifact, &g, Some(&expected));
+            assert!(
+                written == fresh.as_bytes(),
+                "snapshot after admission {i} differs from a fresh pack"
+            );
+        }
+    }
+    let text = handle.metrics_text();
+    assert_eq!(parse_counter(&text, "privim_wal_compactions_total"), Some(2));
+    let _ = handle.shutdown();
+    let _ = std::fs::remove_file(&wal_path);
+    let _ = std::fs::remove_file(&bundle_path);
+}
+
+/// A snapshot that cannot be written (its directory does not exist) is
+/// counted as a failed compaction, leaves the journal untruncated, and
+/// bundle + journal recovery still equals every acknowledged charge.
+#[test]
+fn failed_compaction_keeps_the_journal_and_every_acknowledged_charge() {
+    let wal_path = tmp("failed-compaction.wal");
+    let bundle_path = tmp("no-such-dir").join("bundle.json");
+    let b = metered_bundle(44);
+    let original_state = b.ledger.clone().unwrap();
+    let cfg = ServeConfig {
+        workers: 2,
+        durability: Some(DurabilityConfig {
+            wal_path: wal_path.clone(),
+            fsync: FsyncPolicy::Always,
+            compact_every: 3,
+            bundle_path: Some(bundle_path.clone()),
+        }),
+        ..ServeConfig::default()
+    };
+    let handle = start(b, cfg).unwrap();
+    let port = handle.port();
+    let mut acked: BTreeMap<String, u64> = BTreeMap::new();
+    for i in 0..7 {
+        let tenant = format!("tenant-{}", i % 2);
+        if post_metered(port, &tenant) == 200 {
+            *acked.entry(tenant).or_insert(0) += 1;
+        }
+    }
+    assert_eq!(acked.values().sum::<u64>(), 7, "a failed snapshot must not refuse queries");
+    let text = handle.metrics_text();
+    assert_eq!(parse_counter(&text, "privim_wal_appends_total"), Some(7));
+    assert_eq!(parse_counter(&text, "privim_wal_compactions_total"), Some(0));
+    assert_eq!(parse_counter(&text, "privim_wal_compaction_failures_total"), Some(2));
+    let _ = handle.shutdown();
+    assert!(!bundle_path.exists());
+    // The journal still holds all seven records on top of the bundle the
+    // server loaded, which no snapshot replaced.
+    let mut recovered = original_state;
+    let report = wal::recover_from_path(&mut recovered, &wal_path).unwrap();
+    assert_eq!(report.records_applied, 7, "the journal must not have been truncated");
+    for (tenant, &n) in &acked {
+        assert_eq!(
+            recovered.tenants.get(tenant).copied().unwrap_or(0),
+            n,
+            "{tenant}: recovered spend must equal acknowledged charges"
+        );
+    }
+    let _ = std::fs::remove_file(&wal_path);
 }
 
 /// An unmetered bundle ignores durability config (nothing to journal);
