@@ -246,20 +246,20 @@ impl GnnModel {
     ///
     /// The CRC-32 is computed over the compact serialisation of `payload`,
     /// so truncation or bit flips anywhere in the parameters are detected
-    /// at load time instead of silently producing a wrong model.
+    /// at load time instead of silently producing a wrong model. The
+    /// payload is serialised once: the document splices in the very bytes
+    /// the CRC covers.
     pub fn save_json<W: std::io::Write>(&self, mut w: W) -> PrivimResult<()> {
-        use privim_rt::json::Value;
-        let payload = self.checkpoint_payload();
-        let payload_text = payload.to_json_string();
-        let crc = privim_rt::crc::crc32(payload_text.as_bytes());
-        let doc = Value::obj(vec![
-            ("format", Value::Str(CHECKPOINT_FORMAT.to_string())),
-            ("version", Value::Num(CHECKPOINT_VERSION as f64)),
-            ("crc32", Value::Str(format!("{crc:#010x}"))),
-            ("payload", payload),
-        ]);
-        w.write_all(doc.to_json_string().as_bytes())
-            .map_err(|e| PrivimError::io("writing model checkpoint", e))
+        let payload = self.checkpoint_payload().to_json_string();
+        let crc = privim_rt::crc::crc32(payload.as_bytes());
+        let head = format!(
+            "{{\"format\":\"{CHECKPOINT_FORMAT}\",\"version\":{CHECKPOINT_VERSION},\
+             \"crc32\":\"{crc:#010x}\",\"payload\":"
+        );
+        let written = [head.as_bytes(), payload.as_bytes(), b"}"]
+            .into_iter()
+            .try_for_each(|part| w.write_all(part));
+        written.map_err(|e| PrivimError::io("writing model checkpoint", e))
     }
 
     /// Load a model persisted with [`Self::save_json`]. Verifies the
@@ -810,6 +810,39 @@ mod json_tests {
         let a = model.score_graph(&g);
         let b = loaded.score_graph(&g);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn checkpoint_bytes_match_the_value_tree_document() {
+        // The document as it was built before the payload was spliced in:
+        // one `Value` tree, payload serialised inside it.
+        fn tree_document(model: &GnnModel) -> Vec<u8> {
+            use privim_rt::json::Value;
+            let payload = model.checkpoint_payload();
+            let crc = privim_rt::crc::crc32(payload.to_json_string().as_bytes());
+            Value::obj(vec![
+                ("format", Value::Str(CHECKPOINT_FORMAT.to_string())),
+                ("version", Value::Num(CHECKPOINT_VERSION as f64)),
+                ("crc32", Value::Str(format!("{crc:#010x}"))),
+                ("payload", payload),
+            ])
+            .to_json_string()
+            .into_bytes()
+        }
+        for kind in GnnKind::ALL {
+            let mut rng = ChaCha8Rng::seed_from_u64(28);
+            let config = GnnConfig {
+                kind,
+                ..GnnConfig::paper_default()
+            };
+            let model = GnnModel::new(config, &mut rng);
+            let mut buf = Vec::new();
+            model.save_json(&mut buf).unwrap();
+            assert!(
+                buf == tree_document(&model),
+                "{kind:?}: checkpoint bytes changed"
+            );
+        }
     }
 
     #[test]

@@ -72,33 +72,39 @@ impl GraphBuilder {
     pub fn build(self) -> Graph {
         let GraphBuilder { n, directed, edges } = self;
 
-        // Materialise arcs: undirected edges become two arcs.
-        let mut arcs: Vec<(NodeId, NodeId, f64)> = if directed {
-            edges
-        } else {
-            let mut a = Vec::with_capacity(edges.len() * 2);
-            for (u, v, w) in edges {
-                a.push((u, v, w));
-                a.push((v, u, w));
+        // Materialise arcs as one integer each, (src, dst, edge index)
+        // from the high bits down: undirected edges become two arcs,
+        // self-loops are dropped. Each buffer is freed as soon as the
+        // next one is built, so the peak stays at the arcs plus two
+        // per-arc outputs.
+        let weights: Vec<f64> = edges.iter().map(|&(_, _, w)| w).collect();
+        let arc =
+            |u: NodeId, v: NodeId, i: usize| (u as u128) << 96 | (v as u128) << 64 | i as u128;
+        let mut arcs: Vec<u128> = Vec::with_capacity(edges.len() * if directed { 1 } else { 2 });
+        for (i, &(u, v, _)) in edges.iter().enumerate().filter(|(_, e)| e.0 != e.1) {
+            arcs.push(arc(u, v, i));
+            if !directed {
+                arcs.push(arc(v, u, i));
             }
-            a
-        };
+        }
+        drop(edges);
 
-        // Drop self-loops, sort, dedup by (src, dst) keeping first weight.
-        arcs.retain(|&(u, v, _)| u != v);
-        arcs.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        arcs.dedup_by_key(|&mut (u, v, _)| (u, v));
+        // Sort, then dedup by (src, dst): the edge index breaks ties, so
+        // each arc keeps the first weight added.
+        arcs.sort_unstable();
+        arcs.dedup_by_key(|a| *a >> 64);
+        let out_weights: Vec<f64> = arcs.iter().map(|&a| weights[a as u64 as usize]).collect();
+        drop(weights);
 
         // Out-CSR.
         let mut out_offsets = vec![0usize; n + 1];
-        for &(u, _, _) in &arcs {
-            out_offsets[u as usize + 1] += 1;
+        for &a in &arcs {
+            out_offsets[(a >> 96) as usize + 1] += 1;
         }
         for i in 0..n {
             out_offsets[i + 1] += out_offsets[i];
         }
-        let out_targets: Vec<NodeId> = arcs.iter().map(|&(_, v, _)| v).collect();
-        let out_weights: Vec<f64> = arcs.iter().map(|&(_, _, w)| w).collect();
+        let out_targets: Vec<NodeId> = arcs.iter().map(|&a| (a >> 64) as NodeId).collect();
         Graph::from_out_csr(n, directed, out_offsets, out_targets, out_weights)
     }
 }
@@ -116,6 +122,22 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_arcs(), 2);
         assert_eq!(g.arc_weight(0, 1), Some(0.9), "first weight wins");
+    }
+
+    #[test]
+    fn first_weight_wins_for_every_duplicate() {
+        // Enough equal keys that an unstable sort would reorder some.
+        let mut b = GraphBuilder::new_directed(201);
+        for w in [0.25, 0.75] {
+            for v in 1..=200 {
+                b.add_edge(0, v, w);
+            }
+        }
+        let g = b.build();
+        assert_eq!(g.num_arcs(), 200);
+        for v in 1..=200 {
+            assert_eq!(g.arc_weight(0, v), Some(0.25), "arc 0 -> {v}");
+        }
     }
 
     #[test]

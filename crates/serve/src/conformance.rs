@@ -14,7 +14,10 @@
 //! - random read splits, down to 1 byte;
 //! - a half-close at an arbitrary offset;
 //! - a `max_pipeline` of 1–4 with bursts past it;
-//! - worker completions in shuffled order;
+//! - worker completions in shuffled order, handed to the reactor through
+//!   the production [`Handoff`] in batches of 1–4 per write pass, and
+//!   delivered only when a push woke the reactor (the model reactor
+//!   sleeps until woken, with no timer to paper over a lost wake);
 //! - random partial writes;
 //! - a queue-admission stub that refuses at a seeded point;
 //! - a worker that closes the connection from a seeded completion on
@@ -30,7 +33,7 @@
 //! shed), and the first request in response order a worker closed on
 //! (nothing follows it).
 
-use crate::conn::{Conn, ParsedJob};
+use crate::conn::{Conn, Handoff, ParsedJob};
 use crate::http::{error_frame, response_frame};
 use privim_rt::{ChaCha8Rng, Rng, SeedableRng};
 
@@ -224,6 +227,9 @@ struct Case {
     max_read: usize,
 }
 
+/// A finished job on its way back: `(seq, frame, close_after)`.
+type Done = (u64, Vec<u8>, bool);
+
 /// Feed `case` through [`Conn`] the way the reactor does, under `rng`'s
 /// schedule. Returns the bytes written, whether the connection finished,
 /// and the timing facts.
@@ -237,6 +243,10 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
         refused: false,
         completed: 0,
     };
+    let handoff: Handoff<Done> = Handoff::new();
+    // A wake is pending: some push made the hand-off non-empty since the
+    // model reactor last read its waker.
+    let mut woken = false;
     let mut sched = Schedule::default();
     let mut out = Vec::new();
 
@@ -246,26 +256,41 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
             sched.shed = worker.refuse_at.map(|at| (at, conn.requests_parsed()));
         }
     };
-    let complete_one =
-        |conn: &mut Conn, worker: &mut Worker, sched: &mut Schedule, rng: &mut ChaCha8Rng| {
-            let job = worker
-                .queued
-                .swap_remove(rng.gen_range(0..worker.queued.len()));
-            let close = case.close_at.is_some_and(|at| {
-                worker.completed == at || (worker.completed > at && rng.gen_bool(0.5))
-            });
-            worker.completed += 1;
-            let frame = if close {
-                sched.closed = Some(sched.closed.map_or(job.seq, |c| c.min(job.seq)));
-                error_frame(503, DEADLINE_SHED)
-            } else {
-                let r = &job.request;
-                served(&r.method, &r.path, &r.body, job.keep_alive)
-            };
-            conn.deliver(job.seq, frame, close, cap, &mut |j| worker.admit(j));
-            note(sched, worker, conn);
+    // Workers finish 1–4 queued jobs, in random order, and push them.
+    let complete_batch =
+        |worker: &mut Worker, sched: &mut Schedule, woken: &mut bool, rng: &mut ChaCha8Rng| {
+            for _ in 0..rng.gen_range(1..=4usize).min(worker.queued.len()) {
+                let job = worker
+                    .queued
+                    .swap_remove(rng.gen_range(0..worker.queued.len()));
+                let close = case.close_at.is_some_and(|at| {
+                    worker.completed == at || (worker.completed > at && rng.gen_bool(0.5))
+                });
+                worker.completed += 1;
+                let frame = if close {
+                    sched.closed = Some(sched.closed.map_or(job.seq, |c| c.min(job.seq)));
+                    error_frame(503, DEADLINE_SHED)
+                } else {
+                    let r = &job.request;
+                    served(&r.method, &r.path, &r.body, job.keep_alive)
+                };
+                *woken |= handoff.push((job.seq, frame, close));
+            }
         };
-    let write_some = |conn: &mut Conn, out: &mut Vec<u8>, rng: &mut ChaCha8Rng| {
+    // One reactor pass: read the waker, deliver every completion the
+    // hand-off holds, then write once.
+    let pass = |conn: &mut Conn,
+                worker: &mut Worker,
+                sched: &mut Schedule,
+                woken: &mut bool,
+                out: &mut Vec<u8>,
+                rng: &mut ChaCha8Rng| {
+        if std::mem::take(woken) {
+            for (seq, frame, close) in handoff.take() {
+                conn.deliver(seq, frame, close, cap, &mut |j| worker.admit(j));
+                note(sched, worker, conn);
+            }
+        }
         let n = rng.gen_range(0..=conn.writable().len());
         out.extend_from_slice(&conn.writable()[..n]);
         conn.advance_write(n);
@@ -285,22 +310,37 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
         }
         conn.pump(cap, &mut |j| worker.admit(j));
         note(&mut sched, &worker, &conn);
-        while !worker.queued.is_empty() && rng.gen_bool(0.5) {
-            complete_one(&mut conn, &mut worker, &mut sched, rng);
+        if !worker.queued.is_empty() && rng.gen_bool(0.5) {
+            complete_batch(&mut worker, &mut sched, &mut woken, rng);
         }
-        if rng.gen_bool(0.5) {
-            write_some(&mut conn, &mut out, rng);
+        // A woken reactor runs its pass at once, so each pass delivers
+        // one batch; an idle one may still write.
+        if woken || rng.gen_bool(0.5) {
+            pass(
+                &mut conn,
+                &mut worker,
+                &mut sched,
+                &mut woken,
+                &mut out,
+                rng,
+            );
         }
         if rest.is_empty() {
             break;
         }
     }
-    while !worker.queued.is_empty() {
-        complete_one(&mut conn, &mut worker, &mut sched, rng);
-        write_some(&mut conn, &mut out, rng);
-    }
-    while !conn.writable().is_empty() {
-        write_some(&mut conn, &mut out, rng);
+    // A completion no wake announced stays in the hand-off, and its
+    // response is missing from `out`.
+    while !worker.queued.is_empty() || woken || !conn.writable().is_empty() {
+        complete_batch(&mut worker, &mut sched, &mut woken, rng);
+        pass(
+            &mut conn,
+            &mut worker,
+            &mut sched,
+            &mut woken,
+            &mut out,
+            rng,
+        );
     }
     (out, conn.finished(), sched)
 }

@@ -25,9 +25,15 @@
 //! buffered in full are still parsed and answered — a client may legally
 //! write its requests and `shutdown(SHUT_WR)` before reading — and the
 //! shutdown shape begins only once nothing parseable remains.
+//!
+//! [`Handoff`] is the worker → reactor side of the same protocol: the
+//! rule for when a finished response must wake the reactor, kept here so
+//! the conformance harness runs it too.
 
 use crate::http::{error_frame, parse_one, HttpError, Request};
+use crate::server::lock;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// One parsed request, tagged with its response-ordering sequence number.
 #[derive(Debug)]
@@ -347,6 +353,37 @@ impl Conn {
     /// A draining connection with nothing left to emit or flush is done.
     pub(crate) fn finished(&self) -> bool {
         self.phase == ConnPhase::Draining && self.inflight == 0 && self.writable().is_empty()
+    }
+}
+
+/// Finished responses on their way from the workers to the reactor.
+/// Workers push; the reactor swaps the whole vec out once per pass, after
+/// it has read the waker.
+pub(crate) struct Handoff<T> {
+    items: Mutex<Vec<T>>,
+}
+
+impl<T> Handoff<T> {
+    pub(crate) fn new() -> Handoff<T> {
+        Handoff {
+            items: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Queue `item`; `true` when this push made the vec non-empty, and the
+    /// caller must then wake the reactor. A push onto a non-empty vec
+    /// needs no wake: the push that made it non-empty woke the reactor,
+    /// which reads the waker before [`Handoff::take`], so the wake is
+    /// still pending or the take still to come.
+    pub(crate) fn push(&self, item: T) -> bool {
+        let mut items = lock(&self.items);
+        items.push(item);
+        items.len() == 1
+    }
+
+    /// Everything queued, in push order.
+    pub(crate) fn take(&self) -> Vec<T> {
+        std::mem::take(&mut *lock(&self.items))
     }
 }
 

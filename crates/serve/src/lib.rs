@@ -43,7 +43,10 @@
 //!   reactor thread drives nonblocking sockets with HTTP/1.1 keep-alive
 //!   and pipelining, a per-connection state machine, and a coarse timer
 //!   wheel for idle/header-read timeouts (slowloris defense); a worker
-//!   pool executes the requests. Serving is Linux-only: elsewhere
+//!   pool executes the requests. Each reactor pass delivers every
+//!   finished response, then writes each connection that got one once;
+//!   a worker wakes the reactor only when its response makes the
+//!   completion vec non-empty. Serving is Linux-only: elsewhere
 //!   [`server::start`] returns an `Unsupported` I/O error.
 //! * **Load shedding** ([`server`]): a bounded job queue; overflow and
 //!   requests whose queue wait exceeds the deadline get `503` instead of

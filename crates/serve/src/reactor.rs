@@ -13,6 +13,13 @@
 //! every other one through the shared routing/admission/journaling path
 //! (`server::process_request`).
 //!
+//! A pass batches the worker → reactor hand-off: it reads the waker
+//! once, swaps out every finished response, delivers them all and only
+//! then writes each connection that got one, once. A worker writes the
+//! waker only when its push makes the completion vec non-empty
+//! ([`Handoff::push`]), so a burst of responses costs one wake, not one
+//! per response.
+//!
 //! The poller is raw `epoll_create1`/`epoll_ctl`/`epoll_wait` (via
 //! `extern "C"` shims over `std::os::fd` — no libc crate), so the module
 //! is Linux-only; elsewhere `server::start` refuses to serve.
@@ -25,7 +32,7 @@
 //! slowloris dribbling one header byte per second cannot hold memory
 //! open indefinitely.
 
-use crate::conn::{Conn, ParsedJob, Pumped};
+use crate::conn::{Conn, Handoff, ParsedJob, Pumped};
 use crate::http::{error_frame, response_frame, Request};
 use crate::server::{lock, process_request, Shared};
 use std::collections::{BTreeMap, VecDeque};
@@ -84,7 +91,9 @@ struct Completion {
 struct ReactorShared {
     jobs: Mutex<VecDeque<Job>>,
     jobs_ready: Condvar,
-    completions: Mutex<Vec<Completion>>,
+    /// Finished responses; a worker wakes the reactor only when its push
+    /// makes the vec non-empty ([`Handoff::push`]).
+    completions: Handoff<Completion>,
     /// Write end of the waker pair; any thread can poke the reactor out
     /// of `wait` with a 1-byte write (nonblocking: a full pipe already
     /// guarantees a pending wakeup).
@@ -134,7 +143,7 @@ pub(crate) fn spawn_reactor(
     let rs = Arc::new(ReactorShared {
         jobs: Mutex::new(VecDeque::new()),
         jobs_ready: Condvar::new(),
-        completions: Mutex::new(Vec::new()),
+        completions: Handoff::new(),
         waker_tx,
         reactor_done: AtomicBool::new(false),
     });
@@ -206,16 +215,15 @@ fn worker_loop(shared: &Shared, rs: &ReactorShared) {
             Some(ep) => shared.metrics.observe(ep, latency_us, status),
             None => shared.metrics.observe_status(status),
         }
-        {
-            let mut c = lock(&rs.completions);
-            c.push(Completion {
-                token: job.token,
-                seq: job.seq,
-                frame,
-                close_after: close,
-            });
+        let first = rs.completions.push(Completion {
+            token: job.token,
+            seq: job.seq,
+            frame,
+            close_after: close,
+        });
+        if first {
+            rs.wake();
         }
-        rs.wake();
         if shared.shutting_down.load(Ordering::SeqCst) {
             shared.metrics.drained();
         }
@@ -457,6 +465,7 @@ fn reactor_loop(
     let mut ready: Vec<Ready> = Vec::new();
     let mut due: Vec<u64> = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
+    let mut completed: Vec<u64> = Vec::new();
     let mut draining = false;
 
     loop {
@@ -522,8 +531,11 @@ fn reactor_loop(
                     accept_ready(&mut poller, &listener, &mut conns, &mut next_token, now_tick, shared, draining);
                 }
                 TOKEN_WAKER => {
-                    let mut sink = [0u8; 64];
-                    while matches!((&waker_rx).read(&mut sink), Ok(n) if n > 0) {}
+                    // One read: a worker writes a byte only when its
+                    // push finds the vec empty, so the backlog is one byte
+                    // as a rule, and a larger one stays level-readable for
+                    // the next pass.
+                    let _ = (&waker_rx).read(&mut [0u8; 64]);
                 }
                 token => {
                     if let Some(entry) = conns.get_mut(&token) {
@@ -539,12 +551,11 @@ fn reactor_loop(
             }
         }
 
-        // Worker completions: swap the vec out under the lock, apply after.
-        let done: Vec<Completion> = {
-            let mut c = lock(&rs.completions);
-            std::mem::take(&mut *c)
-        };
-        for comp in done {
+        // Worker completions: swap the vec out (after the waker read
+        // above, so a push this swap misses finds the vec empty and wakes
+        // the next pass), and deliver every one of them first.
+        completed.clear();
+        for comp in rs.completions.take() {
             let Some(entry) = conns.get_mut(&comp.token).filter(|e| !e.dead) else {
                 continue; // connection died while the job was in flight
             };
@@ -553,12 +564,19 @@ fn reactor_loop(
                 conn.deliver(seq, frame, close_after, cfg.max_pipeline, admit)
             });
             entry.last_activity_tick = now_tick;
-            // Opportunistic write: most responses fit the socket buffer,
-            // so this usually finishes the exchange without another
-            // EPOLLOUT round trip.
-            write_ready(entry, now_tick);
-            touched.push(comp.token);
+            completed.push(comp.token);
         }
+        // Then one opportunistic write per connection: most responses fit
+        // the socket buffer, so this usually finishes the pass's exchanges
+        // without another EPOLLOUT round trip.
+        completed.sort_unstable();
+        completed.dedup();
+        for &token in completed.iter() {
+            if let Some(entry) = conns.get_mut(&token) {
+                write_ready(entry, now_tick);
+            }
+        }
+        touched.extend_from_slice(&completed);
 
         // Finalize every touched connection: close finished/dead ones,
         // refresh interest + timers on the rest.

@@ -14,7 +14,7 @@ use privim_rt::{ChaCha8Rng, SeedableRng};
 use privim_serve::{bundle, metrics, start, ServeConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A BA(120, 3) bundle with every arc weight 0.9. The weight is
 /// fractional on purpose: on 0/1 weights an influence query is one exact
@@ -368,11 +368,18 @@ fn pipelined_burst_over_queue_cap_sheds_with_503() {
     // One worker + queue cap 1 + a slow first request: the uncached
     // influence estimate occupies the worker long enough that a
     // pipelined burst must overflow the bounded queue and be shed.
+    // When the worker pops the estimate before the reactor offers the
+    // first embed, that embed is admitted too and waits out the whole
+    // estimate, which a debug build can stretch past the default 5 s
+    // deadline; its deadline shed would then close the connection ahead
+    // of the queue-full 503s. A deadline no estimate reaches keeps this
+    // test about the queue cap alone.
     let handle = reactor_server(
         17,
         ServeConfig {
             workers: 1,
             queue_cap: 1,
+            deadline: Duration::from_secs(120),
             ..ServeConfig::default()
         },
     );
@@ -520,4 +527,72 @@ fn drain_during_keepalive_finishes_in_flight_then_closes() {
     assert!(carry.is_empty() && rest.is_empty(), "connection must close after the drained response");
     let drained = shutdown.join().unwrap();
     assert!(drained >= 1, "drained counter must record the in-flight request");
+}
+
+#[test]
+fn pipelined_load_on_many_connections_loses_no_wakeup() {
+    // Sixteen connections each write 64 pipelined requests in one go, ten
+    // times over. Workers wake the reactor only when their push makes the
+    // completion hand-off non-empty, so one lost wake leaves a response
+    // waiting for the next 100 ms timer tick. With a pipeline cap of 1
+    // every response waits on the delivery of the one before it, so
+    // wakes lost as a rule stall each repetition for 64 ticks, 6.4 s, and
+    // blow the deadline; a healthy server needs a fraction of a second.
+    const CONNS: usize = 16;
+    const DEPTH: usize = 64;
+    const REPS: usize = 10;
+    let embed_frame =
+        |i: usize| frame_request("POST", "/v1/embed", &format!("{{\"nodes\": [{i}]}}"), false);
+    for workers in [1, 4] {
+        for max_pipeline in [1, DEPTH] {
+            let handle = reactor_server(
+                22,
+                ServeConfig {
+                    workers,
+                    max_pipeline,
+                    queue_cap: CONNS * DEPTH,
+                    ..ServeConfig::default()
+                },
+            );
+            let port = handle.port();
+            let mut reference = TcpStream::connect(("127.0.0.1", port)).unwrap();
+            reference
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            let mut carry = Vec::new();
+            let expected: Vec<String> = (0..DEPTH)
+                .map(|i| {
+                    reference.write_all(&embed_frame(i)).unwrap();
+                    read_framed(&mut reference, &mut carry).2
+                })
+                .collect();
+
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let burst: Vec<u8> = (0..DEPTH).flat_map(embed_frame).collect();
+            for rep in 0..REPS {
+                let mut streams: Vec<TcpStream> = (0..CONNS)
+                    .map(|_| TcpStream::connect(("127.0.0.1", port)).unwrap())
+                    .collect();
+                for s in &mut streams {
+                    s.write_all(&burst).unwrap();
+                }
+                for (c, s) in streams.iter_mut().enumerate() {
+                    let mut carry = Vec::new();
+                    for (i, want) in expected.iter().enumerate() {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        assert!(
+                            !left.is_zero(),
+                            "workers {workers}, max_pipeline {max_pipeline}: deadline passed \
+                             in repetition {rep}, connection {c}, response {i}"
+                        );
+                        s.set_read_timeout(Some(left)).unwrap();
+                        let (status, _, body) = read_framed(s, &mut carry);
+                        assert_eq!(status, 200, "{body}");
+                        assert_eq!(&body, want, "connection {c}: response {i} out of order");
+                    }
+                }
+            }
+            handle.shutdown();
+        }
+    }
 }

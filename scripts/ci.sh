@@ -56,6 +56,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "== offline tests (workspace)"
 cargo test -q --offline --workspace
 
+echo "== reactor suite, three runs in a row (real sockets, timers and threads)"
+# These tests race a real reactor against real clients, so a timing bug
+# can pass one run and fail the next; three back-to-back runs make a
+# flaky test show up here rather than in a later change's CI.
+for run in 1 2 3; do
+    echo "-- run $run"
+    cargo test -q --offline -p privim-serve --test reactor
+done
+
 echo "== offline tests (workspace, PRIVIM_SIMD=scalar)"
 # Every test must pass with SIMD dispatch pinned to the scalar backend.
 # Because the lane-accumulator contract (DESIGN.md §14) makes all
