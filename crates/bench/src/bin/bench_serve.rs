@@ -10,9 +10,10 @@
 //!   plus the front-end config to `BENCH_serve.json`.
 //! * **`--mode oneshot|keepalive`**: a single custom row
 //!   (`--reuse`, `--pipeline`, `--rps`, `--secs`).
-//! * **`--smoke`**: one request per endpoint with response assertions, a
-//!   keep-alive reuse check, and a clean-drain check — the CI gate. No
-//!   file output.
+//! * **`--smoke`**: each data request twice with response assertions (the
+//!   repeat must be answered by the reactor itself, with the same body
+//!   apart from the cache flag), a keep-alive reuse check, and a
+//!   clean-drain check — the CI gate. No file output.
 //!
 //! All modes schedule arrivals open-loop (send times are fixed multiples
 //! of the gap from t0) and measure latency from the *scheduled* send
@@ -176,9 +177,24 @@ fn smoke(handle: ServerHandle, n_nodes: usize) {
         ("influence", "/v1/influence", "{\"seeds\": [0, 1], \"runs\": 16, \"seed\": 3}"),
         ("seeds", "/v1/seeds", "{\"k\": 3}"),
     ];
+    let inline = |name: &str| {
+        let counter = format!("privim_inline_responses_total{{endpoint=\"{name}\"}}");
+        parse_counter(&handle.metrics_text(), &counter).unwrap_or_else(|| panic!("{counter}"))
+    };
     for (name, path, body) in checks {
         let (status, text) = request(port, "POST", path, body);
         assert_eq!(status, 200, "{name}: status {status}, body {text}");
+        // The repeat finds its answer computed: the reactor answers it
+        // without a worker, and only the cache flag may differ.
+        let before = inline(name);
+        let (status, again) = request(port, "POST", path, body);
+        assert_eq!(status, 200, "{name} repeat: status {status}, body {again}");
+        assert_eq!(inline(name), before + 1, "{name}: the repeat was not answered inline");
+        let unflag = |t: &str| {
+            t.replace("\"cached\":true", "\"cached\":false")
+                .replace("\"served_from_cache\":true", "\"served_from_cache\":false")
+        };
+        assert_eq!(unflag(&again), unflag(&text), "{name}: the repeat's body differs");
         let v = Value::parse(&text).unwrap_or_else(|e| {
             panic!("{name}: unparseable body {text}: {e}");
         });
@@ -198,7 +214,7 @@ fn smoke(handle: ServerHandle, n_nodes: usize) {
                 "{name}: {text}"
             ),
         }
-        println!("ok  POST {path}");
+        println!("ok  POST {path} (twice; the repeat inline)");
     }
     let (status, text) = request(port, "GET", "/healthz", "");
     assert_eq!(status, 200, "healthz: {text}");
@@ -220,7 +236,7 @@ fn smoke(handle: ServerHandle, n_nodes: usize) {
 
     let (status, text) = request(port, "GET", "/metrics", "");
     assert_eq!(status, 200);
-    for (ep, want) in [("embed", 1), ("influence", 1), ("seeds", 1), ("healthz", 3)] {
+    for (ep, want) in [("embed", 2), ("influence", 2), ("seeds", 2), ("healthz", 3)] {
         let name = format!("privim_requests_total{{endpoint=\"{ep}\"}}");
         assert_eq!(parse_counter(&text, &name), Some(want), "{name}");
     }

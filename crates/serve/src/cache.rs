@@ -115,17 +115,22 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Look up `key`, bumping its recency. Counts a hit or a miss.
     pub fn get(&self, key: &[u8]) -> Option<V> {
-        let found = lock(self.shard(key)).touch(key);
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let found = self.hit(key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        found
+    }
+
+    /// Look up `key` for a caller that will ask again with [`Self::get`]
+    /// on a miss: a hit bumps recency and counts as one, a miss changes
+    /// nothing, so each request still counts once.
+    pub fn hit(&self, key: &[u8]) -> Option<V> {
+        let found = lock(self.shard(key)).touch(key);
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        found
     }
 
     /// Insert (or refresh) `key`, evicting the shard's LRU entries if the
@@ -167,6 +172,21 @@ mod tests {
         assert_eq!(c.get(b"a"), Some(1.5));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
+    }
+
+    #[test]
+    fn a_hit_probe_miss_counts_nothing_and_keeps_recency() {
+        let c: ShardedLru<u32> = ShardedLru::new(1, 2);
+        assert_eq!(c.hit(b"a"), None);
+        assert_eq!((c.hits(), c.misses()), (0, 0), "a probe miss is not a request");
+        c.put(b"a".to_vec(), 1);
+        c.put(b"b".to_vec(), 2);
+        // A missing key's probe bumps nothing, so "a" stays LRU.
+        assert_eq!(c.hit(b"z"), None);
+        c.put(b"c".to_vec(), 3);
+        assert_eq!(c.hit(b"a"), None, "the LRU entry is evicted");
+        assert_eq!(c.hit(b"b"), Some(2));
+        assert_eq!((c.hits(), c.misses()), (1, 0));
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!   delivered only when a push woke the reactor (the model reactor
 //!   sleeps until woken, with no timer to paper over a lost wake);
 //! - random partial writes;
-//! - a queue-admission stub that refuses at a seeded point;
+//! - a queue-admission stub that refuses at a seeded point, and answers
+//!   a seeded share of the requests at once, the way the reactor answers
+//!   a ready request inline: the frame is delivered in the same pass,
+//!   and the pass delivers until no inline frame is left;
 //! - a worker that closes the connection from a seeded completion on
 //!   (a deadline shed, or a drain that closes every later response).
 //!
@@ -73,6 +76,9 @@ struct Schedule {
     shed: Option<(u64, u64)>,
     /// Lowest-index request whose worker response closed the connection.
     closed: Option<u64>,
+    /// Requests answered at admission. The reference does not need it:
+    /// an inline answer is the same bytes, only sooner.
+    inline: u64,
 }
 
 /// One request head as the reference frames it.
@@ -190,21 +196,37 @@ fn reference(stream: &[u8], eof: bool, sched: Schedule) -> (Vec<u8>, bool) {
     }
 }
 
-/// The job queue as one connection sees it: admits every request except
-/// the `refuse_at`-th offered one (a momentarily full queue).
+/// Admission as one connection sees it: answers a `ready_share` of the
+/// requests at once (never refused, like the reactor's ready answers),
+/// and queues every other one except the `refuse_at`-th offered one (a
+/// momentarily full queue).
 struct Worker {
     queued: Vec<ParsedJob>,
+    /// Frames answered at admission, not yet delivered.
+    inline: Vec<Done>,
+    ready_share: f64,
+    /// Draws the ready subset, apart from the schedule's stream.
+    ready_rng: ChaCha8Rng,
     offered: u64,
     refuse_at: Option<u64>,
     refused: bool,
     /// Jobs completed so far.
     completed: u64,
+    answered_inline: u64,
 }
 
 impl Worker {
     fn admit(&mut self, job: ParsedJob) -> bool {
-        let refuse = self.refuse_at == Some(self.offered);
+        let at = self.offered;
         self.offered += 1;
+        if self.ready_rng.gen_bool(self.ready_share) {
+            let r = &job.request;
+            let frame = served(&r.method, &r.path, &r.body, job.keep_alive);
+            self.inline.push((job.seq, frame, false));
+            self.answered_inline += 1;
+            return true;
+        }
+        let refuse = self.refuse_at == Some(at);
         self.refused |= refuse;
         if !refuse {
             self.queued.push(job);
@@ -220,6 +242,8 @@ struct Case {
     eof: bool,
     max_pipeline: u64,
     refuse_at: Option<u64>,
+    /// Share of requests answered at admission.
+    ready_share: f64,
     /// The completion (in completion order) from which workers may close
     /// the connection: that one always does, each later one by coin flip.
     close_at: Option<u64>,
@@ -238,10 +262,14 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
     let mut conn = Conn::new();
     let mut worker = Worker {
         queued: Vec::new(),
+        inline: Vec::new(),
+        ready_share: case.ready_share,
+        ready_rng: ChaCha8Rng::seed_from_u64(rng.gen()),
         offered: 0,
         refuse_at: case.refuse_at,
         refused: false,
         completed: 0,
+        answered_inline: 0,
     };
     let handoff: Handoff<Done> = Handoff::new();
     // A wake is pending: some push made the hand-off non-empty since the
@@ -278,15 +306,25 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
             }
         };
     // One reactor pass: read the waker, deliver every completion the
-    // hand-off holds, then write once.
+    // hand-off holds and every inline answer (a delivery re-pumps and may
+    // answer more), then write once.
     let pass = |conn: &mut Conn,
                 worker: &mut Worker,
                 sched: &mut Schedule,
                 woken: &mut bool,
                 out: &mut Vec<u8>,
                 rng: &mut ChaCha8Rng| {
-        if std::mem::take(woken) {
-            for (seq, frame, close) in handoff.take() {
+        let mut batch = if std::mem::take(woken) {
+            handoff.take()
+        } else {
+            Vec::new()
+        };
+        loop {
+            batch.append(&mut worker.inline);
+            if batch.is_empty() {
+                break;
+            }
+            for (seq, frame, close) in batch.drain(..) {
                 conn.deliver(seq, frame, close, cap, &mut |j| worker.admit(j));
                 note(sched, worker, conn);
             }
@@ -314,8 +352,9 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
             complete_batch(&mut worker, &mut sched, &mut woken, rng);
         }
         // A woken reactor runs its pass at once, so each pass delivers
-        // one batch; an idle one may still write.
-        if woken || rng.gen_bool(0.5) {
+        // one batch, and so does one that answered inline; an idle one may
+        // still write.
+        if woken || !worker.inline.is_empty() || rng.gen_bool(0.5) {
             pass(
                 &mut conn,
                 &mut worker,
@@ -331,7 +370,11 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
     }
     // A completion no wake announced stays in the hand-off, and its
     // response is missing from `out`.
-    while !worker.queued.is_empty() || woken || !conn.writable().is_empty() {
+    while !worker.queued.is_empty()
+        || !worker.inline.is_empty()
+        || woken
+        || !conn.writable().is_empty()
+    {
         complete_batch(&mut worker, &mut sched, &mut woken, rng);
         pass(
             &mut conn,
@@ -342,6 +385,7 @@ fn drive(case: &Case, rng: &mut ChaCha8Rng) -> (Vec<u8>, bool, Schedule) {
             rng,
         );
     }
+    sched.inline = worker.answered_inline;
     (out, conn.finished(), sched)
 }
 
@@ -448,6 +492,7 @@ fn random_case(rng: &mut ChaCha8Rng) -> Case {
         refuse_at: rng.gen_bool(0.25).then(|| rng.gen_range(0..n)),
         max_read,
         close_at: rng.gen_bool(0.25).then(|| rng.gen_range(0..n)),
+        ready_share: [0.0, 0.0, 0.5, 1.0][rng.gen_range(0..4usize)],
     }
 }
 
@@ -455,7 +500,7 @@ fn random_case(rng: &mut ChaCha8Rng) -> Case {
 fn random_streams_match_the_reference() {
     // How often each protocol path was exercised, so a generator change
     // that stops reaching one fails here instead of passing vacuously.
-    let mut seen = [0u32; 7];
+    let mut seen = [0u32; 8];
     for seed in 0..CASES {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let case = random_case(&mut rng);
@@ -469,9 +514,11 @@ fn random_streams_match_the_reference() {
         seen[4] += u32::from(count(b"HTTP/1.1 400 ") > 0);
         seen[5] += u32::from(count(b"HTTP/1.1 431 ") > 0);
         seen[6] += u32::from(sched.closed.is_some());
+        seen[7] += u32::from(sched.inline > 0);
     }
     // 1-byte reads, half-close, pipelining past the cap, shedding,
-    // malformed framing, oversized headers, a worker's close.
+    // malformed framing, oversized headers, a worker's close, inline
+    // answers.
     assert!(seen.iter().all(|&n| n >= 30), "paths exercised: {seen:?}");
 }
 
@@ -498,6 +545,7 @@ fn corpus_burst_of_three_times_the_cap_in_one_write() {
             refuse_at: None,
             close_at: None,
             max_read: usize::MAX,
+            ready_share: [0.0, 0.5, 1.0][(seed % 3) as usize],
         };
         check("burst_3x_cap", &case, seed);
     }
@@ -517,6 +565,7 @@ fn corpus_write_then_shut_wr() {
             refuse_at: None,
             close_at: None,
             max_read: usize::MAX,
+            ready_share: [0.0, 0.5, 1.0][(seed % 3) as usize],
         };
         check("write_then_shut_wr", &case, seed);
     }
@@ -539,6 +588,7 @@ fn corpus_chunked_body_with_an_embedded_request() {
             refuse_at: None,
             close_at: None,
             max_read: [1, 7, usize::MAX][(seed % 3) as usize],
+            ready_share: [0.0, 1.0][(seed / 3 % 2) as usize],
         };
         check("chunked_te_smuggle", &case, seed);
     }
@@ -559,6 +609,7 @@ fn corpus_burst_past_a_full_queue() {
             refuse_at: Some(1 + seed % 3),
             close_at: None,
             max_read: usize::MAX,
+            ready_share: 0.0,
         };
         check("burst_past_full_queue", &case, seed);
     }
@@ -581,6 +632,7 @@ fn corpus_worker_close_mid_pipeline() {
             refuse_at: None,
             close_at: Some(seed % 3),
             max_read: usize::MAX,
+            ready_share: 0.0,
         };
         let (want, sched) = check("worker_close_mid_pipeline", &case, seed);
         assert!(sched.closed.is_some(), "seed {seed}: no worker closed");

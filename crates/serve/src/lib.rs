@@ -42,15 +42,17 @@
 //! * **Epoll front end** (the `conn` + Linux-only `reactor` modules): one
 //!   reactor thread drives nonblocking sockets with HTTP/1.1 keep-alive
 //!   and pipelining, a per-connection state machine, and a coarse timer
-//!   wheel for idle/header-read timeouts (slowloris defense); a worker
-//!   pool executes the requests. Each reactor pass delivers every
-//!   finished response, then writes each connection that got one once;
-//!   a worker wakes the reactor only when its response makes the
-//!   completion vec non-empty. Serving is Linux-only: elsewhere
+//!   wheel for idle/header-read timeouts (slowloris defense). The reactor
+//!   answers a *ready* request itself (health, metrics, an embed after
+//!   the first, a cached spread, a computed seed prefix; never a metered
+//!   one), and a worker pool executes every other request. Each reactor
+//!   pass delivers every finished response, then writes each connection
+//!   that got one once; a worker wakes the reactor only when its response
+//!   makes the completion vec non-empty. Serving is Linux-only: elsewhere
 //!   [`server::start`] returns an `Unsupported` I/O error.
 //! * **Load shedding** ([`server`]): a bounded job queue; overflow and
 //!   requests whose queue wait exceeds the deadline get `503` instead of
-//!   growing latency without bound.
+//!   growing latency without bound. Ready answers never queue.
 //! * **Graceful drain**: shutdown stops accepting, then completes every
 //!   in-flight and queued request before workers exit.
 //! * **Versioned bundles** ([`bundle`]): format tag + version + CRC-32 +

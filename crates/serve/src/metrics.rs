@@ -51,7 +51,14 @@ pub struct Metrics {
     keepalive_reuses: AtomicU64,
     idle_timeout_closes: AtomicU64,
     header_timeout_closes: AtomicU64,
+    reactor_passes: AtomicU64,
     reactor_wakeups: AtomicU64,
+    waker_writes: AtomicU64,
+    socket_reads: AtomicU64,
+    socket_writes: AtomicU64,
+    /// Responses the reactor answered itself, per [`ENDPOINTS`] entry and
+    /// a last slot for unrouted paths.
+    inline_responses: [AtomicU64; 6],
     /// `PIPELINE_BUCKETS.len() + 1` raw counts (last = +inf).
     pipeline_depth: [AtomicU64; 7],
 }
@@ -205,9 +212,37 @@ impl Metrics {
         self.header_timeout_closes.load(Ordering::Relaxed)
     }
 
-    /// The reactor returned from one poll wait (readiness or timer tick).
+    /// The reactor ran one pass: a poll wait returned, for readiness or
+    /// a timer tick.
+    pub fn reactor_pass(&self) {
+        self.reactor_passes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A reactor pass read a waker byte: a worker woke it.
     pub fn reactor_wakeup(&self) {
         self.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A worker wrote a waker byte.
+    pub fn waker_write(&self) {
+        self.waker_writes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The reactor made one `read` call on a connection socket.
+    pub fn socket_read(&self) {
+        self.socket_reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The reactor made one `write` call on a connection socket.
+    pub fn socket_write(&self) {
+        self.socket_writes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The reactor answered a request itself, without a worker; `ep` is
+    /// its [`endpoint_index`].
+    pub fn inline_response(&self, ep: Option<usize>) {
+        let slot = ep.unwrap_or(ENDPOINTS.len());
+        self.inline_responses[slot].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record the pipelined-request depth one parse round left
@@ -290,7 +325,18 @@ impl Metrics {
         push_line(&mut out, "privim_keepalive_reuses_total", self.keepalive_reuses.load(Ordering::Relaxed));
         push_line(&mut out, "privim_idle_timeout_closes_total", self.idle_timeout_closes.load(Ordering::Relaxed));
         push_line(&mut out, "privim_header_timeout_closes_total", self.header_timeout_closes.load(Ordering::Relaxed));
+        push_line(&mut out, "privim_reactor_passes_total", self.reactor_passes.load(Ordering::Relaxed));
         push_line(&mut out, "privim_reactor_wakeups_total", self.reactor_wakeups.load(Ordering::Relaxed));
+        push_line(&mut out, "privim_waker_writes_total", self.waker_writes.load(Ordering::Relaxed));
+        push_line(&mut out, "privim_socket_reads_total", self.socket_reads.load(Ordering::Relaxed));
+        push_line(&mut out, "privim_socket_writes_total", self.socket_writes.load(Ordering::Relaxed));
+        for (i, name) in ENDPOINTS.iter().chain(["other"].iter()).enumerate() {
+            push_line(
+                &mut out,
+                &format!("privim_inline_responses_total{{endpoint=\"{name}\"}}"),
+                self.inline_responses[i].load(Ordering::Relaxed),
+            );
+        }
         let mut cumulative = 0u64;
         for (b, ub) in PIPELINE_BUCKETS.iter().enumerate() {
             cumulative += self.pipeline_depth[b].load(Ordering::Relaxed);
@@ -452,7 +498,19 @@ mod tests {
         m.keepalive_reuse();
         m.idle_timeout_close();
         m.header_timeout_close();
+        m.reactor_pass();
+        m.reactor_pass();
         m.reactor_wakeup();
+        m.waker_write();
+        m.waker_write();
+        m.waker_write();
+        m.socket_read();
+        m.socket_write();
+        m.socket_write();
+        m.inline_response(Some(2));
+        m.inline_response(Some(2));
+        m.inline_response(Some(4));
+        m.inline_response(None);
         m.observe_pipeline_depth(1);
         m.observe_pipeline_depth(3); // -> le=4
         m.observe_pipeline_depth(100); // -> +Inf
@@ -462,7 +520,15 @@ mod tests {
         assert_eq!(parse_counter(&text, "privim_keepalive_reuses_total"), Some(3));
         assert_eq!(parse_counter(&text, "privim_idle_timeout_closes_total"), Some(1));
         assert_eq!(parse_counter(&text, "privim_header_timeout_closes_total"), Some(1));
+        assert_eq!(parse_counter(&text, "privim_reactor_passes_total"), Some(2));
         assert_eq!(parse_counter(&text, "privim_reactor_wakeups_total"), Some(1));
+        assert_eq!(parse_counter(&text, "privim_waker_writes_total"), Some(3));
+        assert_eq!(parse_counter(&text, "privim_socket_reads_total"), Some(1));
+        assert_eq!(parse_counter(&text, "privim_socket_writes_total"), Some(2));
+        for (ep, want) in [("influence", 0), ("embed", 2), ("healthz", 1), ("other", 1)] {
+            let name = format!("privim_inline_responses_total{{endpoint=\"{ep}\"}}");
+            assert_eq!(parse_counter(&text, &name), Some(want), "{name}");
+        }
         assert_eq!(parse_counter(&text, "privim_pipeline_depth_bucket{le=\"1\"}"), Some(1));
         assert_eq!(parse_counter(&text, "privim_pipeline_depth_bucket{le=\"2\"}"), Some(1));
         assert_eq!(parse_counter(&text, "privim_pipeline_depth_bucket{le=\"4\"}"), Some(2));

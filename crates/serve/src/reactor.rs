@@ -1,24 +1,29 @@
-//! The epoll front end: accept, nonblocking socket I/O, and connection
-//! timeouts on one reactor thread; request *execution* runs on a worker
-//! pool.
+//! The epoll front end: accept, nonblocking socket I/O, connection
+//! timeouts and *ready* answers on one reactor thread; every request that
+//! needs work runs on a worker pool.
 //!
 //! Division of labor (DESIGN.md §15): the reactor owns the listener and
 //! every connection's byte streams — it accepts, reads into each
 //! connection's buffer, and drains write buffers as sockets accept
 //! bytes. What to do with those bytes is [`crate::conn::Conn`]'s policy:
-//! it parses pipelined requests, offers each to the bounded job queue
-//! (503 shed at the cap), and orders the responses. This module keeps
-//! only the syscalls, the timer wheel, the job queue and the metrics.
-//! Workers shed a job whose queue wait exceeded the deadline and run
-//! every other one through the shared routing/admission/journaling path
-//! (`server::process_request`).
+//! it parses pipelined requests, offers each to admission, and orders
+//! the responses. Admission first asks the shared routing table
+//! (`server::process_request` in `Mode::Ready`) for an answer that is
+//! already computed and needs no ledger; it answers such a request on the
+//! spot into a pass-local queue, which the completion stage delivers like
+//! a worker's. Every other request goes to the bounded job queue (503
+//! shed at the cap). Workers shed a job whose queue wait exceeded the
+//! deadline and run every other one through the same routing table with
+//! computing allowed. Both paths frame and record a response in
+//! `respond`.
 //!
 //! A pass batches the worker → reactor hand-off: it reads the waker
-//! once, swaps out every finished response, delivers them all and only
+//! once, swaps out every finished response, delivers them and its own
+//! inline answers (until a delivery's re-pump answers no more), and only
 //! then writes each connection that got one, once. A worker writes the
 //! waker only when its push makes the completion vec non-empty
 //! ([`Handoff::push`]), so a burst of responses costs one wake, not one
-//! per response.
+//! per response, and an inline answer costs none.
 //!
 //! The poller is raw `epoll_create1`/`epoll_ctl`/`epoll_wait` (via
 //! `extern "C"` shims over `std::os::fd` — no libc crate), so the module
@@ -34,7 +39,8 @@
 
 use crate::conn::{Conn, Handoff, ParsedJob, Pumped};
 use crate::http::{error_frame, response_frame, Request};
-use crate::server::{lock, process_request, Shared};
+use crate::metrics::Metrics;
+use crate::server::{lock, process_request, Answer, Mode, Shared};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -76,7 +82,8 @@ struct Job {
     arrival: Instant,
 }
 
-/// One finished response traveling back to the reactor.
+/// One finished response on its way to [`Conn::deliver`]: from a worker
+/// through the hand-off, or from the reactor's own ready path.
 struct Completion {
     token: u64,
     seq: u64,
@@ -193,41 +200,65 @@ fn worker_loop(shared: &Shared, rs: &ReactorShared) {
             return; // reactor gone and queue empty: fully drained
         };
         // A reply that can no longer arrive in time is better dropped
-        // than served late while newer requests rot. The 503 closes the
-        // connection, and so does a drain, on every in-flight response.
-        let (status, frame, ep, close) = if job.arrival.elapsed() >= shared.deadline {
-            shared.metrics.shed();
-            (503, error_frame(503, "shed: deadline exceeded while queued"), None, true)
+        // than served late while newer requests rot.
+        let answer = if job.arrival.elapsed() >= shared.deadline {
+            None
         } else {
-            let (routed, ct, ep) = process_request(&job.request, shared);
-            let extra: Vec<(&str, String)> = routed
-                .retry_after_secs
-                .map(|s| vec![("Retry-After", s.to_string())])
-                .unwrap_or_default();
-            let close = shared.shutting_down.load(Ordering::SeqCst);
-            let keep_alive = job.keep_alive && !close;
-            let frame =
-                response_frame(routed.status, ct, &extra, routed.body.as_bytes(), keep_alive);
-            (routed.status, frame, ep, close)
+            process_request(&job.request, shared, Mode::Compute)
         };
-        let latency_us = job.arrival.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        match ep {
-            Some(ep) => shared.metrics.observe(ep, latency_us, status),
-            None => shared.metrics.observe_status(status),
-        }
+        let (frame, close_after) = respond(shared, answer, job.keep_alive, job.arrival);
         let first = rs.completions.push(Completion {
             token: job.token,
             seq: job.seq,
             frame,
-            close_after: close,
+            close_after,
         });
         if first {
+            // Counted before the write, so a client that has read this
+            // response also sees the write in `/metrics`.
+            shared.metrics.waker_write();
             rs.wake();
         }
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            shared.metrics.drained();
-        }
     }
+}
+
+/// Frame the response to one request and record it: the worker's path
+/// and the reactor's ready path both end here. `None` is a request whose
+/// queue wait passed the deadline, shed with a `503`. Returns the frame
+/// and whether the server closes after it: a shed closes the connection,
+/// and so does a drain, on every response.
+fn respond(
+    shared: &Shared,
+    answer: Option<Answer>,
+    keep_alive: bool,
+    arrival: Instant,
+) -> (Vec<u8>, bool) {
+    let draining = shared.shutting_down.load(Ordering::SeqCst);
+    let (status, frame, ep, close) = match answer {
+        None => {
+            shared.metrics.shed();
+            (503, error_frame(503, "shed: deadline exceeded while queued"), None, true)
+        }
+        Some((routed, ct, ep)) => {
+            let extra: Vec<(&str, String)> = routed
+                .retry_after_secs
+                .map(|s| vec![("Retry-After", s.to_string())])
+                .unwrap_or_default();
+            let keep_alive = keep_alive && !draining;
+            let frame =
+                response_frame(routed.status, ct, &extra, routed.body.as_bytes(), keep_alive);
+            (routed.status, frame, ep, draining)
+        }
+    };
+    let latency_us = arrival.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    match ep {
+        Some(ep) => shared.metrics.observe(ep, latency_us, status),
+        None => shared.metrics.observe_status(status),
+    }
+    if draining {
+        shared.metrics.drained();
+    }
+    (frame, close)
 }
 
 // ---------------------------------------------------------------------
@@ -466,12 +497,16 @@ fn reactor_loop(
     let mut due: Vec<u64> = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
     let mut completed: Vec<u64> = Vec::new();
+    // Ready answers the reactor made itself this pass, and the batch the
+    // completion stage is delivering.
+    let mut inline: Vec<Completion> = Vec::new();
+    let mut batch: Vec<Completion> = Vec::new();
     let mut draining = false;
 
     loop {
         ready.clear();
         poller.wait(TICK, &mut ready);
-        shared.metrics.reactor_wakeup();
+        shared.metrics.reactor_pass();
         let now_tick = (t0.elapsed().as_millis() / TICK.as_millis()) as u64;
         touched.clear();
 
@@ -535,15 +570,17 @@ fn reactor_loop(
                     // push finds the vec empty, so the backlog is one byte
                     // as a rule, and a larger one stays level-readable for
                     // the next pass.
-                    let _ = (&waker_rx).read(&mut [0u8; 64]);
+                    if matches!((&waker_rx).read(&mut [0u8; 64]), Ok(n) if n > 0) {
+                        shared.metrics.reactor_wakeup();
+                    }
                 }
                 token => {
                     if let Some(entry) = conns.get_mut(&token) {
                         if readable {
-                            read_ready(entry, token, now_tick, shared, rs, cfg);
+                            read_ready(entry, token, now_tick, shared, rs, cfg, &mut inline);
                         }
                         if writable && !entry.dead {
-                            write_ready(entry, now_tick);
+                            write_ready(entry, now_tick, &shared.metrics);
                         }
                         touched.push(token);
                     }
@@ -551,20 +588,29 @@ fn reactor_loop(
             }
         }
 
-        // Worker completions: swap the vec out (after the waker read
-        // above, so a push this swap misses finds the vec empty and wakes
-        // the next pass), and deliver every one of them first.
+        // Completions: the reactor's own ready answers plus the workers'
+        // (the hand-off is swapped out after the waker read above, so a
+        // push a swap misses finds the vec empty and wakes the next pass).
+        // Delivering re-pumps the connection, which can answer more
+        // requests inline, so take both until both are empty.
         completed.clear();
-        for comp in rs.completions.take() {
-            let Some(entry) = conns.get_mut(&comp.token).filter(|e| !e.dead) else {
-                continue; // connection died while the job was in flight
-            };
-            let (seq, frame, close_after) = (comp.seq, comp.frame, comp.close_after);
-            drive(entry, comp.token, now_tick, shared, rs, cfg, |conn, admit| {
-                conn.deliver(seq, frame, close_after, cfg.max_pipeline, admit)
-            });
-            entry.last_activity_tick = now_tick;
-            completed.push(comp.token);
+        loop {
+            batch.append(&mut inline);
+            batch.extend(rs.completions.take());
+            if batch.is_empty() {
+                break;
+            }
+            for comp in batch.drain(..) {
+                let Some(entry) = conns.get_mut(&comp.token).filter(|e| !e.dead) else {
+                    continue; // connection died while the job was in flight
+                };
+                let (seq, frame, close_after) = (comp.seq, comp.frame, comp.close_after);
+                drive(entry, comp.token, now_tick, shared, rs, cfg, &mut inline, |conn, admit| {
+                    conn.deliver(seq, frame, close_after, cfg.max_pipeline, admit)
+                });
+                entry.last_activity_tick = now_tick;
+                completed.push(comp.token);
+            }
         }
         // Then one opportunistic write per connection: most responses fit
         // the socket buffer, so this usually finishes the pass's exchanges
@@ -573,7 +619,7 @@ fn reactor_loop(
         completed.dedup();
         for &token in completed.iter() {
             if let Some(entry) = conns.get_mut(&token) {
-                write_ready(entry, now_tick);
+                write_ready(entry, now_tick, &shared.metrics);
             }
         }
         touched.extend_from_slice(&completed);
@@ -670,8 +716,8 @@ fn accept_ready(
     }
 }
 
-/// Read until `WouldBlock`/EOF, then parse and enqueue whatever became
-/// complete.
+/// Read until `WouldBlock`/EOF, then parse and answer or enqueue whatever
+/// became complete.
 fn read_ready(
     entry: &mut ConnEntry,
     token: u64,
@@ -679,10 +725,12 @@ fn read_ready(
     shared: &Shared,
     rs: &ReactorShared,
     cfg: &ReactorConfig,
+    inline: &mut Vec<Completion>,
 ) {
     let mut chunk = [0u8; 16 * 1024];
     let mut got_bytes = false;
     loop {
+        shared.metrics.socket_read();
         match entry.stream.read(&mut chunk) {
             Ok(0) => {
                 // Peer EOF — possibly a half-close after one or more
@@ -708,15 +756,18 @@ fn read_ready(
     if got_bytes {
         entry.last_activity_tick = now_tick;
     }
-    drive(entry, token, now_tick, shared, rs, cfg, |conn, admit| {
+    drive(entry, token, now_tick, shared, rs, cfg, inline, |conn, admit| {
         conn.pump(cfg.max_pipeline, admit)
     });
 }
 
 /// Run one step of the connection's policy (`Conn::pump` or
-/// `Conn::deliver`) with admission into the bounded job queue, then
-/// record what it did and restart the header timer if a partial request
-/// is buffered.
+/// `Conn::deliver`) with admission, then record what it did and restart
+/// the header timer if a partial request is buffered. Admission answers a
+/// ready request at once into `inline` (it never queues, so it is never
+/// queue-full- or deadline-shed) and offers every other one to the
+/// bounded job queue.
+#[allow(clippy::too_many_arguments)]
 // privim-lint: allow(wall-clock, reason = "arrival timestamps: each admitted request is stamped for deadline shedding and the latency histogram, never for response payloads")
 fn drive(
     entry: &mut ConnEntry,
@@ -725,10 +776,23 @@ fn drive(
     shared: &Shared,
     rs: &ReactorShared,
     cfg: &ReactorConfig,
+    inline: &mut Vec<Completion>,
     step: impl FnOnce(&mut Conn, &mut dyn FnMut(ParsedJob) -> bool) -> Pumped,
 ) {
     let mut arrival = None;
     let mut admit = |job: ParsedJob| {
+        let arrival = *arrival.get_or_insert_with(Instant::now);
+        if let Some(answer) = process_request(&job.request, shared, Mode::Ready) {
+            shared.metrics.inline_response(answer.2);
+            let (frame, close_after) = respond(shared, Some(answer), job.keep_alive, arrival);
+            inline.push(Completion {
+                token,
+                seq: job.seq,
+                frame,
+                close_after,
+            });
+            return true;
+        }
         let mut q = lock(&rs.jobs);
         if q.len() >= cfg.queue_cap {
             return false;
@@ -738,7 +802,7 @@ fn drive(
             seq: job.seq,
             request: job.request,
             keep_alive: job.keep_alive,
-            arrival: *arrival.get_or_insert_with(Instant::now),
+            arrival,
         });
         shared.metrics.queue_push();
         drop(q);
@@ -768,12 +832,13 @@ fn drive(
 
 /// Drain the write buffer into the socket until it empties or the socket
 /// stops accepting bytes.
-fn write_ready(entry: &mut ConnEntry, now_tick: u64) {
+fn write_ready(entry: &mut ConnEntry, now_tick: u64, metrics: &Metrics) {
     loop {
         let pending = entry.conn.writable();
         if pending.is_empty() {
             return;
         }
+        metrics.socket_write();
         match entry.stream.write(pending) {
             Ok(0) => {
                 entry.dead = true;

@@ -2,12 +2,17 @@
 //!
 //! [`start`] binds the listener and hands it to the epoll front end
 //! (`reactor`, Linux only): one reactor thread owns accept and socket I/O
-//! with HTTP/1.1 keep-alive and pipelining, and a worker pool runs every
-//! parsed request through `process_request`. Load is shed
-//! with `503` at the job-queue cap (the cheapest possible point) and for
-//! any request whose *queue wait* already exceeded the deadline — a
-//! reply that can no longer arrive in time is better dropped than served
-//! late while newer requests rot.
+//! with HTTP/1.1 keep-alive and pipelining, and a worker pool runs
+//! parsed requests through `process_request`. There is one routing table
+//! with two modes: the reactor calls it first in `Mode::Ready`, where a
+//! handler answers only from what is already computed (score vector,
+//! cached spread, CELF prefix) and otherwise reports "not ready", and a
+//! worker calls it in `Mode::Compute` for everything else. Metered
+//! requests are never ready. Load is shed with `503` at the job-queue cap
+//! (the cheapest possible point) and for any queued request whose *queue
+//! wait* already exceeded the deadline — a reply that can no longer
+//! arrive in time is better dropped than served late while newer requests
+//! rot. Ready answers never queue, so they are never shed.
 //!
 //! Graceful shutdown: set the flag, wake the reactor, let workers finish
 //! everything queued and in flight, then join. No request that was
@@ -274,20 +279,39 @@ pub fn start(bundle: Bundle, cfg: ServeConfig) -> PrivimResult<ServerHandle> {
     })
 }
 
+/// Requests with a body longer than this always go to a worker, so the
+/// JSON work the reactor does for a ready answer stays bounded.
+const READY_BODY_MAX: usize = 4 * 1024;
+
+/// How far a handler may go to answer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// A worker: admit, charge, journal and compute whatever the request
+    /// needs. Always answers.
+    Compute,
+    /// The reactor: answer only from what is already computed, with no
+    /// ledger involved and no lock waited on; anything else is not ready
+    /// (`None`) and goes to a worker.
+    Ready,
+}
+
+/// One answered request: the routed response, its content type and its
+/// [`endpoint_index`].
+pub(crate) type Answer = (Routed, &'static str, Option<usize>);
+
 /// Route one parsed request and pick its response content type: the
-/// request path every worker runs.
-pub(crate) fn process_request(
-    req: &Request,
-    shared: &Shared,
-) -> (Routed, &'static str, Option<usize>) {
+/// request path every worker runs, and the reactor runs in
+/// [`Mode::Ready`]. `None` only in [`Mode::Ready`]: the answer is not
+/// computed yet, or needs the ledger or a held lock.
+pub(crate) fn process_request(req: &Request, shared: &Shared, mode: Mode) -> Option<Answer> {
     let ep = endpoint_index(&req.path);
-    let routed = route(req, shared);
+    let routed = route(req, shared, mode)?;
     let ct = if req.path == "/metrics" && routed.status == 200 {
         "text/plain; version=0.0.4"
     } else {
         "application/json"
     };
-    (routed, ct, ep)
+    Some((routed, ct, ep))
 }
 
 /// A routed response: status + body, plus the `Retry-After` a budget
@@ -427,21 +451,28 @@ fn compact(shared: &Shared, writer: &mut WalWriter) {
     }
 }
 
+/// A query handler: `Ok(None)` when [`Mode::Ready`] finds the answer not
+/// computed yet.
+type Handler = fn(&Request, &Shared, Mode) -> PrivimResult<Option<Value>>;
+
 /// Route a metered query endpoint: admission first, handler only if the
-/// budget allows the query.
-fn metered(
-    req: &Request,
-    shared: &Shared,
-    handler: fn(&Request, &Shared) -> PrivimResult<Value>,
-) -> Routed {
+/// budget allows the query. A tenant's request to a metered server is
+/// never ready: admission, charge and journal run on a worker.
+fn metered(req: &Request, shared: &Shared, mode: Mode, handler: Handler) -> Option<Routed> {
+    if mode == Mode::Ready && shared.ledger.is_some() && req.header("x-privim-tenant").is_some() {
+        return None;
+    }
     match admit_tenant(req, shared) {
-        Ok(()) => reply(handler(req, shared)),
-        Err(refused) => refused,
+        Ok(()) => reply(handler(req, shared, mode)),
+        Err(refused) => Some(refused),
     }
 }
 
-fn route(req: &Request, shared: &Shared) -> Routed {
-    match (req.method.as_str(), req.path.as_str()) {
+fn route(req: &Request, shared: &Shared, mode: Mode) -> Option<Routed> {
+    if mode == Mode::Ready && req.body.len() > READY_BODY_MAX {
+        return None;
+    }
+    Some(match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Routed::new(
             200,
             Value::obj(vec![
@@ -454,24 +485,24 @@ fn route(req: &Request, shared: &Shared) -> Routed {
             .to_json_string(),
         ),
         ("GET", "/metrics") => Routed::new(200, render_metrics(shared)),
-        ("POST", "/v1/influence") => metered(req, shared, handle_influence),
-        ("POST", "/v1/seeds") => metered(req, shared, handle_seeds),
-        ("POST", "/v1/embed") => metered(req, shared, handle_embed),
+        ("POST", "/v1/influence") => return metered(req, shared, mode, handle_influence),
+        ("POST", "/v1/seeds") => return metered(req, shared, mode, handle_seeds),
+        ("POST", "/v1/embed") => return metered(req, shared, mode, handle_embed),
         (_, "/healthz" | "/metrics" | "/v1/influence" | "/v1/seeds" | "/v1/embed") => Routed::new(
             405,
             "{\"error\":\"method not allowed\"}".to_string(),
         ),
         _ => Routed::new(404, "{\"error\":\"no such route\"}".to_string()),
-    }
+    })
 }
 
-fn reply(result: PrivimResult<Value>) -> Routed {
+fn reply(result: PrivimResult<Option<Value>>) -> Option<Routed> {
     match result {
-        Ok(v) => Routed::new(200, v.to_json_string()),
-        Err(e) => Routed::new(
+        Ok(v) => v.map(|v| Routed::new(200, v.to_json_string())),
+        Err(e) => Some(Routed::new(
             400,
             Value::obj(vec![("error", Value::Str(e.to_string()))]).to_json_string(),
-        ),
+        )),
     }
 }
 
@@ -531,8 +562,9 @@ pub fn influence_cache_key(
 /// The seed list is canonicalised (sorted, deduplicated) before both the
 /// cache lookup and the estimator call, so `[3,1]` and `[1,3]` are the
 /// same query and the cached value is exactly what the estimator would
-/// return.
-fn handle_influence(req: &Request, shared: &Shared) -> PrivimResult<Value> {
+/// return. [`Mode::Ready`] answers a cache hit only; its miss counts
+/// neither a hit nor a miss, since the worker's lookup counts the request.
+fn handle_influence(req: &Request, shared: &Shared, mode: Mode) -> PrivimResult<Option<Value>> {
     let body = parse_body(req)?;
     let seeds = seed_list(&body, "seeds", shared.graph.num_nodes())?;
     let runs = match body.get("runs") {
@@ -558,25 +590,32 @@ fn handle_influence(req: &Request, shared: &Shared) -> PrivimResult<Value> {
 
     let key = influence_cache_key(shared.fingerprint, &seeds, runs, max_steps, mc_seed);
 
-    let (spread, cached) = match shared.cache.get(&key) {
+    let found = match mode {
+        Mode::Compute => shared.cache.get(&key),
+        Mode::Ready => shared.cache.hit(&key),
+    };
+    let (spread, cached) = match found {
         Some(v) => (v, true),
+        None if mode == Mode::Ready => return Ok(None),
         None => {
             let v = ic_spread_estimate(&shared.graph, &seeds, max_steps, runs, mc_seed);
             shared.cache.put(key, v);
             (v, false)
         }
     };
-    Ok(Value::obj(vec![
+    Ok(Some(Value::obj(vec![
         ("spread", Value::Num(spread)),
         ("runs", Value::Num(runs as f64)),
         ("cached", Value::Bool(cached)),
-    ]))
+    ])))
 }
 
 /// `POST /v1/seeds` — `{"k": n}`: top-`k` seeds via the shared resumable
 /// CELF state. Any `k` not exceeding what a previous request already
-/// computed is answered from memory with zero oracle calls.
-fn handle_seeds(req: &Request, shared: &Shared) -> PrivimResult<Value> {
+/// computed is answered from memory with zero oracle calls; that is the
+/// only `k` [`Mode::Ready`] answers, and only if the CELF lock is free
+/// (a worker extending the prefix holds it, and the reactor never waits).
+fn handle_seeds(req: &Request, shared: &Shared, mode: Mode) -> PrivimResult<Option<Value>> {
     let body = parse_body(req)?;
     let k = body
         .get("k")
@@ -589,7 +628,13 @@ fn handle_seeds(req: &Request, shared: &Shared) -> PrivimResult<Value> {
             shared.graph.num_nodes()
         )));
     }
-    let mut greedy = lock(&shared.seeds);
+    let mut greedy = match mode {
+        Mode::Compute => lock(&shared.seeds),
+        Mode::Ready => match shared.seeds.try_lock() {
+            Ok(greedy) if greedy.computed() >= k => greedy,
+            _ => return Ok(None),
+        },
+    };
     let already = greedy.computed();
     let seeds: Vec<Value> = greedy
         .extend_to(k)
@@ -597,11 +642,11 @@ fn handle_seeds(req: &Request, shared: &Shared) -> PrivimResult<Value> {
         .map(|&s| Value::Num(s as f64))
         .collect();
     let spread = greedy.prefix_spread(k);
-    Ok(Value::obj(vec![
+    Ok(Some(Value::obj(vec![
         ("seeds", Value::Arr(seeds)),
         ("spread", Value::Num(spread)),
         ("served_from_cache", Value::Bool(already >= k)),
-    ]))
+    ])))
 }
 
 /// The served per-node scores: one full-graph forward pass, run by the
@@ -621,11 +666,18 @@ fn embed_scores(shared: &Shared) -> &[f64] {
 /// `POST /v1/embed` — `{"nodes":[…]}`: model scores for the requested
 /// nodes, read from the once-computed score vector. Admission already
 /// ran in [`metered`], so every embed is charged and journaled on its
-/// own even though none after the first runs the model.
-fn handle_embed(req: &Request, shared: &Shared) -> PrivimResult<Value> {
+/// own even though none after the first runs the model. [`Mode::Ready`]
+/// answers once the score vector exists.
+fn handle_embed(req: &Request, shared: &Shared, mode: Mode) -> PrivimResult<Option<Value>> {
     let body = parse_body(req)?;
     let nodes = seed_list(&body, "nodes", shared.graph.num_nodes())?;
-    let scores = embed_scores(shared);
+    let scores = match mode {
+        Mode::Compute => embed_scores(shared),
+        Mode::Ready => match shared.scores.get() {
+            Some(scores) => scores.as_slice(),
+            None => return Ok(None),
+        },
+    };
     let out: Vec<Value> = nodes
         .iter()
         .map(|&v| {
@@ -635,7 +687,7 @@ fn handle_embed(req: &Request, shared: &Shared) -> PrivimResult<Value> {
             ])
         })
         .collect();
-    Ok(Value::obj(vec![("scores", Value::Arr(out))]))
+    Ok(Some(Value::obj(vec![("scores", Value::Arr(out))])))
 }
 
 #[cfg(test)]
@@ -645,9 +697,8 @@ mod tests {
     use privim_gnn::GnnConfig;
     use privim_rt::{ChaCha8Rng, SeedableRng};
 
-    #[test]
-    fn scores_are_computed_lazily_once_and_shared() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
+    fn test_bundle(seed: u64) -> (Bundle, ServeArtifact, privim_graph::Graph) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = privim_graph::generators::barabasi_albert(60, 3, &mut rng)
             .with_uniform_weights(1.0);
         let artifact = ServeArtifact {
@@ -659,7 +710,12 @@ mod tests {
         };
         let mut buf = Vec::new();
         crate::bundle::save(&artifact, &g, &mut buf).unwrap();
-        let b = crate::bundle::load(buf.as_slice()).unwrap();
+        (crate::bundle::load(buf.as_slice()).unwrap(), artifact, g)
+    }
+
+    #[test]
+    fn scores_are_computed_lazily_once_and_shared() {
+        let (b, artifact, g) = test_bundle(11);
         let handle = start(b, ServeConfig::default()).unwrap();
         let shared = &handle.shared;
         assert!(shared.scores.get().is_none(), "start must not run the forward pass");
@@ -670,6 +726,59 @@ mod tests {
         // pass instead of running another one.
         assert!(std::ptr::eq(first, second));
         assert_eq!(first, artifact.model.score_graph(&g).as_slice());
+        handle.shutdown();
+    }
+
+    /// One-shot exchange: send `raw`, read to EOF, return the status.
+    fn exchange(port: u16, raw: &[u8], timeout: Duration) -> std::io::Result<u16> {
+        use std::io::{Read, Write};
+        let mut stream = std::net::TcpStream::connect(("127.0.0.1", port))?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.write_all(raw)?;
+        let mut text = String::new();
+        stream.read_to_string(&mut text)?;
+        Ok(text.split_ascii_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0))
+    }
+
+    #[test]
+    fn a_held_celf_lock_never_stalls_the_reactor() {
+        use std::io::Write;
+        let (b, _, _) = test_bundle(12);
+        let handle = start(b, ServeConfig::default()).unwrap();
+        let port = handle.port();
+        let seeds = |k: usize| {
+            let body = format!("{{\"k\": {k}}}");
+            format!(
+                "POST /v1/seeds HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+        };
+        let long = Duration::from_secs(60);
+        assert_eq!(exchange(port, seeds(3).as_bytes(), long).unwrap(), 200);
+        let parsed = |shared: &Shared| {
+            let text = render_metrics(shared);
+            crate::metrics::parse_counter(&text, "privim_pipeline_depth_bucket{le=\"+Inf\"}")
+        };
+
+        // A worker extending CELF holds the lock; here the test holds it.
+        // A ready-size seeds query then finds it held and goes to a worker
+        // (which waits), while the reactor serves `/healthz` at once.
+        let held = lock(&handle.shared.seeds);
+        let mut waiting = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+        waiting.write_all(seeds(2).as_bytes()).unwrap();
+        let t0 = std::time::Instant::now();
+        while parsed(&handle.shared) < Some(2) && t0.elapsed() < Duration::from_secs(1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let healthz = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+        let prompt = exchange(port, healthz, Duration::from_secs(5));
+        drop(held);
+        assert_eq!(prompt.ok(), Some(200), "/healthz stalled behind the CELF lock");
+        waiting.set_read_timeout(Some(long)).unwrap();
+        let mut text = String::new();
+        std::io::Read::read_to_string(&mut waiting, &mut text).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 "), "{text}");
+        assert!(text.contains("\"served_from_cache\":true"), "{text}");
         handle.shutdown();
     }
 }

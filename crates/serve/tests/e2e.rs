@@ -320,6 +320,48 @@ fn metered_embeds_after_the_first_are_each_charged_and_journaled() {
     let _ = std::fs::remove_file(&wal_path);
 }
 
+/// A repeated embed after the first needs no worker: the reactor answers
+/// each of them itself, and no worker writes the waker for them.
+#[test]
+fn repeated_cached_embeds_are_answered_inline_without_a_wake() {
+    let (b, g, model) = test_bundle(9);
+    let handle = start(b, ServeConfig::default()).unwrap();
+    let port = handle.port();
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let body = "{\"nodes\": [4]}";
+    let raw = format!("POST /v1/embed HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+    let mut exchange = || {
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut text = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while !text.ends_with(b"]]}") {
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "EOF mid-response");
+            text.extend_from_slice(&chunk[..n]);
+        }
+        String::from_utf8(text).unwrap()
+    };
+    let first = exchange();
+    let want = format!("{{\"scores\":[[4,{}]]}}", Value::Num(model.score_graph(&g)[4]).to_json_string());
+    assert!(first.ends_with(&want), "{first}");
+    let counters = |text: &str| {
+        (
+            metrics::parse_counter(text, "privim_inline_responses_total{endpoint=\"embed\"}").unwrap(),
+            metrics::parse_counter(text, "privim_waker_writes_total").unwrap(),
+        )
+    };
+    let (inline0, wakes0) = counters(&handle.metrics_text());
+    assert_eq!(inline0, 0, "the first embed runs the forward pass on a worker");
+    let n = 20;
+    for _ in 0..n {
+        assert_eq!(exchange(), first);
+    }
+    let (inline, wakes) = counters(&handle.metrics_text());
+    assert_eq!((inline - inline0, wakes - wakes0), (n, 0));
+    handle.shutdown();
+}
+
 #[test]
 fn shutdown_drains_in_flight_requests() {
     let (b, g, model) = test_bundle(4);
@@ -425,6 +467,19 @@ fn exhausted_tenant_gets_429_with_retry_after_and_correct_gauges() {
         request_with_headers(port, "POST", "/v1/seeds", &tenant_hdr, "{\"k\": 3}");
     assert_eq!(status, 429);
     assert!(head.contains("Retry-After: 45"));
+
+    // Metered traffic is never answered inline: admission, charge and
+    // journal run on a worker.
+    let inline_total = |text: &str| {
+        ["influence", "seeds", "embed", "metrics", "healthz", "other"]
+            .iter()
+            .map(|ep| {
+                let name = format!("privim_inline_responses_total{{endpoint=\"{ep}\"}}");
+                metrics::parse_counter(text, &name).unwrap()
+            })
+            .sum::<u64>()
+    };
+    assert_eq!(inline_total(&handle.metrics_text()), 0);
 
     // Unmetered requests (no tenant header) still work — and so does a
     // different tenant with its own untouched budget.

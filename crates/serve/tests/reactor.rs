@@ -10,6 +10,7 @@
 
 use privim::ServeArtifact;
 use privim_gnn::{GnnConfig, GnnModel};
+use privim_rt::json::Value;
 use privim_rt::{ChaCha8Rng, SeedableRng};
 use privim_serve::{bundle, metrics, start, ServeConfig, ServerHandle};
 use std::io::{Read, Write};
@@ -595,4 +596,195 @@ fn pipelined_load_on_many_connections_loses_no_wakeup() {
             handle.shutdown();
         }
     }
+}
+
+#[test]
+fn pipelined_load_needing_workers_loses_no_wakeup() {
+    // The sibling of `pipelined_load_on_many_connections_loses_no_wakeup`
+    // for requests the reactor cannot answer itself: with the spread cache
+    // off, every influence query is computed on a worker and handed back
+    // through the hand-off, so a lost wake stalls it for a 100 ms tick.
+    // Same connections, depth, repetitions, configurations and deadline.
+    const CONNS: usize = 16;
+    const DEPTH: usize = 64;
+    const REPS: usize = 10;
+    let influence_frame = |i: usize| {
+        let body = format!("{{\"seeds\": [{}], \"runs\": 1, \"seed\": {i}}}", i % 120);
+        frame_request("POST", "/v1/influence", &body, false)
+    };
+    for workers in [1, 4] {
+        for max_pipeline in [1, DEPTH] {
+            let handle = reactor_server(
+                24,
+                ServeConfig {
+                    workers,
+                    max_pipeline,
+                    queue_cap: CONNS * DEPTH,
+                    cache_cap_per_shard: 0,
+                    ..ServeConfig::default()
+                },
+            );
+            let port = handle.port();
+            let mut reference = TcpStream::connect(("127.0.0.1", port)).unwrap();
+            reference
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            let mut carry = Vec::new();
+            let expected: Vec<String> = (0..DEPTH)
+                .map(|i| {
+                    reference.write_all(&influence_frame(i)).unwrap();
+                    read_framed(&mut reference, &mut carry).2
+                })
+                .collect();
+
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let burst: Vec<u8> = (0..DEPTH).flat_map(influence_frame).collect();
+            for rep in 0..REPS {
+                let mut streams: Vec<TcpStream> = (0..CONNS)
+                    .map(|_| TcpStream::connect(("127.0.0.1", port)).unwrap())
+                    .collect();
+                for s in &mut streams {
+                    s.write_all(&burst).unwrap();
+                }
+                for (c, s) in streams.iter_mut().enumerate() {
+                    let mut carry = Vec::new();
+                    for (i, want) in expected.iter().enumerate() {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        assert!(
+                            !left.is_zero(),
+                            "workers {workers}, max_pipeline {max_pipeline}: deadline passed \
+                             in repetition {rep}, connection {c}, response {i}"
+                        );
+                        s.set_read_timeout(Some(left)).unwrap();
+                        let (status, _, body) = read_framed(s, &mut carry);
+                        assert_eq!(status, 200, "{body}");
+                        assert_eq!(&body, want, "connection {c}: response {i} out of order");
+                    }
+                }
+            }
+            let text = handle.metrics_text();
+            assert_eq!(inline_total(&text), 0, "no influence may be answered inline: {text}");
+            handle.shutdown();
+        }
+    }
+}
+
+/// Responses the reactor answered itself, over every endpoint label.
+fn inline_total(text: &str) -> u64 {
+    ["influence", "seeds", "embed", "metrics", "healthz", "other"]
+        .iter()
+        .map(|ep| {
+            let name = format!("privim_inline_responses_total{{endpoint=\"{ep}\"}}");
+            metrics::parse_counter(text, &name).unwrap()
+        })
+        .sum()
+}
+
+/// The `/v1/embed` body for `nodes` (sorted, distinct) as the server
+/// writes it, from the model's full-graph scores.
+fn embed_body(scores: &[f64], nodes: &[usize]) -> String {
+    let rows = nodes
+        .iter()
+        .map(|&v| Value::Arr(vec![Value::Num(v as f64), Value::Num(scores[v])]))
+        .collect();
+    Value::obj(vec![("scores", Value::Arr(rows))]).to_json_string()
+}
+
+fn connect(port: u16) -> TcpStream {
+    let stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    stream
+}
+
+#[test]
+fn ready_answers_do_not_wait_behind_a_busy_worker() {
+    // The one worker is held by two pipelined uncached estimates. A
+    // cached embed and `/healthz` on a second connection need no worker:
+    // the reactor answers them while the first estimate still runs.
+    let b = test_bundle(23);
+    let scores = b.model.score_graph(&b.graph);
+    let handle = start(
+        b,
+        ServeConfig {
+            workers: 1,
+            deadline: Duration::from_secs(120),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let port = handle.port();
+    let mut probe = connect(port);
+    let mut carry = Vec::new();
+    // The first embed runs the forward pass, on the worker.
+    probe.write_all(&frame_request("POST", "/v1/embed", "{\"nodes\": [7, 3]}", false)).unwrap();
+    let (status, _, body) = read_framed(&mut probe, &mut carry);
+    assert_eq!((status, body), (200, embed_body(&scores, &[3, 7])));
+
+    let slow = 2;
+    let mut busy = connect(port);
+    let burst: Vec<u8> = (0..slow)
+        .flat_map(|i| {
+            let body = format!("{{\"seeds\": [0, 1], \"runs\": 100000, \"seed\": {i}}}");
+            frame_request("POST", "/v1/influence", &body, false)
+        })
+        .collect();
+    busy.write_all(&burst).unwrap();
+    // Both estimates are parsed and queued (the second counts as a reuse).
+    while metrics::parse_counter(&handle.metrics_text(), "privim_keepalive_reuses_total")
+        < Some(slow - 1)
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut ready = frame_request("POST", "/v1/embed", "{\"nodes\": [7, 3]}", false);
+    ready.extend(frame_request("GET", "/healthz", "", false));
+    probe.write_all(&ready).unwrap();
+    let (status, _, body) = read_framed(&mut probe, &mut carry);
+    assert_eq!((status, body), (200, embed_body(&scores, &[3, 7])));
+    let (status, _, body) = read_framed(&mut probe, &mut carry);
+    assert_eq!(status, 200, "{body}");
+    // Not every estimate is done: the ready answers did not queue.
+    busy.set_nonblocking(true).unwrap();
+    let mut early = Vec::new();
+    let _ = busy.read_to_end(&mut early);
+    let done = early.windows(9).filter(|w| w == b"HTTP/1.1 ").count();
+    assert!(done < slow as usize, "the ready answers waited for {done} estimates");
+    let text = handle.metrics_text();
+    let inline = |ep: &str| {
+        metrics::parse_counter(&text, &format!("privim_inline_responses_total{{endpoint=\"{ep}\"}}"))
+    };
+    assert_eq!((inline("embed"), inline("healthz")), (Some(1), Some(1)));
+    drop(busy);
+    handle.shutdown();
+}
+
+#[test]
+fn ready_embed_pipelined_behind_a_slow_request_answers_after_it() {
+    // The reactor answers the embed at once, but the connection still
+    // writes it after the estimate ahead of it, byte-identical to the
+    // model's own scores.
+    let b = test_bundle(25);
+    let scores = b.model.score_graph(&b.graph);
+    let handle = start(b, ServeConfig::default()).unwrap();
+    let port = handle.port();
+    let mut stream = connect(port);
+    let mut carry = Vec::new();
+    stream.write_all(&frame_request("POST", "/v1/embed", "{\"nodes\": [1]}", false)).unwrap();
+    assert_eq!(read_framed(&mut stream, &mut carry).2, embed_body(&scores, &[1]));
+
+    let mut burst = frame_request("POST", "/v1/influence", SLOW_INFLUENCE, false);
+    burst.extend(frame_request("POST", "/v1/embed", "{\"nodes\": [9, 2, 9]}", false));
+    stream.write_all(&burst).unwrap();
+    let (status, _, first) = read_framed(&mut stream, &mut carry);
+    assert_eq!(status, 200, "{first}");
+    assert!(first.contains("\"spread\""), "the estimate must come first: {first}");
+    let (status, _, second) = read_framed(&mut stream, &mut carry);
+    assert_eq!((status, second), (200, embed_body(&scores, &[2, 9])));
+    let text = handle.metrics_text();
+    assert_eq!(
+        metrics::parse_counter(&text, "privim_inline_responses_total{endpoint=\"embed\"}"),
+        Some(1),
+        "the pipelined embed is the one answered inline"
+    );
+    handle.shutdown();
 }

@@ -96,9 +96,10 @@ done
 echo "== serve smoke (pack a tiny checkpoint bundle, hit every endpoint, drain)"
 # `pack --fast` trains a CI-sized model through the real pipeline and
 # writes the versioned+checksummed bundle; bench_serve --smoke self-hosts
-# the server on an ephemeral port, sends one request per endpoint with
-# response assertions, checks /metrics accounting, and asserts the
-# shutdown drain completes cleanly.
+# the server on an ephemeral port, sends each data request twice with
+# response assertions (the repeat must be answered inline by the reactor,
+# with the same body apart from the cache flag), checks /metrics
+# accounting, and asserts the shutdown drain completes cleanly.
 SERVE_BUNDLE="$(mktemp /tmp/privim-serve-ci-XXXXXX.json)"
 CHAOS_BUNDLE="$(mktemp /tmp/privim-chaos-ci-XXXXXX.json)"
 BENCH_TMP="$(mktemp -d /tmp/privim-bench-ci-XXXXXX)"
@@ -139,7 +140,8 @@ cargo run -q --release --offline -p privim-attack --bin attack-canary -- \
 echo "== budget-ledger gate (exhausted tenant must get 429 + correct gauges)"
 # e2e over real TCP: a metered bundle with a tight per-tenant budget is
 # driven to exhaustion; the test asserts the 429 + Retry-After refusal,
-# tenant isolation, and that /metrics budget gauges match the spend.
+# tenant isolation, that metered traffic adds no inline (reactor-answered)
+# response, and that /metrics budget gauges match the spend.
 cargo test -q --release --offline -p privim-serve --test e2e \
     exhausted_tenant_gets_429_with_retry_after_and_correct_gauges
 
