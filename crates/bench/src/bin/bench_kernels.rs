@@ -57,6 +57,7 @@
 //! ```
 
 use privim::loss::{im_loss, LossConfig};
+use privim::trainer::{sample_gradient, TrainItem};
 use privim_gnn::{node_features, GnnConfig, GnnModel, GraphTensors};
 use privim_graph::datasets::Dataset;
 use privim_graph::{generators, Graph, NodeId};
@@ -427,24 +428,23 @@ fn run_case<T: Output>(
     result
 }
 
-/// A seeded BA graph's tensors and features with `n` nodes, `m` edges
-/// per arrival, and a paper-default GRAT model.
-fn grat_sample(n: usize, m: usize, rng: &mut ChaCha8Rng) -> (GraphTensors, Matrix, GnnModel) {
+/// A seeded BA graph as a training item with `n` nodes, `m` edges per
+/// arrival, and a paper-default GRAT model.
+fn grat_sample(n: usize, m: usize, rng: &mut ChaCha8Rng) -> (TrainItem, GnnModel) {
     let g = generators::barabasi_albert(n, m, rng);
     let model = GnnModel::new(GnnConfig::paper_default(), rng);
-    (GraphTensors::new(&g), node_features(&g), model)
+    let item = TrainItem {
+        gt: GraphTensors::new(&g),
+        x: node_features(&g),
+    };
+    (item, model)
 }
 
-/// One sample's DP-SGD gradient as the trainer takes it: forward, Eq. 5
-/// loss and backward on the thread's scratch tape, each parameter
-/// gradient moved out of the sweep.
-fn sample_grad((gt, x, model): &(GraphTensors, Matrix, GnnModel)) -> Vec<Matrix> {
-    Tape::with_scratch(|tape| {
-        let (probs, pvars) = model.forward(tape, gt, x);
-        let loss = im_loss(tape, gt, probs, &LossConfig::paper_default());
-        let mut grads = tape.backward(loss);
-        pvars.iter().map(|&v| grads.take(v)).collect()
-    })
+/// One sample's DP-SGD gradient as the trainer takes it, before clipping:
+/// the trainer's own per-sample gradient under the Eq. 5 loss.
+fn sample_grad((item, model): &(TrainItem, GnnModel)) -> Vec<Matrix> {
+    let config = LossConfig::paper_default();
+    sample_gradient(model, item, &|t, gt, p| im_loss(t, gt, p, &config)).0
 }
 
 /// serve-metered-miss's influence query: 16 runs of at most 2 steps.
@@ -593,7 +593,7 @@ fn main() {
     let att_loss = att_tape.sum(weighted);
     let star = grat_sample(35, 2, &mut rng);
     let hp = grat_sample(6, 1, &mut rng);
-    let arcs = |s: &(GraphTensors, Matrix, GnnModel)| format!("n={} E={}", s.0.n, s.0.arcs().len());
+    let arcs = |s: &(TrainItem, GnnModel)| format!("n={} E={}", s.0.gt.n, s.0.gt.arcs().len());
     // One GRAT attention layer's forward from its per-node scores, at
     // n = 70 and on the Facebook-calibrated graph
     let att_scores = (ahw.matmul(&a_dst), ahw.matmul(&a_src));

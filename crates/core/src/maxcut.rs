@@ -10,11 +10,16 @@
 //! `E[cut] = Σ_{(u,v) ∈ E} ( p_u (1 − p_v) + p_v (1 − p_u) )`
 //!
 //! is maximised (we minimise its negation). Sampling, accounting and
-//! DP-SGD are reused verbatim — only the loss changes.
+//! DP-SGD are reused verbatim — only the loss changes: [`train_maxcut`]
+//! hands [`maxcut_loss`] to the trainer's one DP-SGD loop
+//! ([`train_dpgnn_with`]), so `cfg.loss` (the IM loss settings) is unused
+//! here, and the noise kind, tail averaging, weight decay, fault plan and
+//! divergence sentinel of [`DpSgdConfig`] all apply.
 
-use crate::trainer::{DpSgdConfig, TrainItem};
+use crate::trainer::{train_dpgnn_with, DpSgdConfig, TrainItem};
 use privim_gnn::{GnnModel, GraphTensors};
 use privim_graph::Graph;
+use privim_rt::PrivimResult;
 use privim_tensor::{Tape, Var};
 
 /// Differentiable negative expected cut plus a mild balance penalty
@@ -111,61 +116,18 @@ pub fn greedy_local_cut(g: &Graph, start: &[bool]) -> Vec<bool> {
 
 /// Train a (optionally DP) GNN for Max-Cut on a subgraph container and
 /// return the rounded partition of the full graph.
+///
+/// Errors as [`train_dpgnn_with`]; on `Err` the privacy spend of every
+/// attempted step has still been incurred.
 pub fn train_maxcut(
     model: &mut GnnModel,
     items: &[TrainItem],
     g: &Graph,
     cfg: &DpSgdConfig,
     lambda: f64,
-) -> Vec<bool> {
-    // Same DP-SGD loop as Algorithm 2 (crate::trainer), with the Max-Cut
-    // objective in place of the IM loss.
-    train_maxcut_loop(model, items, cfg, lambda);
-    let scores = model.score_graph(g);
-    round_partition_balanced(&scores)
-}
-
-fn train_maxcut_loop(model: &mut GnnModel, items: &[TrainItem], cfg: &DpSgdConfig, lambda: f64) {
-    use privim_dp::mechanisms::gaussian_noise_vec;
-    use privim_dp::sensitivity::node_sensitivity;
-    use privim_rt::{Rng, SeedableRng};
-    use privim_tensor::{GradClip, Matrix};
-    let mut rng = privim_rt::ChaCha8Rng::seed_from_u64(cfg.seed);
-    let sensitivity = node_sensitivity(cfg.clip, cfg.occurrence_bound.max(1));
-    for _ in 0..cfg.iters {
-        let mut summed: Vec<Matrix> = model
-            .params()
-            .iter()
-            .map(|p| Matrix::zeros(p.rows(), p.cols()))
-            .collect();
-        for _ in 0..cfg.batch {
-            let item = &items[rng.gen_range(0..items.len())];
-            let mut tape = Tape::new();
-            let (probs, pvars) = model.forward(&mut tape, &item.gt, &item.x);
-            let loss = maxcut_loss(&mut tape, &item.gt, probs, lambda);
-            let mut grads = tape.backward(loss);
-            let mut gvec: Vec<Matrix> = pvars.iter().map(|&v| grads.take(v)).collect();
-            if cfg.sigma > 0.0 {
-                GradClip::clip(&mut gvec, cfg.clip);
-            }
-            for (s, gm) in summed.iter_mut().zip(&gvec) {
-                s.add_assign(gm);
-            }
-        }
-        if cfg.sigma > 0.0 {
-            for s in summed.iter_mut() {
-                // privim-lint: allow(unaccounted-noise, reason = "charged by the caller: the pipeline feeds every attempted step of this loop to the Theorem 3 RDP accountant")
-                let noise = gaussian_noise_vec(s.data().len(), cfg.sigma, sensitivity, &mut rng);
-                for (x, n) in s.data_mut().iter_mut().zip(noise) {
-                    *x += n;
-                }
-            }
-        }
-        let scale = cfg.lr / cfg.batch as f64;
-        for (p, gm) in model.params_mut().iter_mut().zip(&summed) {
-            p.add_scaled_assign(gm, -scale);
-        }
-    }
+) -> PrivimResult<Vec<bool>> {
+    train_dpgnn_with(model, items, cfg, |t, gt, p| maxcut_loss(t, gt, p, lambda))?;
+    Ok(round_partition_balanced(&model.score_graph(g)))
 }
 
 #[cfg(test)]
@@ -175,6 +137,7 @@ mod tests {
     use crate::trainer::NoiseKind;
     use privim_gnn::{GnnConfig, GnnKind};
     use privim_graph::{generators, induced_subgraph, GraphBuilder};
+    use privim_rt::fault::{FaultPlan, FaultPoint};
     use privim_rt::ChaCha8Rng;
     use privim_rt::SeedableRng;
     use privim_sampling::{freq_sampling, FreqConfig};
@@ -283,12 +246,53 @@ mod tests {
             max_recoveries: 8,
             fault: None,
         };
-        let side = train_maxcut(&mut model, &items, &g, &cfg, 0.5);
+        let side = train_maxcut(&mut model, &items, &g, &cfg, 0.5).unwrap();
         let trained_cut = cut_value(&g, &side);
         let trivial_cut = cut_value(&g, &vec![true; g.num_nodes()]);
         assert!(
             trained_cut > trivial_cut,
             "trained {trained_cut} vs trivial {trivial_cut}"
         );
+    }
+
+    #[test]
+    fn poisoned_container_is_absorbed_by_the_sentinel() {
+        // NaN features in a few items: every batch that draws one has a
+        // non-finite gradient, which the trainer's sentinel must discard
+        // rather than step into the parameters.
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let g = generators::erdos_renyi(150, 450, false, &mut rng);
+        let mut freq = vec![0u32; g.num_nodes()];
+        let scfg = FreqConfig {
+            subgraph_size: 12,
+            return_prob: 0.3,
+            decay: 1.0,
+            sampling_rate: 1.0,
+            walk_len: 100,
+            threshold: 6,
+        };
+        let sets = freq_sampling(&g, &mut freq, &scfg, &mut rng).unwrap();
+        let subs: Vec<_> = sets.iter().map(|s| induced_subgraph(&g, s)).collect();
+        let plan = FaultPlan::new(5, &[FaultPoint::PoisonedSubgraph], 0.05);
+        let items = TrainItem::from_container_with_fault(&subs, Some(plan));
+        assert!(items.iter().any(|i| i.x.has_non_finite()), "nothing poisoned");
+        let config = GnnConfig {
+            kind: GnnKind::Gcn,
+            layers: 2,
+            hidden: 8,
+            in_dim: privim_gnn::FEATURE_DIM,
+        };
+        let mut model = GnnModel::new(config, &mut rng);
+        let cfg = DpSgdConfig {
+            batch: 8,
+            iters: 40,
+            lr: 0.1,
+            seed: 4,
+            max_recoveries: 40,
+            ..DpSgdConfig::paper_default(0.3, 6)
+        };
+        let side = train_maxcut(&mut model, &items, &g, &cfg, 0.5).unwrap();
+        assert_eq!(side.len(), g.num_nodes());
+        assert!(model.params().iter().all(|p| !p.has_non_finite()));
     }
 }

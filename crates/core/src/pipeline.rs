@@ -299,7 +299,7 @@ fn prepare(
     let v_train = tg.num_nodes();
     // privim-lint: allow(wall-clock, reason = "timing-only telemetry: preprocess_secs reporting for Table III, never feeds results")
     let t0 = Instant::now();
-    Ok(match method {
+    let (container, occurrence_bound, gnn, noise) = match method {
         Method::PrivIm { .. } => {
             let projected = theta_projection(tg, p.theta, rng);
             let container = extract_subgraphs(&projected, &p.rwr_config(v_train), rng);
@@ -309,73 +309,33 @@ fn prepare(
             let q = p.sampling_rate(v_train);
             let refined =
                 sampled_occurrence_bound(p.theta as u64, p.layers as u32, q, p.delta * 0.5);
-            PreparedRun {
-                container,
-                occurrence_bound: refined,
-                gnn: GnnKind::Grat,
-                noise: NoiseKind::Gaussian,
-                preprocess_secs: t0.elapsed().as_secs_f64(),
-            }
+            (container, refined, GnnKind::Grat, NoiseKind::Gaussian)
         }
-        Method::PrivImScs { .. } => {
+        Method::PrivImScs { .. }
+        | Method::PrivImStar { .. }
+        | Method::NonPrivate
+        | Method::PrivImStarWith { .. } => {
+            // Dual-stage sampling; only PrivIM+SCS leaves out the BES stage.
             let cfg = DualStageConfig {
                 stage1: p.freq_config(v_train),
                 shrink: p.shrink,
-                enable_bes: false,
+                enable_bes: !matches!(method, Method::PrivImScs { .. }),
             };
             let out = dual_stage_sampling(tg, &cfg, rng)?;
-            PreparedRun {
-                container: out.container,
-                occurrence_bound: p.threshold as u64,
-                gnn: GnnKind::Grat,
-                noise: NoiseKind::Gaussian,
-                preprocess_secs: t0.elapsed().as_secs_f64(),
-            }
-        }
-        Method::PrivImStar { .. } | Method::NonPrivate => {
-            let cfg = DualStageConfig {
-                stage1: p.freq_config(v_train),
-                shrink: p.shrink,
-                enable_bes: true,
+            let gnn = match method {
+                Method::PrivImStarWith { kind, .. } => kind,
+                _ => GnnKind::Grat,
             };
-            let out = dual_stage_sampling(tg, &cfg, rng)?;
-            PreparedRun {
-                container: out.container,
-                occurrence_bound: p.threshold as u64,
-                gnn: GnnKind::Grat,
-                noise: NoiseKind::Gaussian,
-                preprocess_secs: t0.elapsed().as_secs_f64(),
-            }
-        }
-        Method::PrivImStarWith { kind, .. } => {
-            let cfg = DualStageConfig {
-                stage1: p.freq_config(v_train),
-                shrink: p.shrink,
-                enable_bes: true,
-            };
-            let out = dual_stage_sampling(tg, &cfg, rng)?;
-            PreparedRun {
-                container: out.container,
-                occurrence_bound: p.threshold as u64,
-                gnn: kind,
-                noise: NoiseKind::Gaussian,
-                preprocess_secs: t0.elapsed().as_secs_f64(),
-            }
+            (out.container, p.threshold as u64, gnn, NoiseKind::Gaussian)
         }
         Method::Egn { .. } => {
             let count = (p.sampling_rate(v_train) * v_train as f64).round() as usize;
             let count = count.max(8);
             let container = egn_container(tg, count, p.subgraph_size.min(v_train / 2).max(2), rng);
+            // uniform sampling gives no occurrence control: worst case a
+            // node is in every subgraph.
             let m = container.len() as u64;
-            PreparedRun {
-                container,
-                // uniform sampling gives no occurrence control: worst case a
-                // node is in every subgraph.
-                occurrence_bound: m.max(1),
-                gnn: GnnKind::Gcn,
-                noise: NoiseKind::Gaussian,
-                preprocess_secs: t0.elapsed().as_secs_f64(),
-            }
+            (container, m.max(1), GnnKind::Gcn, NoiseKind::Gaussian)
         }
         Method::Hp { .. } | Method::HpGrat { .. } => {
             // HeterPoisson: per-node ego samples over the θ-capped graph,
@@ -383,22 +343,24 @@ fn prepare(
             // Occurrence bound θ + 1 (own ego plus at most θ neighbours'
             // egos) is enforced by construction.
             let (_, container) = hp_container(tg, p.theta, rng);
-            PreparedRun {
-                container,
-                occurrence_bound: p.theta as u64 + 1,
-                gnn: if matches!(method, Method::HpGrat { .. }) {
-                    GnnKind::Grat
-                } else {
-                    GnnKind::Gcn
-                },
-                noise: NoiseKind::Sml,
-                preprocess_secs: t0.elapsed().as_secs_f64(),
-            }
+            let gnn = if matches!(method, Method::HpGrat { .. }) {
+                GnnKind::Grat
+            } else {
+                GnnKind::Gcn
+            };
+            (container, p.theta as u64 + 1, gnn, NoiseKind::Sml)
         }
         Method::Celf | Method::Degree | Method::Random => {
             // privim-lint: allow(panic, reason = "run_method dispatches the non-learning baselines before calling prepare; this arm is unreachable by construction")
             unreachable!("handled before prepare")
         }
+    };
+    Ok(PreparedRun {
+        container,
+        occurrence_bound,
+        gnn,
+        noise,
+        preprocess_secs: t0.elapsed().as_secs_f64(),
     })
 }
 

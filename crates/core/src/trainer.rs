@@ -31,7 +31,7 @@ use privim_graph::Subgraph;
 use privim_rt::fault::{self, FaultPlan, FaultPoint};
 use privim_rt::ChaCha8Rng;
 use privim_rt::{PrivimError, Rng, SeedableRng};
-use privim_tensor::{GradClip, Matrix, Tape};
+use privim_tensor::{GradClip, Matrix, Tape, Var};
 
 /// A subgraph prepared for training: message-passing operators + features.
 pub struct TrainItem {
@@ -218,28 +218,39 @@ pub struct TrainReport {
     pub final_lr: f64,
 }
 
-/// Per-sample clipped gradient of one subgraph. Returns `(grads, loss,
-/// clipped)`.
-fn sample_gradient(
-    model: &GnnModel,
-    item: &TrainItem,
-    cfg: &DpSgdConfig,
-) -> (Vec<Matrix>, f64, bool) {
+/// One subgraph's per-sample gradient, unclipped: the model's forward
+/// pass, `objective` on its output probabilities, and the backward sweep,
+/// on the calling thread's scratch tape. Returns the parameter gradients
+/// (in [`GnnModel::params`] order) and the loss value.
+pub fn sample_gradient<L>(model: &GnnModel, item: &TrainItem, objective: &L) -> (Vec<Matrix>, f64)
+where
+    L: Fn(&mut Tape, &GraphTensors, Var) -> Var,
+{
     // Scratch tape + pooled matrix buffers: after the first sample on each
     // pool worker the whole forward/backward runs allocation-free.
     Tape::with_scratch(|tape| {
         let (probs, pvars) = model.forward(tape, &item.gt, &item.x);
-        let loss = im_loss(tape, &item.gt, probs, &cfg.loss);
+        let loss = objective(tape, &item.gt, probs);
         let loss_val = tape.value(loss).get(0, 0);
         let mut grads = tape.backward(loss);
-        let mut gvec: Vec<Matrix> = pvars.iter().map(|&v| grads.take(v)).collect();
-        let mut clipped = false;
-        if cfg.sigma > 0.0 {
-            let pre = GradClip::clip(&mut gvec, cfg.clip);
-            clipped = pre > cfg.clip;
-        }
-        (gvec, loss_val, clipped)
+        (pvars.iter().map(|&v| grads.take(v)).collect(), loss_val)
     })
+}
+
+/// [`sample_gradient`] clipped to `cfg.clip` in private runs. Returns
+/// `(grads, loss, clipped)`.
+fn clipped_sample_gradient<L>(
+    model: &GnnModel,
+    item: &TrainItem,
+    cfg: &DpSgdConfig,
+    objective: &L,
+) -> (Vec<Matrix>, f64, bool)
+where
+    L: Fn(&mut Tape, &GraphTensors, Var) -> Var,
+{
+    let (mut gvec, loss) = sample_gradient(model, item, objective);
+    let clipped = cfg.sigma > 0.0 && GradClip::clip(&mut gvec, cfg.clip) > cfg.clip;
+    (gvec, loss, clipped)
 }
 
 fn l2_norm(mats: &[Matrix]) -> f64 {
@@ -266,8 +277,9 @@ fn validate(cfg: &DpSgdConfig, items: &[TrainItem]) -> Result<(), PrivimError> {
     Ok(())
 }
 
-/// Run Algorithm 2: train `model` in place on `items`, returning
-/// diagnostics. Deterministic given `cfg.seed` (and `cfg.fault`, if any).
+/// Run Algorithm 2 with the Eq. 5 IM loss ([`im_loss`] under `cfg.loss`):
+/// train `model` in place on `items`, returning diagnostics. Deterministic
+/// given `cfg.seed` (and `cfg.fault`, if any).
 ///
 /// On `Err(Diverged)` the model is left at its last healthy checkpoint; the
 /// privacy spend of every step attempted up to the abort has been incurred
@@ -277,6 +289,23 @@ pub fn train_dpgnn(
     items: &[TrainItem],
     cfg: &DpSgdConfig,
 ) -> Result<TrainReport, PrivimError> {
+    train_dpgnn_with(model, items, cfg, |t, gt, p| im_loss(t, gt, p, &cfg.loss))
+}
+
+/// Run Algorithm 2 with `objective` as the per-subgraph loss: it maps the
+/// model's output probabilities on one subgraph to a scalar to minimise.
+/// Sampling, clipping, noise, the sentinel and the update do not depend on
+/// it, so neither does the privacy argument; `cfg.loss` is not read here.
+/// Otherwise as [`train_dpgnn`].
+pub fn train_dpgnn_with<L>(
+    model: &mut GnnModel,
+    items: &[TrainItem],
+    cfg: &DpSgdConfig,
+    objective: L,
+) -> Result<TrainReport, PrivimError>
+where
+    L: Fn(&mut Tape, &GraphTensors, Var) -> Var + Sync,
+{
     validate(cfg, items)?;
     let plan = cfg.fault.or_else(fault::env_plan);
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -353,8 +382,9 @@ pub fn train_dpgnn(
             .collect();
 
         // Lines 4–7: per-sample gradients, clipped, summed.
-        let results: Vec<(Vec<Matrix>, f64, bool)> =
-            privim_rt::par::map(&batch_idx, |&i| sample_gradient(model, &items[i], cfg));
+        let results: Vec<(Vec<Matrix>, f64, bool)> = privim_rt::par::map(&batch_idx, |&i| {
+            clipped_sample_gradient(model, &items[i], cfg, &objective)
+        });
 
         for s in summed.iter_mut() {
             s.data_mut().fill(0.0);

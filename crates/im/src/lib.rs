@@ -22,7 +22,6 @@ pub mod celf;
 pub mod diffusion;
 pub mod heuristics;
 pub mod metrics;
-pub mod ris;
 pub mod spread;
 
 pub use celf::{celf_exact, celf_monte_carlo, CelfResult, LazyGreedy};
@@ -30,5 +29,4 @@ pub use diffusion::{
     ic_simulate_once, ic_spread_estimate, lt_spread_estimate, sis_spread_estimate,
 };
 pub use metrics::coverage_ratio;
-pub use ris::{random_rr_set, ris_select, RisResult};
 pub use spread::{expected_one_step_spread, one_step_spread};

@@ -77,7 +77,7 @@ fn main() {
         clip: 1.0,
         sigma,
         occurrence_bound: 4,
-        loss: LossConfig::paper_default(), // unused by the Max-Cut loop
+        loss: LossConfig::paper_default(),
         noise: NoiseKind::Gaussian,
         seed: 11,
         tail_average: true,
@@ -85,7 +85,8 @@ fn main() {
         max_recoveries: 8,
         fault: None,
     };
-    let side = train_maxcut(&mut model, &items, &g, &cfg, 0.5);
+    let side = train_maxcut(&mut model, &items, &g, &cfg, 0.5)
+        .expect("Max-Cut training diverged past its recovery budget");
 
     let private_cut = cut_value(&g, &side);
     let trivial = cut_value(&g, &vec![true; g.num_nodes()]);

@@ -87,6 +87,11 @@ echo "== bench smoke (kernel harness + bit-identity assertions, tiny sizes)"
 cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 PRIVIM_SIMD=scalar cargo run -q --release --offline -p privim-bench --bin bench_kernels -- --smoke
 
+echo "== Max-Cut smoke (the §VI objective through the shared DP-SGD loop)"
+# private_maxcut samples, calibrates σ and trains a GNN on the Max-Cut
+# loss through the same trainer loop as IM, end to end.
+cargo run -q --release --offline --example private_maxcut
+
 echo "== fault-injection matrix (divergence recovery under seeded faults)"
 for seed in 1 2; do
     echo "-- PRIVIM_FAULT_SEED=$seed"

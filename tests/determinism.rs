@@ -6,8 +6,9 @@
 //! accumulator contract (DESIGN.md §14), so neither thread scheduling nor
 //! register width can reorder a single floating-point operation.
 
+use privim::maxcut::maxcut_loss;
 use privim::pipeline::{run_method, EvalSetup, Method, PipelineParams};
-use privim::trainer::{train_dpgnn, DpSgdConfig, TrainItem};
+use privim::trainer::{train_dpgnn, train_dpgnn_with, DpSgdConfig, TrainItem};
 use privim_gnn::{GnnConfig, GnnKind, GnnModel};
 use privim_graph::{generators, induced_subgraph};
 use privim_im::ic_spread_estimate;
@@ -58,7 +59,8 @@ fn training_trajectory_identical_across_thread_counts() {
     let subs: Vec<_> = sets.iter().map(|s| induced_subgraph(&g, s)).collect();
 
     let train_cfg = DpSgdConfig::paper_default(0.8, 6);
-    let run = |threads: usize| {
+    // The same loop under two objectives: the Eq. 5 IM loss and Max-Cut.
+    let run = |threads: usize, maxcut: bool| {
         with_threads(threads, || {
             let items = TrainItem::from_container(&subs);
             let mut model = GnnModel::new(
@@ -70,22 +72,30 @@ fn training_trajectory_identical_across_thread_counts() {
                 },
                 &mut ChaCha8Rng::seed_from_u64(7),
             );
-            let report = train_dpgnn(&mut model, &items, &train_cfg).unwrap();
-            (report.loss_trace, model.params().to_vec())
+            let report = if maxcut {
+                train_dpgnn_with(&mut model, &items, &train_cfg, |t, gt, p| {
+                    maxcut_loss(t, gt, p, 0.5)
+                })
+            } else {
+                train_dpgnn(&mut model, &items, &train_cfg)
+            };
+            (report.unwrap().loss_trace, model.params().to_vec())
         })
     };
 
-    let (trace1, params1) = run(1);
-    for threads in [2, 4, 8] {
-        let (trace_n, params_n) = run(threads);
-        assert_eq!(
-            trace1, trace_n,
-            "loss trajectory diverged at {threads} threads"
-        );
-        assert_eq!(
-            params1, params_n,
-            "parameters diverged at {threads} threads"
-        );
+    for maxcut in [false, true] {
+        let (trace1, params1) = run(1, maxcut);
+        for threads in [2, 4, 8] {
+            let (trace_n, params_n) = run(threads, maxcut);
+            assert_eq!(
+                trace1, trace_n,
+                "loss trajectory diverged at {threads} threads (maxcut: {maxcut})"
+            );
+            assert_eq!(
+                params1, params_n,
+                "parameters diverged at {threads} threads (maxcut: {maxcut})"
+            );
+        }
     }
 }
 
