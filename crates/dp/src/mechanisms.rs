@@ -2,19 +2,7 @@
 //! naive private-greedy strawman of Example 2), and the Symmetric
 //! Multivariate Laplace noise used by the HP baseline (Xiang et al.).
 
-use privim_rt::Rng;
-
-/// Sample one standard normal via Box–Muller.
-fn standard_normal(rng: &mut impl Rng) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
-        }
-        let u2: f64 = rng.gen::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    }
-}
+use privim_rt::{dist, Rng};
 
 /// iid `N(0, (σ·Δ)²)` noise vector — the Gaussian mechanism with noise
 /// multiplier `sigma` and sensitivity `delta` (Algorithm 2 adds this to the
@@ -22,7 +10,7 @@ fn standard_normal(rng: &mut impl Rng) -> f64 {
 pub fn gaussian_noise_vec(len: usize, sigma: f64, delta: f64, rng: &mut impl Rng) -> Vec<f64> {
     assert!(sigma >= 0.0 && delta >= 0.0);
     let s = sigma * delta;
-    (0..len).map(|_| standard_normal(rng) * s).collect()
+    (0..len).map(|_| dist::standard_normal(rng) * s).collect()
 }
 
 /// iid `Lap(0, Δ/ε)` noise vector — the Laplace mechanism. Used by the
@@ -46,13 +34,9 @@ pub fn laplace_noise_vec(len: usize, epsilon: f64, delta: f64, rng: &mut impl Rn
 /// structure makes the whole vector share one radial scale.
 pub fn sml_noise_vec(len: usize, scale: f64, rng: &mut impl Rng) -> Vec<f64> {
     assert!(scale >= 0.0);
-    let w: f64 = {
-        let u: f64 = rng.gen::<f64>();
-        -(1.0 - u).max(f64::MIN_POSITIVE).ln() // Exp(1)
-    };
-    let radial = w.sqrt();
+    let radial = dist::exponential(rng).sqrt();
     (0..len)
-        .map(|_| standard_normal(rng) * scale * radial)
+        .map(|_| dist::standard_normal(rng) * scale * radial)
         .collect()
 }
 

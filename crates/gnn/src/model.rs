@@ -12,22 +12,6 @@ use privim_rt::{PrivimError, PrivimResult, Rng};
 use privim_tensor::{attention, init, Matrix, Tape, Var};
 use std::sync::Arc;
 
-/// Format tag written into every model checkpoint file.
-pub const CHECKPOINT_FORMAT: &str = "privim-gnn-checkpoint";
-
-/// Current checkpoint format version. Bump on incompatible layout changes;
-/// [`GnnModel::load_json`] rejects any other version with a typed error.
-pub const CHECKPOINT_VERSION: u64 = 1;
-
-/// Parse a `0x`-prefixed (or bare) hex string into a `u32`.
-fn parse_hex_u32(s: &str) -> Option<u32> {
-    let digits = s.strip_prefix("0x").unwrap_or(s);
-    if digits.is_empty() || digits.len() > 8 {
-        return None;
-    }
-    u32::from_str_radix(digits, 16).ok()
-}
-
 /// Which architecture (Appendix G).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GnnKind {
@@ -146,9 +130,10 @@ impl GnnConfig {
 /// use [`Self::params`]/[`Self::params_mut`] for optimisation and
 /// [`Self::forward`]'s returned vars to fetch per-parameter gradients.
 ///
-/// Serialisable: a trained (privatised) model can be persisted as JSON
-/// and shipped — under DP, releasing the trained parameters is exactly the
-/// threat model the training pipeline protects.
+/// Serialisable: [`Self::checkpoint_payload`] is the JSON form that a
+/// serve bundle embeds under its own format tag, version and CRC-32 —
+/// under DP, releasing the trained parameters is exactly the threat model
+/// the training pipeline protects.
 #[derive(Clone, Debug)]
 pub struct GnnModel {
     config: GnnConfig,
@@ -223,9 +208,9 @@ impl GnnModel {
         self.params.iter().map(|p| p.rows() * p.cols()).sum()
     }
 
-    /// The checkpoint payload (config + parameters) as a JSON value. This
-    /// is what [`CHECKPOINT_VERSION`] versions and the CRC-32 covers; the
-    /// serve bundle embeds it verbatim.
+    /// The checkpoint payload (config + parameters) as a JSON value. The
+    /// serve bundle embeds it verbatim under its own format tag, version
+    /// and CRC-32; [`Self::from_checkpoint_payload`] decodes it.
     pub fn checkpoint_payload(&self) -> privim_rt::json::Value {
         use privim_rt::json::Value;
         Value::obj(vec![
@@ -235,73 +220,6 @@ impl GnnModel {
                 Value::Arr(self.params.iter().map(Matrix::to_json).collect()),
             ),
         ])
-    }
-
-    /// Persist the model as a versioned, checksummed JSON checkpoint:
-    ///
-    /// ```json
-    /// {"format": "privim-gnn-checkpoint", "version": 1,
-    ///  "crc32": "0x…", "payload": {…}}
-    /// ```
-    ///
-    /// The CRC-32 is computed over the compact serialisation of `payload`,
-    /// so truncation or bit flips anywhere in the parameters are detected
-    /// at load time instead of silently producing a wrong model. The
-    /// payload is serialised once: the document splices in the very bytes
-    /// the CRC covers.
-    pub fn save_json<W: std::io::Write>(&self, mut w: W) -> PrivimResult<()> {
-        let payload = self.checkpoint_payload().to_json_string();
-        let crc = privim_rt::crc::crc32(payload.as_bytes());
-        let head = format!(
-            "{{\"format\":\"{CHECKPOINT_FORMAT}\",\"version\":{CHECKPOINT_VERSION},\
-             \"crc32\":\"{crc:#010x}\",\"payload\":"
-        );
-        let written = [head.as_bytes(), payload.as_bytes(), b"}"]
-            .into_iter()
-            .try_for_each(|part| w.write_all(part));
-        written.map_err(|e| PrivimError::io("writing model checkpoint", e))
-    }
-
-    /// Load a model persisted with [`Self::save_json`]. Verifies the
-    /// format name, format version, and payload CRC-32, then validates the
-    /// parameter layout against the stored config. Every failure mode —
-    /// truncated file, flipped bit, wrong version, wrong shape — surfaces
-    /// as a typed [`PrivimError`], never a panic.
-    pub fn load_json<R: std::io::Read>(mut r: R) -> PrivimResult<Self> {
-        use privim_rt::json::Value;
-        let mut text = String::new();
-        r.read_to_string(&mut text)
-            .map_err(|e| PrivimError::io("reading model checkpoint", e))?;
-        let json = Value::parse(&text)
-            .map_err(|e| PrivimError::Parse(format!("model checkpoint: {e}")))?;
-        let format = json.get("format").and_then(|v| v.as_str()).unwrap_or("");
-        if format != CHECKPOINT_FORMAT {
-            return Err(PrivimError::Parse(format!(
-                "not a {CHECKPOINT_FORMAT} file (format = {format:?})"
-            )));
-        }
-        let version = json.get("version").and_then(|v| v.as_u64());
-        if version != Some(CHECKPOINT_VERSION) {
-            return Err(PrivimError::invalid(format!(
-                "checkpoint version {version:?} not supported (expected {CHECKPOINT_VERSION})"
-            )));
-        }
-        let payload = json
-            .get("payload")
-            .ok_or_else(|| PrivimError::Parse("checkpoint missing payload".into()))?;
-        let stored_crc = json
-            .get("crc32")
-            .and_then(|v| v.as_str())
-            .and_then(parse_hex_u32)
-            .ok_or_else(|| PrivimError::Parse("checkpoint missing/bad crc32".into()))?;
-        let actual_crc = privim_rt::crc::crc32(payload.to_json_string().as_bytes());
-        if stored_crc != actual_crc {
-            return Err(PrivimError::Parse(format!(
-                "checkpoint checksum mismatch (stored {stored_crc:#010x}, computed \
-                 {actual_crc:#010x}) — file is corrupted or truncated"
-            )));
-        }
-        Self::from_checkpoint_payload(payload)
     }
 
     /// Decode the (already checksum-verified) checkpoint payload.
@@ -687,9 +605,9 @@ pub(crate) mod tests {
             let loss = tape.sum(pv);
             let mut grads = tape.backward(loss);
             let gvec: Vec<Matrix> = pvars.iter().map(|&v| grads.take(v)).collect();
-            let mut opt = privim_tensor::Sgd::new(0.05);
-            use privim_tensor::Optimizer;
-            opt.step(model.params_mut(), &gvec);
+            for (p, g) in model.params_mut().iter_mut().zip(&gvec) {
+                p.add_scaled_assign(g, -0.05);
+            }
             let after: f64 = model.infer(&gt, &x).iter().sum();
             assert!(after < before, "{kind:?}: {after} !< {before}");
         }
@@ -799,50 +717,21 @@ mod json_tests {
     use privim_rt::ChaCha8Rng;
     use privim_rt::SeedableRng;
 
+    /// The payload as the bundle stores it: serialised, then parsed back.
+    fn reparsed_payload(model: &GnnModel) -> privim_rt::json::Value {
+        let text = model.checkpoint_payload().to_json_string();
+        privim_rt::json::Value::parse(&text).unwrap()
+    }
+
     #[test]
     fn model_json_roundtrip_preserves_inference() {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let g = privim_graph::generators::barabasi_albert(40, 3, &mut rng);
         let model = GnnModel::new(GnnConfig::paper_default(), &mut rng);
-        let mut buf = Vec::new();
-        model.save_json(&mut buf).unwrap();
-        let loaded = GnnModel::load_json(buf.as_slice()).unwrap();
+        let loaded = GnnModel::from_checkpoint_payload(&reparsed_payload(&model)).unwrap();
         let a = model.score_graph(&g);
         let b = loaded.score_graph(&g);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn checkpoint_bytes_match_the_value_tree_document() {
-        // The document as it was built before the payload was spliced in:
-        // one `Value` tree, payload serialised inside it.
-        fn tree_document(model: &GnnModel) -> Vec<u8> {
-            use privim_rt::json::Value;
-            let payload = model.checkpoint_payload();
-            let crc = privim_rt::crc::crc32(payload.to_json_string().as_bytes());
-            Value::obj(vec![
-                ("format", Value::Str(CHECKPOINT_FORMAT.to_string())),
-                ("version", Value::Num(CHECKPOINT_VERSION as f64)),
-                ("crc32", Value::Str(format!("{crc:#010x}"))),
-                ("payload", payload),
-            ])
-            .to_json_string()
-            .into_bytes()
-        }
-        for kind in GnnKind::ALL {
-            let mut rng = ChaCha8Rng::seed_from_u64(28);
-            let config = GnnConfig {
-                kind,
-                ..GnnConfig::paper_default()
-            };
-            let model = GnnModel::new(config, &mut rng);
-            let mut buf = Vec::new();
-            model.save_json(&mut buf).unwrap();
-            assert!(
-                buf == tree_document(&model),
-                "{kind:?}: checkpoint bytes changed"
-            );
-        }
     }
 
     #[test]
@@ -850,87 +739,6 @@ mod json_tests {
         let mut rng = ChaCha8Rng::seed_from_u64(22);
         let mut model = GnnModel::new(GnnConfig::paper_default(), &mut rng);
         model.params.pop(); // break the layout
-        let mut buf = Vec::new();
-        model.save_json(&mut buf).unwrap();
-        assert!(GnnModel::load_json(buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn garbage_json_is_rejected() {
-        let err = GnnModel::load_json(&b"not json"[..]).unwrap_err();
-        assert!(matches!(err, PrivimError::Parse(_)), "got {err:?}");
-    }
-
-    fn saved_checkpoint(seed: u64) -> Vec<u8> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let model = GnnModel::new(GnnConfig::paper_default(), &mut rng);
-        let mut buf = Vec::new();
-        model.save_json(&mut buf).unwrap();
-        buf
-    }
-
-    #[test]
-    fn checkpoint_declares_format_and_version() {
-        let buf = saved_checkpoint(23);
-        let doc = privim_rt::json::Value::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("format").and_then(|v| v.as_str()),
-            Some(CHECKPOINT_FORMAT)
-        );
-        assert_eq!(
-            doc.get("version").and_then(|v| v.as_u64()),
-            Some(CHECKPOINT_VERSION)
-        );
-        assert!(doc.get("crc32").and_then(|v| v.as_str()).is_some());
-    }
-
-    #[test]
-    fn bit_flip_in_payload_is_detected_by_checksum() {
-        let buf = saved_checkpoint(24);
-        let text = String::from_utf8(buf).unwrap();
-        // Flip one digit inside the parameter data (well past the header).
-        let pos = text.rfind(|c: char| c.is_ascii_digit()).unwrap();
-        let mut corrupted = text.into_bytes();
-        corrupted[pos] = if corrupted[pos] == b'5' { b'6' } else { b'5' };
-        let err = GnnModel::load_json(corrupted.as_slice()).unwrap_err();
-        match err {
-            PrivimError::Parse(msg) => assert!(msg.contains("checksum"), "msg: {msg}"),
-            other => panic!("expected Parse(checksum) error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_checkpoint_is_rejected_not_panicked() {
-        let buf = saved_checkpoint(25);
-        // Every truncation point must fail cleanly with a typed error.
-        for cut in [0, 1, 10, buf.len() / 4, buf.len() / 2, buf.len() - 1] {
-            let err = GnnModel::load_json(&buf[..cut]).unwrap_err();
-            assert!(
-                matches!(err, PrivimError::Parse(_)),
-                "cut={cut} got {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn version_mismatch_is_a_typed_error() {
-        let buf = saved_checkpoint(26);
-        let text = String::from_utf8(buf).unwrap();
-        let bumped = text.replacen("\"version\":1", "\"version\":2", 1);
-        assert_ne!(text, bumped, "version field not found to rewrite");
-        let err = GnnModel::load_json(bumped.as_bytes()).unwrap_err();
-        match err {
-            PrivimError::InvalidInput(msg) => assert!(msg.contains("version"), "msg: {msg}"),
-            other => panic!("expected InvalidInput(version) error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wrong_format_tag_is_rejected() {
-        let buf = saved_checkpoint(27);
-        let text = String::from_utf8(buf).unwrap();
-        let renamed = text.replacen(CHECKPOINT_FORMAT, "some-other-format", 1);
-        let err = GnnModel::load_json(renamed.as_bytes()).unwrap_err();
-        assert!(matches!(err, PrivimError::Parse(_)), "got {err:?}");
+        assert!(GnnModel::from_checkpoint_payload(&reparsed_payload(&model)).is_err());
     }
 }

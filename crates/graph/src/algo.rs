@@ -1,28 +1,9 @@
-//! Classic graph algorithms used throughout the pipeline: BFS, r-hop
+//! Classic graph algorithms used throughout the pipeline: r-hop
 //! neighbourhoods (the `N_r(v0)` constraint of Algorithm 1), connected
 //! components, clustering coefficients and degree statistics.
 
 use crate::csr::{Graph, NodeId};
 use std::collections::VecDeque;
-
-/// Breadth-first search from `src` following out-arcs; returns the hop
-/// distance to every reachable node (`usize::MAX` for unreachable).
-pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.num_nodes()];
-    let mut q = VecDeque::new();
-    dist[src as usize] = 0;
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.out_neighbors(u) {
-            if dist[v as usize] == usize::MAX {
-                dist[v as usize] = du + 1;
-                q.push_back(v);
-            }
-        }
-    }
-    dist
-}
 
 /// The set `N_r(v0)` of Algorithm 1: every node within `r` hops of `v0`
 /// (following out-arcs), *including* `v0` itself. Returned as a sorted list.
@@ -193,16 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_distances_respect_shortcuts() {
-        let g = path_with_shortcut();
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 1, 2]);
-        assert_eq!(
-            bfs_distances(&g, 3),
-            vec![usize::MAX, usize::MAX, usize::MAX, 0]
-        );
-    }
-
-    #[test]
     fn r_hop_includes_origin_and_respects_radius() {
         let g = path_with_shortcut();
         assert_eq!(r_hop_neighborhood(&g, 0, 0), vec![0]);
@@ -265,155 +236,5 @@ mod tests {
     fn isolated_nodes_counted() {
         let g = Graph::empty(3, false);
         assert_eq!(degree_stats(&g).isolated, 3);
-    }
-}
-
-/// PageRank with damping `d` (teleport `1-d`), `iters` power iterations.
-/// Dangling mass is redistributed uniformly. Useful both as a seed
-/// heuristic baseline and for dataset diagnostics.
-pub fn pagerank(g: &Graph, damping: f64, iters: usize) -> Vec<f64> {
-    assert!((0.0..1.0).contains(&damping), "damping must be in [0, 1)");
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let uniform = 1.0 / n as f64;
-    let mut rank = vec![uniform; n];
-    let mut next = vec![0.0f64; n];
-    for _ in 0..iters {
-        next.iter_mut().for_each(|x| *x = 0.0);
-        let mut dangling = 0.0;
-        for u in 0..n {
-            let out = g.out_neighbors(u as NodeId);
-            if out.is_empty() {
-                dangling += rank[u];
-            } else {
-                let share = rank[u] / out.len() as f64;
-                for &v in out {
-                    next[v as usize] += share;
-                }
-            }
-        }
-        let dangling_share = dangling / n as f64;
-        for x in next.iter_mut() {
-            *x = (1.0 - damping) * uniform + damping * (*x + dangling_share);
-        }
-        std::mem::swap(&mut rank, &mut next);
-    }
-    rank
-}
-
-/// K-core decomposition (undirected view): `core[v]` is the largest `k`
-/// such that `v` belongs to a subgraph where every node has degree ≥ `k`.
-/// Peeling algorithm, `O(|E| + |V|)` with bucket queues.
-pub fn k_core(g: &Graph) -> Vec<usize> {
-    let n = g.num_nodes();
-    // undirected degree = number of distinct neighbours in either direction
-    let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for v in 0..n as NodeId {
-        let mut nb: Vec<NodeId> = g
-            .out_neighbors(v)
-            .iter()
-            .chain(g.in_neighbors(v))
-            .copied()
-            .collect();
-        nb.sort_unstable();
-        nb.dedup();
-        neighbors[v as usize] = nb;
-    }
-    let mut degree: Vec<usize> = neighbors.iter().map(|nb| nb.len()).collect();
-    let max_deg = degree.iter().copied().max().unwrap_or(0);
-    let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); max_deg + 1];
-    for v in 0..n {
-        buckets[degree[v]].push(v as NodeId);
-    }
-    let mut core = vec![0usize; n];
-    let mut removed = vec![false; n];
-    let mut k = 0usize;
-    for d in 0..=max_deg {
-        k = k.max(d);
-        let mut level = d;
-        while level <= k {
-            while let Some(v) = buckets[level].pop() {
-                let vu = v as usize;
-                if removed[vu] || degree[vu] != level {
-                    continue;
-                }
-                removed[vu] = true;
-                core[vu] = k;
-                for &u in &neighbors[vu] {
-                    let uu = u as usize;
-                    if !removed[uu] && degree[uu] > level {
-                        degree[uu] -= 1;
-                        buckets[degree[uu]].push(u);
-                    }
-                }
-            }
-            level += 1;
-            if level > k {
-                break;
-            }
-        }
-    }
-    core
-}
-
-#[cfg(test)]
-mod extra_algo_tests {
-    use super::*;
-    use crate::builder::GraphBuilder;
-    use crate::generators;
-    use privim_rt::ChaCha8Rng;
-    use privim_rt::SeedableRng;
-
-    #[test]
-    fn pagerank_sums_to_one_and_favours_hubs() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let g = generators::barabasi_albert(300, 3, &mut rng);
-        let pr = pagerank(&g, 0.85, 50);
-        let total: f64 = pr.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "mass {total}");
-        // the max-in-degree node should be in the top decile of rank
-        let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
-        let mut sorted: Vec<f64> = pr.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        assert!(pr[hub as usize] >= sorted[30], "hub not highly ranked");
-    }
-
-    #[test]
-    fn pagerank_uniform_on_cycle() {
-        let mut b = GraphBuilder::new_directed(5);
-        for i in 0..5u32 {
-            b.add_edge(i, (i + 1) % 5, 1.0);
-        }
-        let g = b.build();
-        let pr = pagerank(&g, 0.85, 100);
-        for &x in &pr {
-            assert!((x - 0.2).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn k_core_of_clique_plus_tail() {
-        // 4-clique (core 3) with a pendant path (core 1)
-        let mut b = GraphBuilder::new_undirected(6);
-        for i in 0..4u32 {
-            for j in (i + 1)..4 {
-                b.add_edge(i, j, 1.0);
-            }
-        }
-        b.add_edge(3, 4, 1.0);
-        b.add_edge(4, 5, 1.0);
-        let g = b.build();
-        let core = k_core(&g);
-        assert_eq!(&core[..4], &[3, 3, 3, 3]);
-        assert_eq!(core[4], 1);
-        assert_eq!(core[5], 1);
-    }
-
-    #[test]
-    fn k_core_empty_and_isolated() {
-        let g = Graph::empty(3, false);
-        assert_eq!(k_core(&g), vec![0, 0, 0]);
     }
 }

@@ -40,11 +40,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edges added so far (before dedup).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add an edge `u -> v` (or `u — v` for undirected builders) with IC
     /// weight `w`. Panics on out-of-range endpoints or weights.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f64) {
@@ -58,14 +53,6 @@ impl GraphBuilder {
     /// setting).
     pub fn add_edge_unit(&mut self, u: NodeId, v: NodeId) {
         self.add_edge(u, v, 1.0);
-    }
-
-    /// True if `u -> v` was already added (linear scan; only for small
-    /// builders / tests — generators use their own bookkeeping).
-    pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edges
-            .iter()
-            .any(|&(a, b, _)| (a, b) == (u, v) || (!self.directed && (b, a) == (u, v)))
     }
 
     /// Finalise into an immutable CSR graph. `O(|E| log |E|)`.

@@ -229,13 +229,6 @@ impl Graph {
         }
         self
     }
-
-    /// Memory footprint of the adjacency arrays in bytes (diagnostics).
-    pub fn heap_bytes(&self) -> usize {
-        self.out_offsets.len() * std::mem::size_of::<usize>() * 2
-            + self.out_targets.len() * std::mem::size_of::<NodeId>() * 2
-            + self.out_weights.len() * std::mem::size_of::<f64>() * 2
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!
 //! | Dataset    | \|V\|  | \|E\|   | Type       | Avg. degree | Generator |
 //! |------------|--------|---------|------------|-------------|-----------|
-//! | Email      | 1K     | 25.6K   | Directed   | 25.44       | directed SBM (4 depts) |
+//! | Email      | 1K     | 25.6K   | Directed   | 25.44       | directed preferential |
 //! | Bitcoin    | 5.9K   | 35.6K   | Directed   | 6.05        | directed preferential |
 //! | LastFM     | 7.6K   | 27.8K   | Undirected | 7.29        | Barabási–Albert |
 //! | HepPh      | 12K    | 118.5K  | Undirected | 19.74       | Holme–Kim |

@@ -2,9 +2,8 @@
 //! datasets (see `datasets.rs` for the calibration to Table I).
 //!
 //! Each generator documents which structural property it contributes:
-//! degree distribution (heavy-tailed vs homogeneous), clustering, and
-//! small-world diameter — the properties that drive both IM utility and the
-//! DP noise scale.
+//! degree distribution (heavy-tailed vs homogeneous) and clustering — the
+//! properties that drive both IM utility and the DP noise scale.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Graph, NodeId};
@@ -159,89 +158,6 @@ pub fn holme_kim(n: usize, m: f64, p_triad: f64, rng: &mut impl Rng) -> Graph {
     b.build()
 }
 
-/// Watts–Strogatz small world: ring lattice with `k` neighbours per node
-/// (must be even), each edge rewired with probability `beta`.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, rng: &mut impl Rng) -> Graph {
-    assert!(k % 2 == 0 && k < n, "k must be even and < n");
-    assert!((0.0..=1.0).contains(&beta));
-    let mut b = GraphBuilder::new_undirected(n);
-    let mut exists = std::collections::BTreeSet::new();
-    let add = |b: &mut GraphBuilder,
-               exists: &mut std::collections::BTreeSet<(NodeId, NodeId)>,
-               u: NodeId,
-               v: NodeId|
-     -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        if u != v && exists.insert(key) {
-            b.add_edge_unit(u, v);
-            true
-        } else {
-            false
-        }
-    };
-    for u in 0..n {
-        for j in 1..=(k / 2) {
-            let u_id = u as NodeId;
-            let mut v_id = ((u + j) % n) as NodeId;
-            if rng.gen_bool(beta) {
-                // Rewire the far endpoint to a uniform non-duplicate target.
-                for _ in 0..100 {
-                    let w = rng.gen_range(0..n) as NodeId;
-                    let key = if u_id < w { (u_id, w) } else { (w, u_id) };
-                    if w != u_id && !exists.contains(&key) {
-                        v_id = w;
-                        break;
-                    }
-                }
-            }
-            let _ = add(&mut b, &mut exists, u_id, v_id);
-        }
-    }
-    b.build()
-}
-
-/// Stochastic block model: nodes split into `blocks.len()` communities with
-/// within-community edge probability `p_in` and cross-community `p_out`.
-/// Used (directed) for the Email dataset, which is a dense institutional
-/// network with departmental structure.
-pub fn stochastic_block_model(
-    blocks: &[usize],
-    p_in: f64,
-    p_out: f64,
-    directed: bool,
-    rng: &mut impl Rng,
-) -> Graph {
-    let n: usize = blocks.iter().sum();
-    let mut block_of = Vec::with_capacity(n);
-    for (bi, &sz) in blocks.iter().enumerate() {
-        block_of.extend(std::iter::repeat(bi).take(sz));
-    }
-    let mut b = if directed {
-        GraphBuilder::new_directed(n)
-    } else {
-        GraphBuilder::new_undirected(n)
-    };
-    // Dense-ish sampling via geometric skipping over the pair space would be
-    // ideal; the Email graph is only ~1K nodes, so the O(n^2) loop is fine.
-    for u in 0..n {
-        let lo = if directed { 0 } else { u + 1 };
-        for v in lo..n {
-            if u == v {
-                continue;
-            }
-            let p = if block_of[u] == block_of[v] {
-                p_in
-            } else {
-                p_out
-            };
-            if rng.gen_bool(p) {
-                b.add_edge_unit(u as NodeId, v as NodeId);
-            }
-        }
-    }
-    b.build()
-}
-
 /// Directed preferential attachment (Bollobás-style, simplified): each new
 /// node emits a *lognormally distributed* number of arcs (mean `m_out`,
 /// dispersion σ = 1.2 — real trust and email networks have a heavy tail of
@@ -346,40 +262,6 @@ mod tests {
             c_hk > 1.5 * c_ba,
             "holme-kim clustering {c_hk} vs BA {c_ba}"
         );
-    }
-
-    #[test]
-    fn watts_strogatz_zero_beta_is_ring_lattice() {
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let g = watts_strogatz(50, 4, 0.0, &mut rng);
-        assert_eq!(g.num_edges(), 50 * 2);
-        for v in g.nodes() {
-            assert_eq!(g.total_degree(v), 4);
-        }
-    }
-
-    #[test]
-    fn watts_strogatz_rewiring_preserves_edge_count_roughly() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let g = watts_strogatz(200, 6, 0.3, &mut rng);
-        // rewiring can occasionally drop an edge on collision; tolerate 5%
-        assert!(g.num_edges() as f64 > 0.95 * 600.0);
-    }
-
-    #[test]
-    fn sbm_prefers_within_block_edges() {
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let g = stochastic_block_model(&[100, 100], 0.1, 0.005, false, &mut rng);
-        let mut within = 0;
-        let mut across = 0;
-        for (u, v, _) in g.arcs() {
-            if (u < 100) == (v < 100) {
-                within += 1;
-            } else {
-                across += 1;
-            }
-        }
-        assert!(within > 5 * across, "within={within} across={across}");
     }
 
     #[test]

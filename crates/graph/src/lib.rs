@@ -3,11 +3,11 @@
 //!
 //! Graph substrate for the PrivIM reproduction: a compact CSR graph type,
 //! the θ-bounded in-degree projection from §III-B of the paper, induced
-//! subgraph extraction, classic graph algorithms (BFS, r-hop neighbourhoods,
-//! clustering coefficients, connected components), synthetic generators
-//! (Erdős–Rényi, Barabási–Albert, Holme–Kim, Watts–Strogatz, stochastic
-//! block model, directed preferential attachment) and dataset builders
-//! calibrated to Table I of the paper.
+//! subgraph extraction, classic graph algorithms (r-hop neighbourhoods,
+//! clustering coefficients, connected components, degree statistics),
+//! synthetic generators (Erdős–Rényi, Barabási–Albert, Holme–Kim, directed
+//! preferential attachment) and dataset builders calibrated to Table I of
+//! the paper.
 //!
 //! All randomised routines take an explicit [`privim_rt::Rng`] so experiments are
 //! reproducible from a seed.

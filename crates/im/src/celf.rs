@@ -2,17 +2,17 @@
 //!
 //! The paper's ground truth (§V-A): greedy seed selection with lazy
 //! marginal-gain re-evaluation, exploiting submodularity for a `(1 − 1/e)`
-//! approximation guarantee. Two oracles are provided:
-//!
-//! - [`celf_exact`]: the evaluation setting's deterministic one-step
-//!   coverage (`w = 1, j = 1`) — exact gains, no sampling error.
-//! - [`celf_monte_carlo`]: general IC via Monte-Carlo estimation.
+//! approximation guarantee, under the evaluation setting's deterministic
+//! one-step coverage oracle (`w = 1, j = 1`) — exact gains, no sampling
+//! error. One lazy-greedy loop, [`LazyGreedy`], serves both the one-shot
+//! [`celf_exact`] and the resumable top-`k` queries of a server.
 
-use crate::diffusion::ic_spread_estimate;
 use crate::spread::{one_step_cover, one_step_marginal_gain};
 use privim_graph::{Graph, NodeId};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Outcome of a CELF run.
 #[derive(Clone, Debug)]
@@ -49,48 +49,16 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// CELF under the exact one-step coverage oracle (`w = 1, j = 1`).
+/// CELF under the exact one-step coverage oracle (`w = 1, j = 1`):
+/// a fresh [`LazyGreedy`] extended to `k` seeds.
 /// `O(|V| log |V|)`-ish in practice thanks to lazy evaluation.
 pub fn celf_exact(g: &Graph, k: usize) -> CelfResult {
-    let n = g.num_nodes();
-    let k = k.min(n);
-    let mut covered = vec![false; n];
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(n);
-    let mut evaluations = 0usize;
-
-    for v in g.nodes() {
-        evaluations += 1;
-        heap.push(HeapEntry {
-            gain: one_step_marginal_gain(g, &covered, v) as f64,
-            node: v,
-            round: 0,
-        });
-    }
-
-    let mut seeds = Vec::with_capacity(k);
-    let mut spread = 0usize;
-    let mut round = 1usize;
-    while seeds.len() < k {
-        let Some(top) = heap.pop() else { break };
-        if top.round == round {
-            // gain is current for this round: pick it
-            spread += one_step_cover(g, &mut covered, top.node);
-            seeds.push(top.node);
-            round += 1;
-        } else {
-            // stale: re-evaluate lazily and push back
-            evaluations += 1;
-            heap.push(HeapEntry {
-                gain: one_step_marginal_gain(g, &covered, top.node) as f64,
-                node: top.node,
-                round,
-            });
-        }
-    }
+    let mut greedy = LazyGreedy::new(g);
+    let seeds = greedy.extend_to(k).to_vec();
     CelfResult {
+        spread: greedy.prefix_spread(seeds.len()),
         seeds,
-        spread: spread as f64,
-        evaluations,
+        evaluations: greedy.evaluations(),
     }
 }
 
@@ -103,13 +71,11 @@ pub fn celf_exact(g: &Graph, k: usize) -> CelfResult {
 /// [`extend_to`](Self::extend_to) lazily when a larger `k` arrives, reusing
 /// the heap and coverage state instead of starting over.
 ///
-/// Holds the graph by [`Arc`](std::sync::Arc) so a server can share one graph across
-/// worker threads and cache entries without cloning CSR arrays.
-///
-/// Pick order is bit-identical to [`celf_exact`] (same oracle, same
-/// tie-breaking); a unit test pins this.
-pub struct LazyGreedy {
-    g: std::sync::Arc<Graph>,
+/// Generic over how it holds the graph: a server passes an
+/// [`Arc`] (the default) to share one graph across worker threads and
+/// cache entries without cloning CSR arrays; [`celf_exact`] borrows it.
+pub struct LazyGreedy<G: Borrow<Graph> = Arc<Graph>> {
+    g: G,
     covered: Vec<bool>,
     heap: BinaryHeap<HeapEntry>,
     seeds: Vec<NodeId>,
@@ -120,18 +86,17 @@ pub struct LazyGreedy {
     round: usize,
 }
 
-impl LazyGreedy {
-    /// Initialise the lazy-greedy state (one oracle call per node, exactly
-    /// like the first round of [`celf_exact`]). No seeds are picked yet.
-    pub fn new(g: std::sync::Arc<Graph>) -> LazyGreedy {
-        let n = g.num_nodes();
+impl<G: Borrow<Graph>> LazyGreedy<G> {
+    /// Initialise the lazy-greedy state (one oracle call per node). No
+    /// seeds are picked yet.
+    pub fn new(g: G) -> LazyGreedy<G> {
+        let graph = g.borrow();
+        let n = graph.num_nodes();
         let covered = vec![false; n];
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(n);
-        let mut evaluations = 0usize;
-        for v in g.nodes() {
-            evaluations += 1;
+        for v in graph.nodes() {
             heap.push(HeapEntry {
-                gain: one_step_marginal_gain(&g, &covered, v) as f64,
+                gain: one_step_marginal_gain(graph, &covered, v) as f64,
                 node: v,
                 round: 0,
             });
@@ -142,7 +107,7 @@ impl LazyGreedy {
             heap,
             seeds: Vec::new(),
             gains: Vec::new(),
-            evaluations,
+            evaluations: n,
             round: 1,
         }
     }
@@ -151,18 +116,21 @@ impl LazyGreedy {
     /// the first `k` in pick order. Already-selected prefixes are returned
     /// without any oracle calls.
     pub fn extend_to(&mut self, k: usize) -> &[NodeId] {
-        let k = k.min(self.g.num_nodes());
+        let g = self.g.borrow();
+        let k = k.min(g.num_nodes());
         while self.seeds.len() < k {
             let Some(top) = self.heap.pop() else { break };
             if top.round == self.round {
-                let gained = one_step_cover(&self.g, &mut self.covered, top.node);
+                // gain is current for this round: pick it
+                let gained = one_step_cover(g, &mut self.covered, top.node);
                 self.seeds.push(top.node);
                 self.gains.push(gained);
                 self.round += 1;
             } else {
+                // stale: re-evaluate lazily and push back
                 self.evaluations += 1;
                 self.heap.push(HeapEntry {
-                    gain: one_step_marginal_gain(&self.g, &self.covered, top.node) as f64,
+                    gain: one_step_marginal_gain(g, &self.covered, top.node) as f64,
                     node: top.node,
                     round: self.round,
                 });
@@ -187,74 +155,6 @@ impl LazyGreedy {
     pub fn evaluations(&self) -> usize {
         self.evaluations
     }
-
-    /// The shared graph this selector runs on.
-    pub fn graph(&self) -> &std::sync::Arc<Graph> {
-        &self.g
-    }
-}
-
-/// CELF with a Monte-Carlo IC oracle: `runs` simulations per gain estimate,
-/// diffusion truncated at `max_steps`. Practical only on small graphs or
-/// with modest `runs`; the paper's evaluation setting never needs it, but
-/// general IC experiments do.
-pub fn celf_monte_carlo(
-    g: &Graph,
-    k: usize,
-    max_steps: Option<usize>,
-    runs: usize,
-    seed: u64,
-) -> CelfResult {
-    let n = g.num_nodes();
-    let k = k.min(n);
-    let mut evaluations = 0usize;
-    let mut seeds: Vec<NodeId> = Vec::with_capacity(k);
-    let mut current_spread = 0.0f64;
-
-    let spread_of = |s: &[NodeId], evals: &mut usize| -> f64 {
-        *evals += 1;
-        if s.is_empty() {
-            0.0
-        } else {
-            ic_spread_estimate(g, s, max_steps, runs, seed)
-        }
-    };
-
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(n);
-    for v in g.nodes() {
-        let gain = spread_of(&[v], &mut evaluations);
-        heap.push(HeapEntry {
-            gain,
-            node: v,
-            round: 0,
-        });
-    }
-
-    let mut round = 1usize;
-    while seeds.len() < k {
-        let Some(top) = heap.pop() else { break };
-        if top.round == round {
-            seeds.push(top.node);
-            current_spread += top.gain;
-            round += 1;
-        } else {
-            let mut with_v = seeds.clone();
-            with_v.push(top.node);
-            let gain = spread_of(&with_v, &mut evaluations) - current_spread;
-            heap.push(HeapEntry {
-                gain,
-                node: top.node,
-                round,
-            });
-        }
-    }
-    // Final spread measured on the chosen set for consistency.
-    let spread = spread_of(&seeds, &mut evaluations);
-    CelfResult {
-        seeds,
-        spread,
-        evaluations,
-    }
 }
 
 #[cfg(test)]
@@ -264,6 +164,7 @@ mod tests {
     use privim_graph::{generators, GraphBuilder};
     use privim_rt::ChaCha8Rng;
     use privim_rt::SeedableRng;
+    use std::cmp::Reverse;
 
     /// Two stars: hub 0 -> 1..=4 and hub 5 -> 6..=7, isolated 8.
     fn two_stars() -> Graph {
@@ -332,16 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_agrees_with_exact_under_unit_weights() {
-        // With w = 1 and 1-step truncation the MC oracle is deterministic,
-        // so both CELF variants must find sets of equal spread.
-        let g = two_stars();
-        let exact = celf_exact(&g, 2);
-        let mc = celf_monte_carlo(&g, 2, Some(1), 3, 7);
-        assert_eq!(mc.spread, exact.spread);
-    }
-
-    #[test]
     fn empty_graph_returns_empty() {
         let g = Graph::empty(0, true);
         let r = celf_exact(&g, 5);
@@ -349,22 +240,47 @@ mod tests {
         assert_eq!(r.spread, 0.0);
     }
 
+    /// Plain (non-lazy) greedy: every round re-evaluates every unpicked
+    /// node and takes the largest marginal gain, ties to the lower id.
+    fn plain_greedy(g: &Graph, k: usize) -> (Vec<NodeId>, usize) {
+        let mut covered = vec![false; g.num_nodes()];
+        let (mut seeds, mut spread) = (Vec::new(), 0);
+        for _ in 0..k.min(g.num_nodes()) {
+            let best = g
+                .nodes()
+                .filter(|v| !seeds.contains(v))
+                .max_by_key(|&v| (one_step_marginal_gain(g, &covered, v), Reverse(v)))
+                .unwrap();
+            spread += one_step_cover(g, &mut covered, best);
+            seeds.push(best);
+        }
+        (seeds, spread)
+    }
+
     #[test]
-    fn lazy_greedy_prefixes_match_celf_exact() {
-        use std::sync::Arc;
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let g = generators::barabasi_albert(200, 3, &mut rng).with_uniform_weights(1.0);
-        let mut lazy = LazyGreedy::new(Arc::new(g.clone()));
-        for k in [1usize, 2, 5, 13, 40] {
-            let reference = celf_exact(&g, k);
-            assert_eq!(lazy.extend_to(k), &reference.seeds[..], "k={k}");
-            assert_eq!(lazy.prefix_spread(k), reference.spread, "k={k}");
+    fn celf_exact_matches_plain_greedy() {
+        // k = 120 = |V| runs through the zero-gain rounds, where only the
+        // tie-break orders the picks.
+        for seed in 0..15 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let ba = generators::barabasi_albert(120, 2, &mut rng);
+            let er = generators::erdos_renyi(120, 300, true, &mut rng);
+            for g in [ba, er] {
+                let mut resumed = LazyGreedy::new(&g);
+                for k in [1, 3, 10, 40, 120] {
+                    let (seeds, spread) = plain_greedy(&g, k);
+                    let r = celf_exact(&g, k);
+                    assert_eq!(r.seeds, seeds, "seed {seed} k={k}");
+                    assert_eq!(r.spread, spread as f64, "seed {seed} k={k}");
+                    assert_eq!(resumed.extend_to(k), &seeds[..], "seed {seed} k={k}");
+                    assert_eq!(resumed.prefix_spread(k), r.spread, "seed {seed} k={k}");
+                }
+            }
         }
     }
 
     #[test]
     fn resuming_is_cheaper_than_restarting() {
-        use std::sync::Arc;
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let g = generators::barabasi_albert(300, 3, &mut rng).with_uniform_weights(1.0);
         let mut lazy = LazyGreedy::new(Arc::new(g.clone()));
@@ -382,7 +298,6 @@ mod tests {
 
     #[test]
     fn lazy_greedy_clamps_and_handles_empty() {
-        use std::sync::Arc;
         let mut lazy = LazyGreedy::new(Arc::new(two_stars()));
         assert_eq!(lazy.extend_to(100).len(), 9);
         assert_eq!(lazy.prefix_spread(100), 9.0);

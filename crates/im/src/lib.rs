@@ -4,8 +4,8 @@
 //! Influence-maximization substrate: diffusion models (Independent Cascade,
 //! plus the Linear Threshold and SIS models the paper lists as future
 //! work), exact and Monte-Carlo influence-spread estimation, the CELF lazy
-//! greedy algorithm (the paper's ground truth), and simple heuristic
-//! baselines.
+//! greedy algorithm under exact one-step coverage (the paper's ground
+//! truth), and simple heuristic baselines.
 //!
 //! ## Evaluation convention
 //!
@@ -13,10 +13,10 @@
 //! influence spread of a seed set `S` is exactly `|S ∪ N⁺(S)|` — a
 //! deterministic, submodular coverage function. [`spread::one_step_spread`]
 //! computes it exactly and [`celf::celf_exact`] maximises it with the
-//! classic `(1 − 1/e)` guarantee. General `(w, j)` settings are served by
-//! Monte-Carlo estimation ([`diffusion::ic_spread_estimate`]) and
-//! [`celf::celf_monte_carlo`]. On 0/1 weights, at any `j`, the estimate
-//! is exact and costs one cascade, whatever the number of runs.
+//! classic `(1 − 1/e)` guarantee. General `(w, j)` spreads are estimated
+//! by Monte-Carlo ([`diffusion::ic_spread_estimate`]). On 0/1 weights, at
+//! any `j`, the estimate is exact and costs one cascade, whatever the
+//! number of runs.
 
 pub mod celf;
 pub mod diffusion;
@@ -24,7 +24,7 @@ pub mod heuristics;
 pub mod metrics;
 pub mod spread;
 
-pub use celf::{celf_exact, celf_monte_carlo, CelfResult, LazyGreedy};
+pub use celf::{celf_exact, CelfResult, LazyGreedy};
 pub use diffusion::{
     ic_simulate_once, ic_spread_estimate, lt_spread_estimate, sis_spread_estimate,
 };

@@ -1,10 +1,10 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
 //!
-//! Checkpoint and bundle files carry a checksum over their payload so a
-//! truncated or bit-flipped file is rejected with a typed error instead of
-//! being half-parsed into a wrong model. The classic byte-at-a-time table
-//! algorithm is plenty: checkpoints are kilobytes-to-megabytes and written
-//! once per training run.
+//! Bundle files and journal records carry a checksum over their payload,
+//! so a truncated or bit-flipped file is rejected with a typed error
+//! instead of being half-parsed into a wrong model. The classic
+//! byte-at-a-time table algorithm is plenty: bundles are
+//! kilobytes-to-megabytes.
 //!
 //! The table is built at compile time (`const fn`), so there is no runtime
 //! initialisation and no locking.

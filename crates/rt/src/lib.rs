@@ -12,8 +12,8 @@
 //!   function is validated against the RFC 8439 test vectors), plus the
 //!   small sampling API the repo actually uses: [`SeedableRng::seed_from_u64`],
 //!   [`Rng::gen`], [`Rng::gen_range`], [`Rng::gen_bool`],
-//!   [`SliceRandom::shuffle`] and the [`dist`] module (uniform / Gaussian /
-//!   Bernoulli / exponential) used for DP noise.
+//!   [`SliceRandom::shuffle`] and the [`dist`] module (Gaussian /
+//!   exponential) used for DP noise.
 //! * [`par`] — a scoped `std::thread` parallel map / reduce pool with a
 //!   `PRIVIM_THREADS` override and a sequential fallback. Work is split
 //!   into contiguous index chunks, so results are always returned in input
@@ -25,8 +25,8 @@
 //! * [`bench`](mod@bench) — a tiny fixed-iteration micro-benchmark harness replacing
 //!   `criterion` for the `crates/bench` benches.
 //!
-//! Plus [`crc`] — a compile-time-tabled CRC-32 used by checkpoint and
-//! serve-bundle formats to reject truncated or corrupted files.
+//! Plus [`crc`] — a compile-time-tabled CRC-32 used by the serve bundle
+//! and journal formats to reject truncated or corrupted files.
 //!
 //! Two fault-tolerance subsystems sit alongside them:
 //!

@@ -395,25 +395,6 @@ where
         .sum()
 }
 
-/// Run `f(lo, hi)` over the contiguous chunks of `0..n` that the current
-/// thread count implies, in parallel. `f` must only touch state it owns for
-/// `lo..hi` (e.g. disjoint output regions reached through raw indexing).
-pub fn for_each_chunk<F>(n: usize, f: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let (threads, chunk) = split(n);
-    if threads <= 1 || n <= 1 {
-        f(0, n);
-        return;
-    }
-    run_on_pool(threads, |t| {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        f(lo, hi);
-    });
-}
-
 /// Partition a mutable row-major buffer (`data.len() == rows · row_len`)
 /// into contiguous row chunks, one per worker, and run
 /// `f(first_row, chunk)` on each. Every row is written by exactly one

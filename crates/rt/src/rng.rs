@@ -239,9 +239,10 @@ impl<T> SliceRandom for [T] {
     }
 }
 
-/// Distributions used for DP noise and weight initialisation.
+/// The one Gaussian and the one `Exp(1)` sampler: DP noise
+/// (`privim_dp::mechanisms`) and the lognormal generator draw from here.
 pub mod dist {
-    use super::{Rng, RngCore, UniformSample};
+    use super::{RngCore, UniformSample};
 
     /// One standard normal draw via Box–Muller.
     pub fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
@@ -253,16 +254,6 @@ pub mod dist {
             let u2 = f64::sample(rng);
             return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         }
-    }
-
-    /// `N(mean, std²)` draw.
-    pub fn gaussian<R: RngCore + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
-        mean + standard_normal(rng) * std
-    }
-
-    /// Bernoulli draw with success probability `p`.
-    pub fn bernoulli<R: RngCore>(rng: &mut R, p: f64) -> bool {
-        rng.gen_bool(p)
     }
 
     /// `Exp(1)` draw via inverse CDF.

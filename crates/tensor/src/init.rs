@@ -1,4 +1,4 @@
-//! Weight initialisation schemes.
+//! Weight initialisation: every model starts from [`xavier_uniform`].
 
 use crate::matrix::Matrix;
 use privim_rt::Rng;
@@ -11,37 +11,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matr
     let mut m = Matrix::zeros(fan_in, fan_out);
     for x in m.data_mut() {
         *x = rng.gen_range(-a..=a);
-    }
-    m
-}
-
-/// Kaiming/He normal: `N(0, sqrt(2 / fan_in))` — for ReLU MLPs (GIN).
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let std = (2.0 / fan_in as f64).sqrt();
-    let mut m = Matrix::zeros(fan_in, fan_out);
-    for x in m.data_mut() {
-        *x = sample_standard_normal(rng) * std;
-    }
-    m
-}
-
-/// Standard normal via Box–Muller (avoids a rand_distr dependency).
-pub fn sample_standard_normal(rng: &mut impl Rng) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
-        }
-        let u2: f64 = rng.gen::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    }
-}
-
-/// Matrix of iid `N(0, std²)` entries.
-pub fn gaussian_matrix(rows: usize, cols: usize, std: f64, rng: &mut impl Rng) -> Matrix {
-    let mut m = Matrix::zeros(rows, cols);
-    for x in m.data_mut() {
-        *x = sample_standard_normal(rng) * std;
     }
     m
 }
@@ -59,35 +28,5 @@ mod tests {
         let a = (6.0 / 48.0f64).sqrt();
         assert!(m.max_abs() <= a);
         assert!(m.max_abs() > 0.0);
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| sample_standard_normal(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn gaussian_matrix_scales_std() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let m = gaussian_matrix(100, 100, 5.0, &mut rng);
-        let var = m.data().iter().map(|x| x * x).sum::<f64>() / 10_000.0;
-        assert!((var.sqrt() - 5.0).abs() < 0.2, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn kaiming_scale_shrinks_with_fan_in() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let wide = kaiming_normal(1024, 8, &mut rng);
-        let narrow = kaiming_normal(4, 8, &mut rng);
-        let rms = |m: &Matrix| {
-            (m.data().iter().map(|x| x * x).sum::<f64>() / m.data().len() as f64).sqrt()
-        };
-        assert!(rms(&wide) < rms(&narrow));
     }
 }

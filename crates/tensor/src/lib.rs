@@ -40,6 +40,6 @@ pub mod sparse;
 pub mod tape;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, GradClip, Optimizer, Sgd};
+pub use optim::GradClip;
 pub use sparse::SparseMatrix;
 pub use tape::{Gradients, Tape, Var};

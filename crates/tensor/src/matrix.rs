@@ -384,12 +384,6 @@ impl Matrix {
         simd::sum(&self.data)
     }
 
-    /// Frobenius (flattened `l2`) norm — the norm DP-SGD clips
-    /// ([`simd`] 4-lane reduction contract).
-    pub fn frobenius_norm(&self) -> f64 {
-        simd::sumsq(&self.data).sqrt()
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
@@ -477,7 +471,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.max_abs(), 4.0);
         assert_eq!(a.sum(), 7.0);
         assert!(!a.has_non_finite());

@@ -1,9 +1,10 @@
-//! Optimisers and gradient clipping.
+//! Gradient clipping.
 //!
 //! DP-SGD (Algorithm 2) clips each *per-sample* gradient to a global `l2`
 //! bound `C` across all parameter matrices, sums, adds noise, then applies
 //! a plain SGD step with the averaged private gradient. [`GradClip`]
-//! implements the clip; [`Sgd`]/[`Adam`] implement the update.
+//! implements the clip; the trainer applies the update itself
+//! ([`Matrix::add_scaled_assign`]).
 
 use crate::matrix::Matrix;
 
@@ -39,106 +40,6 @@ impl GradClip {
     }
 }
 
-/// Parameter-update strategy.
-pub trait Optimizer {
-    /// Apply one update step: `params[i] -= direction_i(grads[i])`.
-    fn step(&mut self, params: &mut [Matrix], grads: &[Matrix]);
-
-    /// Current learning rate (diagnostics).
-    fn learning_rate(&self) -> f64;
-}
-
-/// Plain SGD, the optimiser Algorithm 2 uses (line 9).
-pub struct Sgd {
-    lr: f64,
-}
-
-impl Sgd {
-    /// SGD with fixed learning rate.
-    pub fn new(lr: f64) -> Self {
-        assert!(lr > 0.0);
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [Matrix], grads: &[Matrix]) {
-        assert_eq!(params.len(), grads.len());
-        for (p, g) in params.iter_mut().zip(grads) {
-            p.add_scaled_assign(g, -self.lr);
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-}
-
-/// Adam (Kingma & Ba). Offered for the non-private ablations; the DP
-/// pipelines stick with SGD so the sensitivity analysis applies verbatim.
-pub struct Adam {
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    t: u64,
-    m: Vec<Matrix>,
-    v: Vec<Matrix>,
-}
-
-impl Adam {
-    /// Adam with standard defaults `β₁=0.9, β₂=0.999, ε=1e-8`.
-    pub fn new(lr: f64) -> Self {
-        assert!(lr > 0.0);
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [Matrix], grads: &[Matrix]) {
-        assert_eq!(params.len(), grads.len());
-        if self.m.is_empty() {
-            self.m = params
-                .iter()
-                .map(|p| Matrix::zeros(p.rows(), p.cols()))
-                .collect();
-            self.v = self.m.clone();
-        }
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = &grads[i];
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            for ((mj, vj), (&gj, pj)) in m
-                .data_mut()
-                .iter_mut()
-                .zip(v.data_mut())
-                .zip(g.data().iter().zip(params[i].data_mut()))
-            {
-                *mj = self.beta1 * *mj + (1.0 - self.beta1) * gj;
-                *vj = self.beta2 * *vj + (1.0 - self.beta2) * gj * gj;
-                let mhat = *mj / b1t;
-                let vhat = *vj / b2t;
-                *pj -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,29 +66,6 @@ mod tests {
         assert!((post - 1.0).abs() < 1e-12, "post-clip norm {post}");
         // direction preserved
         assert!((grads[0].get(0, 0) / grads[1].get(0, 0) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        // minimise f(w) = (w - 3)^2, grad = 2(w-3)
-        let mut w = vec![Matrix::from_rows(&[&[0.0]])];
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let g = vec![w[0].map(|x| 2.0 * (x - 3.0))];
-            opt.step(&mut w, &g);
-        }
-        assert!((w[0].get(0, 0) - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adam_descends_quadratic() {
-        let mut w = vec![Matrix::from_rows(&[&[0.0]])];
-        let mut opt = Adam::new(0.1);
-        for _ in 0..500 {
-            let g = vec![w[0].map(|x| 2.0 * (x - 3.0))];
-            opt.step(&mut w, &g);
-        }
-        assert!((w[0].get(0, 0) - 3.0).abs() < 1e-3, "w={}", w[0].get(0, 0));
     }
 
     #[test]

@@ -13,7 +13,8 @@ use std::sync::OnceLock;
 /// thread — mirrors the dense kernels' threshold.
 const MIN_PAR_WORK: usize = 1 << 16;
 
-/// Immutable CSR sparse matrix (no gradient support — used as constants).
+/// Immutable CSR sparse matrix (no gradient support — used as constants):
+/// no method changes a built matrix's pattern or values.
 ///
 /// [`Self::spmm_transpose`] routes through a lazily-built, cached CSC view
 /// (the transpose in CSR form), so the backward pass of message passing is
@@ -26,11 +27,10 @@ pub struct SparseMatrix {
     offsets: Vec<usize>,
     col_idx: Vec<u32>,
     values: Vec<f64>,
-    /// Cached transpose; built on first `spmm_transpose` and invalidated
-    /// by every value-mutating method (`values_mut` / `map_values`), so it
-    /// can never serve stale coefficients. Within each transposed row the
-    /// source-row indices ascend, which reproduces the exact accumulation
-    /// order of the historical scatter loop.
+    /// Cached transpose, built on first `spmm_transpose`; the matrix is
+    /// immutable, so it can never serve stale coefficients. Within each
+    /// transposed row the source-row indices ascend, which reproduces the
+    /// exact accumulation order of the historical scatter loop.
     transposed: OnceLock<Box<SparseMatrix>>,
 }
 
@@ -144,30 +144,6 @@ impl SparseMatrix {
         let s = self.offsets[r];
         let e = self.offsets[r + 1];
         (&self.col_idx[s..e], &self.values[s..e])
-    }
-
-    /// Mutable view of the stored values (CSR order: row-major, ascending
-    /// column within each row). The sparsity *pattern* is fixed; only the
-    /// coefficients can change (e.g. reweighting edges of a served graph).
-    ///
-    /// Taking this view **invalidates the cached transpose**: the next
-    /// [`Self::spmm_transpose`] rebuilds it from the updated values, so a
-    /// mutate-then-transpose sequence can never observe stale numbers.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        self.transposed.take();
-        &mut self.values
-    }
-
-    /// Rewrite every stored value in place (`f(row, col, value)`), then
-    /// invalidate the cached transpose — see [`Self::values_mut`].
-    pub fn map_values(&mut self, f: impl Fn(usize, usize, f64) -> f64) {
-        self.transposed.take();
-        for r in 0..self.rows {
-            let (s, e) = (self.offsets[r], self.offsets[r + 1]);
-            for i in s..e {
-                self.values[i] = f(r, self.col_idx[i] as usize, self.values[i]);
-            }
-        }
     }
 
     /// Dense product `self × dense` → `rows × dense.cols()`.
@@ -443,49 +419,6 @@ mod tests {
                 assert!((got.get(i, j) - expect.get(i, j)).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn mutation_invalidates_cached_transpose() {
-        let mut s = SparseMatrix::from_triplets(3, 4, [(0, 1, 2.0), (1, 3, -1.0), (2, 0, 0.5)]);
-        let d = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -4.0], &[0.5, 0.25]]);
-        // populate the cache with the original values
-        assert_eq!(s.spmm_transpose(&d), s.to_dense().transpose().matmul(&d));
-        // mutate every coefficient through both mutation APIs
-        for v in s.values_mut() {
-            *v *= 3.0;
-        }
-        let after_scale = s.spmm_transpose(&d);
-        assert_eq!(
-            after_scale,
-            s.to_dense().transpose().matmul(&d),
-            "values_mut must invalidate the cached transpose"
-        );
-        s.map_values(|r, c, v| v + (r * 10 + c) as f64);
-        let after_map = s.spmm_transpose(&d);
-        assert_eq!(
-            after_map,
-            s.to_dense().transpose().matmul(&d),
-            "map_values must invalidate the cached transpose"
-        );
-        assert_ne!(after_scale, after_map);
-        // forward spmm (which never consults the cache) sees the mutated
-        // values as well
-        let d4 = Matrix::full(4, 2, 1.0);
-        assert_eq!(s.spmm(&d4), s.to_dense().matmul(&d4));
-    }
-
-    #[test]
-    fn mutation_keeps_pattern_and_rebuilds_cache_once() {
-        let mut s = SparseMatrix::from_triplets(4, 4, [(0, 2, 1.0), (3, 1, 2.0)]);
-        let _ = s.spmm_transpose(&Matrix::full(4, 1, 1.0));
-        s.values_mut()[0] = 9.0;
-        assert_eq!(s.nnz(), 2, "mutation must not change the pattern");
-        // the rebuilt cache is again stable across calls
-        let p1 = s.transposed() as *const SparseMatrix;
-        let p2 = s.transposed() as *const SparseMatrix;
-        assert_eq!(p1, p2);
-        assert_eq!(s.transposed().to_dense(), s.to_dense().transpose());
     }
 
     #[test]

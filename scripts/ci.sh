@@ -92,6 +92,15 @@ echo "== Max-Cut smoke (the §VI objective through the shared DP-SGD loop)"
 # loss through the same trainer loop as IM, end to end.
 cargo run -q --release --offline --example private_maxcut
 
+echo "== examples (each example program runs to completion)"
+# Library code stays only while a program reaches it, and examples are
+# programs: quickstart asserts its coverage, outbreak_detection drives the
+# LT and SIS estimators.
+for example in quickstart viral_marketing privacy_accounting outbreak_detection; do
+    echo "-- $example"
+    cargo run -q --release --offline --example "$example"
+done
+
 echo "== fault-injection matrix (divergence recovery under seeded faults)"
 for seed in 1 2; do
     echo "-- PRIVIM_FAULT_SEED=$seed"

@@ -7,9 +7,14 @@
 //! move if any floating-point operation in the attention forward or
 //! backward changes order: the arc-order `a_dst`/`a_src` sums, the
 //! exact-zero `hw` skip, or the target pass running before the source pass.
+//!
+//! The DP noise streams are pinned beside them: the Gaussian and SML
+//! samplers draw from `privim_rt::dist`, and their hashes were recorded
+//! from the noise module's own earlier copies of those formulas.
 
 use privim::loss::{im_loss, LossConfig};
 use privim::trainer::{train_dpgnn, DpSgdConfig, TrainItem};
+use privim_dp::mechanisms::{gaussian_noise_vec, sml_noise_vec};
 use privim_gnn::{node_features, GnnConfig, GnnKind, GnnModel, GraphTensors};
 use privim_graph::{generators, induced_subgraph, Graph, GraphBuilder, Subgraph};
 use privim_rt::{ChaCha8Rng, SeedableRng};
@@ -147,5 +152,24 @@ fn ten_step_training_matches_golden_bits() {
         ("grat dp", 0xefc88c04, training_hash(Grat, 0.8)),
         ("gat non-private", 0xc4d68e39, training_hash(Gat, 0.0)),
         ("grat non-private", 0xa2e67cb1, training_hash(Grat, 0.0)),
+    ]);
+}
+
+/// Seeded draws of the Gaussian noise (Algorithm 2, line 8) and of the HP
+/// baseline's SML noise, eight vectors each, so each SML vector draws its
+/// own `Exp(1)` radial scale. The hashes move if either sampler's
+/// arithmetic or its order of uniform draws changes.
+#[test]
+fn dp_noise_streams_match_golden_bits() {
+    let stream = |draw: &dyn Fn(&mut ChaCha8Rng) -> Vec<f64>| {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let draws: Vec<f64> = (0..8).flat_map(|_| draw(&mut rng)).collect();
+        hash(&[Matrix::from_vec(1, draws.len(), draws)])
+    };
+    let gaussian = stream(&|r| gaussian_noise_vec(257, 0.8, 3.0, r));
+    let sml = stream(&|r| sml_noise_vec(257, 2.4, r));
+    check(&[
+        ("gaussian noise", 0x8e9b4d55, gaussian),
+        ("sml noise", 0x9eb01832, sml),
     ]);
 }
